@@ -24,7 +24,7 @@ from .channels import (
     PHASE_FLIP,
     PRODUCT,
 )
-from .entanglement import negativity
+from .entanglement import pt_spectra
 from .errors import OutOfRange
 from .state import R_MAX, unruh_state
 
@@ -130,33 +130,38 @@ def verify_against_numeric(
     r_axis = np.linspace(0.0, R_MAX, grid_points)
     p_axis = axis if coupling == GLOBAL else np.array([0.0])
 
-    worst = -1.0
-    worst_point = (0.0, 0.0, 0.0, 0.0)
-    for r in r_axis:
-        rho0 = unruh_state(float(r))
-        for p1 in axis:
-            for p2 in axis:
-                for p in p_axis:
-                    spec = channels.ChannelSpec(
-                        kind=kind,
-                        coupling=coupling,
-                        p1=float(p1),
-                        p2=float(p2),
-                        p=float(p),
-                        global_mode=global_mode,
-                        variant=variant,
-                        level_order=level_order,
-                    )
-                    evolved = channels.evolve(rho0, spec, allow_incomplete=True)
-                    spectrum = negativity(evolved)
-                    analytic = lam(coupling, float(p1), float(p2), float(p), float(r))
-                    dev = max(
-                        abs(analytic - spectrum.min_eigenvalue),
-                        abs(max(0.0, -analytic) - spectrum.negativity),
-                    )
-                    if dev > worst:
-                        worst = dev
-                        worst_point = (float(p1), float(p2), float(p), float(r))
+    # Deviations in the (r, p1, p2, p) order of a nested loop, so argmax
+    # picks the first worst point in that order.
+    dev = np.empty((len(r_axis), len(axis), len(axis), len(p_axis)))
+    states = np.stack([unruh_state(float(r)).matrix for r in r_axis])
+    for i, p1 in enumerate(axis):
+        for j, p2 in enumerate(axis):
+            for k, p in enumerate(p_axis):
+                spec = channels.ChannelSpec(
+                    kind=kind,
+                    coupling=coupling,
+                    p1=float(p1),
+                    p2=float(p2),
+                    p=float(p),
+                    global_mode=global_mode,
+                    variant=variant,
+                    level_order=level_order,
+                )
+                evolved = channels.evolve(states, spec, allow_incomplete=True)
+                eig, neg = pt_spectra(evolved)
+                analytic = np.array([
+                    lam(coupling, float(p1), float(p2), float(p), float(r))
+                    for r in r_axis
+                ])
+                dev[:, i, j, k] = np.maximum(
+                    np.abs(analytic - eig[:, 0]),
+                    np.abs(np.maximum(0.0, -analytic) - neg),
+                )
+    worst_index = np.unravel_index(dev.argmax(), dev.shape)
+    worst = float(dev[worst_index])
+    r_i, p1_i, p2_i, p_i = worst_index
+    worst_point = (float(axis[p1_i]), float(axis[p2_i]), float(p_axis[p_i]),
+                   float(r_axis[r_i]))
     n = grid_points
     grid_desc = (
         f"{n}x{n}x{n}x{n} (p1, p2, p, r)"

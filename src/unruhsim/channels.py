@@ -232,11 +232,45 @@ def lift_qutrit(k: KrausSet) -> KrausSet:
 
 
 def apply_unchecked(ops, matrix: np.ndarray) -> np.ndarray:
-    """sum E rho E^dag without any revalidation of the result."""
+    """sum E rho E^dag without any revalidation of the result.
+
+    ``matrix`` may be one 6x6 matrix or an (N, 6, 6) stack; each operator
+    is applied to the whole stack at once.
+    """
     out = np.zeros_like(np.asarray(matrix, dtype=complex))
     for e in ops:
         out += e @ matrix @ e.conj().T
     return out
+
+
+_INCOMPLETE_SET = (
+    "Kraus set {kind!r} ({variant}) has completeness defect {defect:.3e}; "
+    "evolution would not preserve the trace"
+)
+_INCOMPLETE_GLOBAL = (
+    "{kind!r} global evolution in {global_mode!r} mode uses a "
+    "Kraus set with completeness defect {defect:.3e}"
+)
+
+
+def _push(matrices: np.ndarray, sets, allow_incomplete: bool, failure: str, **fields):
+    """Evolve a 6x6 matrix, or an (N, 6, 6) stack, through each Kraus set
+    in turn.
+
+    When every set is trace preserving the result goes through
+    ``validate_density``.  Otherwise the raw evolved array is returned if
+    ``allow_incomplete``; if not, CompletenessViolation is raised with the
+    worst defect (``failure`` formatted with ``fields`` and the defect).
+    """
+    defect = max(completeness_defect(k) for k in sets)
+    if defect > COMPLETENESS_TOL and not allow_incomplete:
+        raise CompletenessViolation(
+            failure.format(defect=defect, **fields), defect=defect
+        )
+    out = matrices
+    for k in sets:
+        out = apply_unchecked(k.ops, out)
+    return validate_density(out) if defect <= COMPLETENESS_TOL else out
 
 
 def apply(k: KrausSet, rho: DensityMatrix) -> DensityMatrix:
@@ -248,22 +282,17 @@ def apply(k: KrausSet, rho: DensityMatrix) -> DensityMatrix:
     """
     if k.dim != 6:
         raise DimensionMismatch(f"apply expects a lifted dim-6 set, got {k.dim}")
-    defect = completeness_defect(k)
-    if defect > COMPLETENESS_TOL:
-        raise CompletenessViolation(
-            f"Kraus set {k.kind!r} ({k.variant}) has completeness defect "
-            f"{defect:.3e}; evolution would not preserve the trace",
-            defect=defect,
-        )
-    return validate_density(apply_unchecked(k.ops, rho.matrix))
+    return _push(rho.matrix, (k,), False, _INCOMPLETE_SET,
+                 kind=k.kind, variant=k.variant)
 
 
-def _local_ops(
+def _local_set(
     kind: str, p1: float, p2: float, variant: str, level_order: str
-) -> list[np.ndarray]:
+) -> KrausSet:
     qubit = lift_qubit(qubit_channel(kind, p1))
     qutrit = lift_qutrit(qutrit_channel(kind, p2, variant, level_order))
-    return [b @ a for a in qubit.ops for b in qutrit.ops]
+    ops = tuple(b @ a for a in qubit.ops for b in qutrit.ops)
+    return KrausSet(dim=6, ops=ops, p=max(p1, p2), kind=kind, variant=variant)
 
 
 def collective_set(
@@ -294,6 +323,20 @@ def collective_set(
     return KrausSet(dim=6, ops=ops, p=p, kind=kind, variant=variant)
 
 
+def _evolve(matrices: np.ndarray, spec: ChannelSpec, allow_incomplete: bool):
+    """The one evaluation path, for one state or a stack of them: build the
+    spec's Kraus sets once, then push the whole stack through the local set
+    and, for global coupling, the collective set."""
+    local = _local_set(spec.kind, spec.p1, spec.p2, spec.variant, spec.level_order)
+    if spec.coupling == MULTILOCAL:
+        return _push(matrices, (local,), allow_incomplete, _INCOMPLETE_SET,
+                     kind=spec.kind, variant=spec.variant)
+    coll = collective_set(spec.kind, spec.p, spec.global_mode, spec.variant,
+                          spec.level_order)
+    return _push(matrices, (local, coll), allow_incomplete, _INCOMPLETE_GLOBAL,
+                 kind=spec.kind, global_mode=spec.global_mode)
+
+
 def multilocal_evolve(
     rho: DensityMatrix,
     kind: str,
@@ -309,12 +352,9 @@ def multilocal_evolve(
     that violates completeness yields the raw evolved ndarray instead of
     raising, for diagnostics of non-trace-preserving variants.
     """
-    ops = _local_ops(kind, p1, p2, variant, level_order)
-    combined = KrausSet(dim=6, ops=tuple(ops), p=max(p1, p2), kind=kind,
-                        variant=variant)
-    if allow_incomplete and completeness_defect(combined) > COMPLETENESS_TOL:
-        return apply_unchecked(combined.ops, rho.matrix)
-    return apply(combined, rho)
+    spec = ChannelSpec(kind, MULTILOCAL, p1, p2, variant=variant,
+                       level_order=level_order)
+    return _evolve(rho.matrix, spec, allow_incomplete)
 
 
 def global_evolve(
@@ -336,48 +376,19 @@ def global_evolve(
     case the raw evolved matrix (an ndarray, generally not unit trace) is
     returned for diagnostics.
     """
-    local = KrausSet(
-        dim=6,
-        ops=tuple(_local_ops(kind, p1, p2, variant, level_order)),
-        p=max(p1, p2),
-        kind=kind,
-        variant=variant,
-    )
-    coll = collective_set(kind, p, global_mode, variant, level_order)
-    defect = max(completeness_defect(local), completeness_defect(coll))
-    mid = apply_unchecked(local.ops, rho.matrix)
-    out = apply_unchecked(coll.ops, mid)
-    if defect > COMPLETENESS_TOL:
-        if allow_incomplete:
-            return out
-        raise CompletenessViolation(
-            f"{kind!r} global evolution in {global_mode!r} mode uses a "
-            f"Kraus set with completeness defect {defect:.3e}",
-            defect=defect,
-        )
-    return validate_density(out)
+    spec = ChannelSpec(kind, GLOBAL, p1, p2, p, global_mode, variant, level_order)
+    return _evolve(rho.matrix, spec, allow_incomplete)
 
 
-def evolve(rho: DensityMatrix, spec: ChannelSpec, allow_incomplete: bool = False):
-    """Dispatch on the coupling of a ChannelSpec."""
-    if spec.coupling == MULTILOCAL:
-        return multilocal_evolve(
-            rho,
-            spec.kind,
-            spec.p1,
-            spec.p2,
-            spec.variant,
-            spec.level_order,
-            allow_incomplete=allow_incomplete,
-        )
-    return global_evolve(
-        rho,
-        spec.kind,
-        spec.p1,
-        spec.p2,
-        spec.p,
-        spec.global_mode,
-        spec.variant,
-        spec.level_order,
-        allow_incomplete=allow_incomplete,
-    )
+def evolve(rho, spec: ChannelSpec, allow_incomplete: bool = False):
+    """Evolve a state, or a stack of states, through a ChannelSpec.
+
+    ``rho`` is a DensityMatrix, or an (N, 6, 6) array of validated density
+    matrices (for example a sweep's whole r-axis), all pushed through Kraus
+    sets built once.  A DensityMatrix comes back as in
+    ``multilocal_evolve``/``global_evolve``; a stack comes back as an
+    (N, 6, 6) array, validated and read-only unless ``allow_incomplete``
+    let a non-trace-preserving set through.
+    """
+    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, complex)
+    return _evolve(m, spec, allow_incomplete)

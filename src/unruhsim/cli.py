@@ -178,6 +178,7 @@ def _build_parser() -> _Parser:
     p_repro.add_argument("--out-dir", required=True)
     add_common(p_repro)
 
+    parser.subcommands = sub.choices
     return parser
 
 
@@ -201,31 +202,18 @@ def _apply_config(parser: _Parser, argv: list[str], args) -> argparse.Namespace:
         key, _, value = line.partition("=")
         overrides[key.strip().replace("-", "_")] = value.strip()
     known = set(vars(args)) - {"command", "config"}
-    for key in overrides:
+    for key, value in overrides.items():
         if key not in known:
             raise UsageError(
                 f"unknown config key {key!r} for subcommand {args.command!r}"
             )
-    # Config overrides defaults; flags given explicitly on the command
-    # line still win.
-    explicit = {
-        tok[2:].split("=", 1)[0].replace("-", "_")
-        for tok in argv
-        if tok.startswith("--")
-    }
-    for key, value in overrides.items():
-        if key in explicit:
-            continue
-        current = getattr(args, key)
-        if isinstance(current, bool):
-            setattr(args, key, value.lower() in ("1", "true", "yes", "on"))
-        elif isinstance(current, int) and not isinstance(current, bool):
-            setattr(args, key, int(value))
-        elif isinstance(current, float):
-            setattr(args, key, float(value))
-        else:
-            setattr(args, key, value)
-    return args
+        if isinstance(getattr(args, key), bool):  # a switch takes no value
+            overrides[key] = value.lower() in ("1", "true", "yes", "on")
+    # Config values become the subcommand's defaults; argparse converts
+    # them with each flag's type, and flags given on the command line,
+    # abbreviated or not, still win.
+    parser.subcommands[args.command].set_defaults(**overrides)
+    return parser.parse_args(argv)
 
 
 def _channel_spec(args, linked_p: float | None = None) -> ChannelSpec:
@@ -328,11 +316,7 @@ def _cmd_verify(args) -> int:
                 _fmt(p1), _fmt(p2), _fmt(p), _fmt(r), report.verdict,
             ]),
         ]
-        try:
-            with open(args.csv, "w", newline="\n") as fh:
-                fh.write("\n".join(lines) + "\n")
-        except OSError as exc:
-            raise IoFailure(f"cannot write {args.csv!r}: {exc}") from exc
+        sweep._atomic_write(args.csv, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -391,3 +375,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -32,13 +32,25 @@ def partial_transpose_qubit(rho) -> np.ndarray:
     """Transpose the qubit indices only: block (A,B) <- block (B,A).
 
     Under the 3A+a index convention this swaps the two off-diagonal 3x3
-    blocks and keeps the diagonal blocks.
+    blocks and keeps the diagonal blocks; an (N, 6, 6) stack is transposed
+    matrix by matrix.
     """
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, complex)
     out = m.copy()
-    out[0:3, 3:6] = m[3:6, 0:3]
-    out[3:6, 0:3] = m[0:3, 3:6]
+    out[..., 0:3, 3:6] = m[..., 3:6, 0:3]
+    out[..., 3:6, 0:3] = m[..., 0:3, 3:6]
     return out
+
+
+def pt_spectra(matrices) -> tuple[np.ndarray, np.ndarray]:
+    """PT eigenvalues (..., 6), ascending, and negativities (...) of a
+    6x6 matrix or of each matrix in an (N, 6, 6) stack, from one
+    eigensolver call."""
+    eig = hermitian_eigenvalues(partial_transpose_qubit(matrices))
+    # Eigenvalues ascend, so the negative ones are a prefix of each row and
+    # the zero padding leaves the row sums bit-equal to a masked sum.
+    neg = -np.where(eig < NEGATIVE_EIG_THRESHOLD, eig, 0.0).sum(axis=-1)
+    return eig, neg
 
 
 def negativity(rho) -> PtSpectrum:
@@ -48,10 +60,9 @@ def negativity(rho) -> PtSpectrum:
     Accepts a DensityMatrix or a raw Hermitian matrix (the latter is used
     for diagnostics of non-trace-preserving evolutions).
     """
-    eig = hermitian_eigenvalues(partial_transpose_qubit(rho))
-    neg = float(-eig[eig < NEGATIVE_EIG_THRESHOLD].sum())
+    eig, neg = pt_spectra(rho)
     return PtSpectrum(
-        eigenvalues=tuple(float(x) for x in eig),
-        negativity=neg,
+        eigenvalues=tuple(eig.tolist()),
+        negativity=float(neg),
         min_eigenvalue=float(eig[0]),
     )

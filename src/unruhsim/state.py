@@ -14,8 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeEigenvalue, NotHermitian, OutOfRange, TraceDeviation
-from .linalg import as_matrix, hermiticity_defect
+from .errors import (
+    DimensionMismatch,
+    NegativeEigenvalue,
+    NotHermitian,
+    OutOfRange,
+    TraceDeviation,
+)
+from .linalg import hermiticity_defect
 
 R_MAX = math.pi / 4
 
@@ -42,33 +48,49 @@ def validate_density(
     hermiticity_tol: float = HERMITICITY_TOL,
     trace_tol: float = TRACE_TOL,
     psd_tol: float = PSD_TOL,
-) -> DensityMatrix:
-    """Check the density-matrix invariants and wrap the matrix.
+):
+    """Check the density-matrix invariants and freeze the result.
+
+    A 6x6 matrix comes back wrapped in a DensityMatrix.  An (N, 6, 6)
+    stack is checked matrix by matrix, with one eigensolver call for the
+    whole stack, and comes back as a read-only array.
 
     Raises NotHermitian, TraceDeviation or NegativeEigenvalue with the
-    measured defect when an invariant fails.
+    measured defect when an invariant fails; in a stack, for the first
+    failing matrix, checked in that order.
     """
-    m = as_matrix(m)
-    if m.shape != (DIM, DIM):
-        raise OutOfRange(f"expected a {DIM}x{DIM} matrix, got {m.shape}")
-    h_defect = hermiticity_defect(m)
-    if h_defect > hermiticity_tol:
-        raise NotHermitian(
-            f"hermiticity defect {h_defect:.3e} exceeds {hermiticity_tol:.3e}"
-        )
-    tr_defect = abs(np.trace(m) - 1.0)
-    if tr_defect > trace_tol:
-        raise TraceDeviation(
-            f"trace deviates from 1 by {tr_defect:.3e} (tolerance {trace_tol:.3e})"
-        )
-    min_eig = float(np.linalg.eigvalsh(m)[0])
-    if min_eig < -psd_tol:
+    m = np.asarray(m, dtype=complex)
+    single = m.ndim == 2
+    ms = m[np.newaxis] if single else m
+    if ms.ndim != 3:
+        raise DimensionMismatch(f"expected a matrix or a stack, got ndim={m.ndim}")
+    if not np.isfinite(ms).all():
+        raise ValueError("matrix contains non-finite entries")
+    if ms.shape[1:] != (DIM, DIM):
+        raise OutOfRange(f"expected a {DIM}x{DIM} matrix, got {ms.shape[1:]}")
+    h_defect = hermiticity_defect(ms)
+    tr_defect = np.abs(ms.trace(axis1=1, axis2=2) - 1.0)
+    min_eig = np.linalg.eigvalsh(ms)[:, 0]
+    if (h_defect.max() > hermiticity_tol or tr_defect.max() > trace_tol
+            or min_eig.min() < -psd_tol):
+        i = ((h_defect > hermiticity_tol) | (tr_defect > trace_tol)
+             | (min_eig < -psd_tol)).argmax()
+        if h_defect[i] > hermiticity_tol:
+            raise NotHermitian(
+                f"hermiticity defect {h_defect[i]:.3e} exceeds "
+                f"{hermiticity_tol:.3e}"
+            )
+        if tr_defect[i] > trace_tol:
+            raise TraceDeviation(
+                f"trace deviates from 1 by {tr_defect[i]:.3e} "
+                f"(tolerance {trace_tol:.3e})"
+            )
         raise NegativeEigenvalue(
-            f"minimum eigenvalue {min_eig:.3e} below -{psd_tol:.3e}"
+            f"minimum eigenvalue {min_eig[i]:.3e} below -{psd_tol:.3e}"
         )
     out = m.copy()
     out.flags.writeable = False
-    return DensityMatrix(out)
+    return DensityMatrix(out) if single else out
 
 
 def unruh_state(r: float) -> DensityMatrix:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import channels
 from .channels import ChannelSpec, GLOBAL, MULTILOCAL
-from .entanglement import negativity
+from .entanglement import negativity, pt_spectra
 from .errors import IoFailure, OutOfRange
 from .state import R_MAX, unruh_state
 
@@ -82,20 +82,30 @@ class SweepRecord:
     min_pt_eigenvalue: float
 
 
-def _evaluate(spec: ChannelSpec, r: float) -> SweepRecord:
-    rho = channels.evolve(unruh_state(r), spec)
-    spectrum = negativity(rho)
-    return SweepRecord(
-        kind=spec.kind,
-        coupling=spec.coupling,
-        global_mode=spec.global_mode if spec.coupling == GLOBAL else "",
-        p1=spec.p1,
-        p2=spec.p2,
-        p=spec.p if spec.coupling == GLOBAL else 0.0,
-        r=r,
-        negativity=spectrum.negativity,
-        min_pt_eigenvalue=spectrum.min_eigenvalue,
-    )
+def _initial_states(r_values) -> np.ndarray:
+    """The (N, 6, 6) stack of initial states along an r-axis."""
+    return np.stack([unruh_state(float(r)).matrix for r in r_values])
+
+
+def _evaluate(spec: ChannelSpec, r_values, states: np.ndarray) -> list[SweepRecord]:
+    """Records for one channel spec over an r-axis, from one batched
+    evolution and one batched PT spectrum."""
+    eig, neg = pt_spectra(channels.evolve(states, spec))
+    global_ = spec.coupling == GLOBAL
+    return [
+        SweepRecord(
+            kind=spec.kind,
+            coupling=spec.coupling,
+            global_mode=spec.global_mode if global_ else "",
+            p1=spec.p1,
+            p2=spec.p2,
+            p=spec.p if global_ else 0.0,
+            r=float(r),
+            negativity=n,
+            min_pt_eigenvalue=e,
+        )
+        for r, n, e in zip(r_values, neg.tolist(), eig[:, 0].tolist())
+    ]
 
 
 def _with_swept_p(spec: SweepSpec, p: float) -> ChannelSpec:
@@ -114,19 +124,17 @@ def _with_swept_p(spec: SweepSpec, p: float) -> ChannelSpec:
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     """Evaluate the sweep grid; one record per point, outer p, inner r."""
     p_grid = np.linspace(spec.p_min, spec.p_max, spec.p_count)
-    r_grid = np.linspace(spec.r_min, spec.r_max, spec.r_count)
-    records = []
     if spec.axis == AXIS_P:
-        for p in p_grid:
-            records.append(_evaluate(_with_swept_p(spec, float(p)), spec.r))
-    elif spec.axis == AXIS_R:
-        for r in r_grid:
-            records.append(_evaluate(spec.channel, float(r)))
-    else:
-        for p in p_grid:
-            cspec = _with_swept_p(spec, float(p))
-            for r in r_grid:
-                records.append(_evaluate(cspec, float(r)))
+        states = _initial_states([spec.r])
+        return [rec for p in p_grid
+                for rec in _evaluate(_with_swept_p(spec, float(p)), [spec.r], states)]
+    r_grid = np.linspace(spec.r_min, spec.r_max, spec.r_count)
+    states = _initial_states(r_grid)
+    if spec.axis == AXIS_R:
+        return _evaluate(spec.channel, r_grid, states)
+    records = []
+    for p in p_grid:
+        records.extend(_evaluate(_with_swept_p(spec, float(p)), r_grid, states))
     return records
 
 
@@ -227,21 +235,24 @@ def read_csv(path: str) -> list[SweepRecord]:
     if not lines or lines[0] != CSV_HEADER:
         raise IoFailure(f"{path!r} is not a sweep CSV (bad header)")
     records = []
-    for line in lines[1:]:
-        kind, coupling, gmode, p1, p2, p, r, neg, mineig = line.split(",")
-        records.append(
-            SweepRecord(
-                kind=kind,
-                coupling=coupling,
-                global_mode=gmode,
-                p1=float(p1),
-                p2=float(p2),
-                p=float(p),
-                r=float(r),
-                negativity=float(neg),
-                min_pt_eigenvalue=float(mineig),
+    for lineno, line in enumerate(lines[1:], 2):
+        try:
+            kind, coupling, gmode, p1, p2, p, r, neg, mineig = line.split(",")
+            records.append(
+                SweepRecord(
+                    kind=kind,
+                    coupling=coupling,
+                    global_mode=gmode,
+                    p1=float(p1),
+                    p2=float(p2),
+                    p=float(p),
+                    r=float(r),
+                    negativity=float(neg),
+                    min_pt_eigenvalue=float(mineig),
+                )
             )
-        )
+        except ValueError as exc:
+            raise IoFailure(f"{path!r} line {lineno}: malformed row {line!r}") from exc
     return records
 
 

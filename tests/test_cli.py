@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -206,3 +209,60 @@ def test_config_missing_file_rejected(capsys):
     code = main(["state", "--r", "0", "--config", "/no/such/file.cfg"])
     assert code == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_config_value_of_wrong_type_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("steps = abc\n")
+    code = main([
+        "sweep", "--channel", "phase-flip", "--coupling", "ml", "--axis", "p",
+        "--out", str(tmp_path / "s.csv"), "--config", str(cfg),
+    ])
+    assert code == EXIT_USAGE
+    assert "abc" in capsys.readouterr().err
+
+
+def test_abbreviated_flag_beats_config(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("steps = 7\n")
+    out = tmp_path / "s.csv"
+    code = main([
+        "sweep", "--channel", "phase-flip", "--coupling", "ml", "--axis", "p",
+        "--ste", "3", "--out", str(out), "--config", str(cfg),
+    ])
+    assert code == EXIT_OK
+    assert len(out.read_text().splitlines()) == 1 + 3
+    capsys.readouterr()
+
+
+def test_verify_csv_failed_write_keeps_previous_file(tmp_path, monkeypatch, capsys):
+    dest = tmp_path / "report.csv"
+    dest.write_text("previous\n")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    code = main([
+        "verify", "--channel", "dephasing", "--coupling", "multilocal",
+        "--grid", "3", "--csv", str(dest),
+    ])
+    assert code == EXIT_IO
+    assert dest.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("module", ["unruhsim", "unruhsim.cli"])
+def test_module_entry_points(module):
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", module, "state", "--r", "0"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.strip().splitlines()) == 6

@@ -198,6 +198,18 @@ def test_csv_rejects_foreign_file(tmp_path):
         sweep.read_csv(str(tmp_path / "missing.csv"))
 
 
+def test_csv_malformed_row_names_path_and_line(tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_text(sweep.CSV_HEADER + "\n"
+                 + "phase_flip,multilocal,,0,0,0,0,0.5,-0.5\n"
+                 + "phase_flip,multilocal,,0,0,0,0,oops,-0.5\n")
+    with pytest.raises(IoFailure, match=r"bad\.csv.* line 3"):
+        sweep.read_csv(str(p))
+    p.write_text(sweep.CSV_HEADER + "\nphase_flip,multilocal\n")
+    with pytest.raises(IoFailure, match="line 2"):
+        sweep.read_csv(str(p))
+
+
 def test_empty_record_list_rejected(tmp_path):
     with pytest.raises(OutOfRange):
         sweep.write_csv([], str(tmp_path / "a.csv"))
