@@ -10,7 +10,7 @@ import argparse
 import os
 import sys
 
-from unruhsim import analytic, channels
+from unruhsim import analytic, channels, sweep
 
 COMBOS = [
     (channels.PHASE_FLIP, channels.MULTILOCAL, None),
@@ -20,9 +20,6 @@ COMBOS = [
     (channels.DEPHASING, channels.GLOBAL, channels.PRODUCT),
     (channels.DEPHASING, channels.GLOBAL, channels.CORRELATED),
 ]
-
-ML_GRID = 21
-GLOBAL_GRID = 11
 
 
 def report_name(kind, coupling, mode):
@@ -35,16 +32,11 @@ def report_name(kind, coupling, mode):
 def generate(out_dir):
     os.makedirs(out_dir, exist_ok=True)
     for kind, coupling, mode in COMBOS:
-        grid = ML_GRID if coupling == channels.MULTILOCAL else GLOBAL_GRID
         report = analytic.verify_against_numeric(
-            kind,
-            coupling,
-            global_mode=mode or channels.PRODUCT,
-            grid_points=grid,
+            kind, coupling, global_mode=mode or channels.PRODUCT
         )
         path = os.path.join(out_dir, report_name(kind, coupling, mode))
-        with open(path, "w", newline="\n") as fh:
-            fh.write(analytic.format_report(report))
+        sweep._atomic_write(path, analytic.format_report(report))
         print(f"{path}: {report.verdict} "
               f"(max dev {report.max_abs_deviation:.3e})")
 

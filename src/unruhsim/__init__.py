@@ -6,59 +6,8 @@ and read entanglement off the negativity.  Closed-form eigenvalue
 expressions are kept as hypotheses and verified against the pipeline.
 """
 
-from .analytic import (
-    VerificationReport,
-    dephasing_lambda,
-    format_report,
-    phase_flip_lambda,
-    verify_against_numeric,
-)
-from .channels import (
-    AS_PRINTED,
-    BIT_TRIT_FLIP,
-    BIT_TRIT_PHASE_FLIP,
-    CORRECTED,
-    CORRELATED,
-    DEPHASING,
-    GLOBAL,
-    KINDS,
-    MULTILOCAL,
-    PHASE_FLIP,
-    PRODUCT,
-    ChannelSpec,
-    KrausSet,
-    apply,
-    collective_set,
-    completeness_defect,
-    evolve,
-    global_evolve,
-    lift_qubit,
-    lift_qutrit,
-    multilocal_evolve,
-    qubit_channel,
-    qutrit_channel,
-)
-from .entanglement import PtSpectrum, negativity, partial_transpose_qubit
-from .errors import (
-    CompletenessViolation,
-    DimensionMismatch,
-    IoFailure,
-    NegativeEigenvalue,
-    NotHermitian,
-    OutOfRange,
-    SimulationError,
-    TraceDeviation,
-)
-from .state import DensityMatrix, R_MAX, unruh_state, validate_density
-from .sweep import (
-    SweepRecord,
-    SweepSpec,
-    esd_threshold,
-    figure_sweeps,
-    read_csv,
-    run_sweep,
-    write_csv,
-    write_plot_data,
-)
+from .channels import ChannelSpec, evolve
+from .entanglement import negativity
+from .state import unruh_state
 
 __version__ = "0.1.0"

@@ -109,7 +109,7 @@ def verify_against_numeric(
     kind: str,
     coupling: str,
     global_mode: str = PRODUCT,
-    grid_points: int = 21,
+    grid_points: int | None = None,
     tol: float = 1e-9,
     variant: str = CORRECTED,
     level_order: str = DEFAULT_LEVEL_ORDER,
@@ -120,9 +120,13 @@ def verify_against_numeric(
     minimum PT eigenvalue and the analytic-implied negativity
     max(0, -lambda) with the numeric negativity; the report records the
     worst deviation across both.  A mismatch is a result, not an error.
+    The grid has ``grid_points`` per axis: by default 21 for multilocal
+    coupling and 11 for global coupling, whose grid has a fourth axis.
     """
     if kind not in ANALYTIC_KINDS:
         raise OutOfRange(f"no closed form available for channel {kind!r}")
+    if grid_points is None:
+        grid_points = 21 if coupling == MULTILOCAL else 11
     if grid_points < 2:
         raise OutOfRange("grid_points must be at least 2")
     lam = _LAMBDAS[kind]

@@ -28,6 +28,7 @@ from .errors import (
     TraceDeviation,
 )
 from .state import unruh_state
+from .sweep import _fmt
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -93,10 +94,6 @@ def _parse_p_grid(text: str):
         return [float(x) for x in s.split(",")]
     except ValueError:
         raise UsageError(f"cannot parse p grid {text!r}")
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
 
 
 def _fmt_complex(z: complex) -> str:
@@ -174,7 +171,7 @@ def _build_parser() -> _Parser:
     add_common(p_verify)
 
     p_repro = sub.add_parser("repro", help="regenerate a preset figure dataset")
-    p_repro.add_argument("--figure", choices=list(sweep.FIGURES), required=True)
+    p_repro.add_argument("--figure", choices=[*sweep.FIGURES, "all"], required=True)
     p_repro.add_argument("--out-dir", required=True)
     add_common(p_repro)
 
@@ -202,10 +199,18 @@ def _apply_config(parser: _Parser, argv: list[str], args) -> argparse.Namespace:
         key, _, value = line.partition("=")
         overrides[key.strip().replace("-", "_")] = value.strip()
     known = set(vars(args)) - {"command", "config"}
+    actions = {a.dest: a for a in parser.subcommands[args.command]._actions}
     for key, value in overrides.items():
         if key not in known:
             raise UsageError(
                 f"unknown config key {key!r} for subcommand {args.command!r}"
+            )
+        # argparse checks choices only for values given on the command line.
+        choices = actions[key].choices
+        if choices is not None and value not in choices:
+            raise UsageError(
+                f"{path}: invalid choice {value!r} for {key!r} "
+                f"(choose from {', '.join(map(repr, choices))})"
             )
         if isinstance(getattr(args, key), bool):  # a switch takes no value
             overrides[key] = value.lower() in ("1", "true", "yes", "on")
@@ -219,7 +224,7 @@ def _apply_config(parser: _Parser, argv: list[str], args) -> argparse.Namespace:
 def _channel_spec(args, linked_p: float | None = None) -> ChannelSpec:
     kind = _KIND_FLAGS[args.channel]
     coupling = _COUPLING_FLAGS[args.coupling]
-    variant = _VARIANT_FLAGS.get(getattr(args, "variant", "corrected"), "corrected")
+    variant = _VARIANT_FLAGS[getattr(args, "variant", "corrected")]
     p = float(getattr(args, "p", 0.0) or 0.0) if linked_p is None else linked_p
     p1 = float(args.p1) if getattr(args, "p1", None) is not None else p
     p2 = float(args.p2) if getattr(args, "p2", None) is not None else p
@@ -297,11 +302,8 @@ def _cmd_esd(args) -> int:
 def _cmd_verify(args) -> int:
     kind = _KIND_FLAGS[args.channel]
     coupling = _COUPLING_FLAGS[args.coupling]
-    grid = args.grid
-    if grid is None:
-        grid = 21 if coupling == channels.MULTILOCAL else 11
     report = analytic.verify_against_numeric(
-        kind, coupling, global_mode=args.global_mode, grid_points=grid
+        kind, coupling, global_mode=args.global_mode, grid_points=args.grid
     )
     sys.stdout.write(analytic.format_report(report))
     if args.csv:
@@ -326,14 +328,16 @@ def _cmd_repro(args) -> int:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise IoFailure(f"cannot create {out_dir!r}: {exc}") from exc
-    records = []
-    for spec in sweep.figure_sweeps(args.figure):
-        records.extend(sweep.run_sweep(spec))
-    base = os.path.join(out_dir, f"fig{args.figure}")
-    rows = sweep.write_csv(records, base + ".csv")
-    blocks = sweep.write_plot_data(records, base + ".dat")
-    print(f"wrote {rows} row(s) to {base}.csv and {blocks} block(s) to {base}.dat",
-          file=sys.stderr)
+    figures = sweep.FIGURES if args.figure == "all" else [args.figure]
+    for figure in figures:
+        records = []
+        for spec in sweep.figure_sweeps(figure):
+            records.extend(sweep.run_sweep(spec))
+        base = os.path.join(out_dir, f"fig{figure}")
+        rows = sweep.write_csv(records, base + ".csv")
+        blocks = sweep.write_plot_data(records, base + ".dat")
+        print(f"wrote {rows} row(s) to {base}.csv and {blocks} block(s) to "
+              f"{base}.dat", file=sys.stderr)
     return EXIT_OK
 
 

@@ -21,11 +21,10 @@ from .errors import (
     OutOfRange,
     TraceDeviation,
 )
-from .linalg import hermiticity_defect
+from .linalg import HERMITICITY_TOL, hermiticity_defect
 
 R_MAX = math.pi / 4
 
-HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 
@@ -38,17 +37,8 @@ class DensityMatrix:
 
     matrix: np.ndarray
 
-    @property
-    def m(self) -> np.ndarray:
-        return self.matrix
 
-
-def validate_density(
-    m,
-    hermiticity_tol: float = HERMITICITY_TOL,
-    trace_tol: float = TRACE_TOL,
-    psd_tol: float = PSD_TOL,
-):
+def validate_density(m):
     """Check the density-matrix invariants and freeze the result.
 
     A 6x6 matrix comes back wrapped in a DensityMatrix.  An (N, 6, 6)
@@ -71,22 +61,22 @@ def validate_density(
     h_defect = hermiticity_defect(ms)
     tr_defect = np.abs(ms.trace(axis1=1, axis2=2) - 1.0)
     min_eig = np.linalg.eigvalsh(ms)[:, 0]
-    if (h_defect.max() > hermiticity_tol or tr_defect.max() > trace_tol
-            or min_eig.min() < -psd_tol):
-        i = ((h_defect > hermiticity_tol) | (tr_defect > trace_tol)
-             | (min_eig < -psd_tol)).argmax()
-        if h_defect[i] > hermiticity_tol:
+    if (h_defect.max() > HERMITICITY_TOL or tr_defect.max() > TRACE_TOL
+            or min_eig.min() < -PSD_TOL):
+        i = ((h_defect > HERMITICITY_TOL) | (tr_defect > TRACE_TOL)
+             | (min_eig < -PSD_TOL)).argmax()
+        if h_defect[i] > HERMITICITY_TOL:
             raise NotHermitian(
                 f"hermiticity defect {h_defect[i]:.3e} exceeds "
-                f"{hermiticity_tol:.3e}"
+                f"{HERMITICITY_TOL:.3e}"
             )
-        if tr_defect[i] > trace_tol:
+        if tr_defect[i] > TRACE_TOL:
             raise TraceDeviation(
                 f"trace deviates from 1 by {tr_defect[i]:.3e} "
-                f"(tolerance {trace_tol:.3e})"
+                f"(tolerance {TRACE_TOL:.3e})"
             )
         raise NegativeEigenvalue(
-            f"minimum eigenvalue {min_eig[i]:.3e} below -{psd_tol:.3e}"
+            f"minimum eigenvalue {min_eig[i]:.3e} below -{PSD_TOL:.3e}"
         )
     out = m.copy()
     out.flags.writeable = False

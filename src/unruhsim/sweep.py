@@ -47,12 +47,8 @@ class SweepSpec:
     axis: str = AXIS_P
     p_linkage: str = LINKED
     r: float = 0.0  # fixed acceleration when the r axis is not swept
-    p_count: int = 101
-    p_min: float = 0.0
-    p_max: float = 1.0
-    r_count: int = 101
-    r_min: float = 0.0
-    r_max: float = R_MAX
+    p_count: int = 101  # over [0, 1]
+    r_count: int = 101  # over [0, pi/4]
 
     def __post_init__(self):
         if self.axis not in AXES:
@@ -61,10 +57,6 @@ class SweepSpec:
             raise OutOfRange(f"unknown p linkage {self.p_linkage!r}")
         if self.p_count < 1 or self.r_count < 1:
             raise OutOfRange("grids must be nonempty")
-        if not (0.0 <= self.p_min <= self.p_max <= 1.0):
-            raise OutOfRange("p range must lie within [0, 1]")
-        if not (0.0 <= self.r_min <= self.r_max <= R_MAX):
-            raise OutOfRange("r range must lie within [0, pi/4]")
 
 
 @dataclass(frozen=True)
@@ -108,11 +100,16 @@ def _evaluate(spec: ChannelSpec, r_values, states: np.ndarray) -> list[SweepReco
     ]
 
 
+def _linked(channel: ChannelSpec, p: float) -> ChannelSpec:
+    """The channel with p applied to p1, p2 and, for global coupling, the
+    collective p."""
+    return channel.with_params(p1=p, p2=p,
+                               p=p if channel.coupling == GLOBAL else None)
+
+
 def _with_swept_p(spec: SweepSpec, p: float) -> ChannelSpec:
     if spec.p_linkage == LINKED:
-        if spec.channel.coupling == GLOBAL:
-            return spec.channel.with_params(p1=p, p2=p, p=p)
-        return spec.channel.with_params(p1=p, p2=p)
+        return _linked(spec.channel, p)
     if spec.channel.coupling != GLOBAL:
         raise OutOfRange(
             "independent p linkage sweeps the collective parameter, "
@@ -123,12 +120,12 @@ def _with_swept_p(spec: SweepSpec, p: float) -> ChannelSpec:
 
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     """Evaluate the sweep grid; one record per point, outer p, inner r."""
-    p_grid = np.linspace(spec.p_min, spec.p_max, spec.p_count)
+    p_grid = np.linspace(0.0, 1.0, spec.p_count)
     if spec.axis == AXIS_P:
         states = _initial_states([spec.r])
         return [rec for p in p_grid
                 for rec in _evaluate(_with_swept_p(spec, float(p)), [spec.r], states)]
-    r_grid = np.linspace(spec.r_min, spec.r_max, spec.r_count)
+    r_grid = np.linspace(0.0, R_MAX, spec.r_count)
     states = _initial_states(r_grid)
     if spec.axis == AXIS_R:
         return _evaluate(spec.channel, r_grid, states)
@@ -139,11 +136,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
 
 
 def _linked_negativity(channel: ChannelSpec, p: float, r: float) -> float:
-    if channel.coupling == GLOBAL:
-        spec = channel.with_params(p1=p, p2=p, p=p)
-    else:
-        spec = channel.with_params(p1=p, p2=p)
-    return negativity(channels.evolve(unruh_state(r), spec)).negativity
+    return negativity(channels.evolve(unruh_state(r), _linked(channel, p))).negativity
 
 
 def esd_threshold(channel: ChannelSpec, r: float, p_tol: float = 1e-6):
@@ -151,11 +144,14 @@ def esd_threshold(channel: ChannelSpec, r: float, p_tol: float = 1e-6):
     floor, or None when the state stays entangled across [0, 1).
 
     Coarse scan at step 0.01, then bisection of the first crossing down to
-    ``p_tol``.  The scan takes the first crossing, so a single threshold
-    is well defined even if negativity were not monotone.
+    ``p_tol``, or until the bracket is one ulp wide.  The scan takes the
+    first crossing, so a single threshold is well defined even if
+    negativity were not monotone.
     """
     if p_tol <= 0:
         raise OutOfRange("p_tol must be positive")
+    if not math.isfinite(p_tol):  # nan passes the check above
+        raise OutOfRange(f"p_tol must be finite, got {p_tol!r}")
     f = lambda p: _linked_negativity(channel, p, r)
     prev = 0.0
     crossing = None
@@ -172,6 +168,8 @@ def esd_threshold(channel: ChannelSpec, r: float, p_tol: float = 1e-6):
     lo, hi = prev, crossing
     while hi - lo > p_tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # no float lies strictly inside the bracket
+            break
         if f(mid) <= ESD_NEGATIVITY_FLOOR:
             hi = mid
         else:
@@ -270,11 +268,8 @@ def write_plot_data(records: list[SweepRecord], destination: str) -> int:
     blocks = []
     for (kind, coupling, gmode), recs in groups.items():
         label = f"# {kind} {coupling}" + (f" {gmode}" if gmode else "")
-        body = "\n".join(
-            " ".join([_fmt(r.p1), _fmt(r.p2), _fmt(r.p), _fmt(r.r),
-                      _fmt(r.negativity), _fmt(r.min_pt_eigenvalue)])
-            for r in recs
-        )
+        # The numeric fields of a CSV row: p1, p2, p, r and the two results.
+        body = "\n".join(" ".join(_record_fields(r)[3:]) for r in recs)
         blocks.append(label + "\n" + body + "\n")
     _atomic_write(destination, "\n".join(blocks))
     return len(groups)

@@ -8,7 +8,9 @@ faithful to the stated expectation and left failing rather than weakened.
 See notes in the project ledger for the analysis.
 """
 
+import functools
 import hashlib
+import importlib.util
 import math
 import os
 import time
@@ -19,6 +21,7 @@ import pytest
 from unruhsim import analytic, channels, cli, sweep
 from unruhsim.channels import ChannelSpec
 from unruhsim.entanglement import negativity
+from unruhsim.errors import IoFailure
 from unruhsim.state import unruh_state
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -110,31 +113,58 @@ def test_multilocal_phase_flip_eigenvalue_formula():
                 assert spectrum.min_eigenvalue == pytest.approx(lam, abs=1e-9)
 
 
-def test_verification_reports_match_committed_fixtures():
-    # Regenerating every report must reproduce the committed fixtures
-    # byte for byte; a recorded mismatch verdict is an expected outcome,
-    # a changed report is a regression.
-    import importlib.util
-
+def _verify_script():
     script = os.path.join(
         os.path.dirname(__file__), "..", "scripts", "verify_formulas.py"
     )
     spec = importlib.util.spec_from_file_location("verify_formulas", script)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
+    return mod
 
+
+def test_verification_reports_match_committed_fixtures():
+    # Regenerating every report must reproduce the committed fixtures
+    # byte for byte; a recorded mismatch verdict is an expected outcome,
+    # a changed report is a regression.
+    mod = _verify_script()
     assert mod.COMBOS  # all formula/coupling/mode combinations covered
     for kind, coupling, mode in mod.COMBOS:
-        grid = mod.ML_GRID if coupling == channels.MULTILOCAL else mod.GLOBAL_GRID
+        # The default grid is the one the script and `unruhsim verify` use.
         report = analytic.verify_against_numeric(
-            kind,
-            coupling,
-            global_mode=mode or channels.PRODUCT,
-            grid_points=grid,
+            kind, coupling, global_mode=mode or channels.PRODUCT
         )
         path = os.path.join(FIXTURES, mod.report_name(kind, coupling, mode))
         with open(path) as fh:
             assert analytic.format_report(report) == fh.read()
+
+
+def test_failed_report_write_keeps_previous_report(tmp_path, monkeypatch, capsys):
+    mod = _verify_script()
+    kind, coupling, mode = mod.COMBOS[0]
+    previous = tmp_path / mod.report_name(kind, coupling, mode)
+    previous.write_text("previous\n")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(analytic, "verify_against_numeric", functools.partial(
+        analytic.verify_against_numeric, grid_points=3))
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(IoFailure):
+        mod.generate(str(tmp_path))
+    assert previous.read_text() == "previous\n"
+    assert os.listdir(tmp_path) == [previous.name]
+    capsys.readouterr()
+
+
+def test_readme_python_example_runs(capsys):
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    example = text.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, readme, "exec"), {})
+    assert float(capsys.readouterr().out) > 0
 
 
 def test_sudden_death_absent_for_dephasing():

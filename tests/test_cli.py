@@ -172,6 +172,31 @@ def test_repro_writes_dataset(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_esd_rejects_non_finite_tolerance(capsys):
+    for tol in ("nan", "inf"):
+        code = main([
+            "esd", "--channel", "bit-trit-flip", "--coupling", "multilocal",
+            "--r", "pi/4", "--tol", tol,
+        ])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "p_tol" in captured.err
+
+
+def test_repro_all_matches_single_figures(tmp_path, capsys):
+    assert main(["repro", "--figure", "all", "--out-dir", str(tmp_path / "all")]) == EXIT_OK
+    for figure in sweep.FIGURES:
+        code = main(["repro", "--figure", figure, "--out-dir", str(tmp_path / "one")])
+        assert code == EXIT_OK
+    names = sorted(os.listdir(tmp_path / "one"))
+    assert len(names) == 18
+    assert sorted(os.listdir(tmp_path / "all")) == names
+    for name in names:
+        assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+    capsys.readouterr()
+
+
 def test_config_file_overrides_defaults(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# example configuration\np = 0.5\n")
@@ -220,6 +245,19 @@ def test_config_value_of_wrong_type_exits_one(tmp_path, capsys):
     ])
     assert code == EXIT_USAGE
     assert "abc" in capsys.readouterr().err
+
+
+def test_config_value_outside_choices_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("variant = bogus\n")
+    code = main([
+        "negativity", "--channel", "dephasing", "--coupling", "ml",
+        "--r", "0", "--p", "0.3", "--config", str(cfg),
+    ])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bogus" in captured.err
 
 
 def test_abbreviated_flag_beats_config(tmp_path, capsys):

@@ -89,8 +89,6 @@ def test_sweep_spec_validation():
         sweep.SweepSpec(channel=_spec(channels.PHASE_FLIP), axis="q")
     with pytest.raises(OutOfRange):
         sweep.SweepSpec(channel=_spec(channels.PHASE_FLIP), p_count=0)
-    with pytest.raises(OutOfRange):
-        sweep.SweepSpec(channel=_spec(channels.PHASE_FLIP), r_max=1.0)
 
 
 # --- monotonicity invariants ---------------------------------------------------
@@ -163,8 +161,16 @@ def test_esd_tolerance_controls_bracket():
 
 
 def test_esd_rejects_bad_tolerance():
-    with pytest.raises(OutOfRange):
-        sweep.esd_threshold(_spec(channels.PHASE_FLIP), 0.1, p_tol=0.0)
+    for p_tol in (0.0, math.nan, math.inf):
+        with pytest.raises(OutOfRange):
+            sweep.esd_threshold(_spec(channels.PHASE_FLIP), 0.1, p_tol=p_tol)
+
+
+def test_esd_tolerance_below_one_ulp_terminates():
+    # The bisection stops once no float lies strictly inside the bracket.
+    key = (channels.BIT_TRIT_FLIP, channels.MULTILOCAL)
+    t = sweep.esd_threshold(_spec(*key), math.pi / 4, p_tol=1e-300)
+    assert t == pytest.approx(ESD_EXPECTED[key], abs=2e-6)
 
 
 # --- serialization ----------------------------------------------------------------
