@@ -10,7 +10,8 @@ import argparse
 import os
 import sys
 
-from unruhsim import analytic, channels, sweep
+from unruhsim import analytic, channels, cli, sweep
+from unruhsim.errors import IoFailure
 
 COMBOS = [
     (channels.PHASE_FLIP, channels.MULTILOCAL, None),
@@ -50,7 +51,11 @@ def main():
         help="where to write the report files",
     )
     args = parser.parse_args()
-    generate(os.path.abspath(args.out_dir))
+    try:
+        generate(os.path.abspath(args.out_dir))
+    except (OSError, IoFailure) as exc:
+        print(f"i/o failure: {exc}", file=sys.stderr)
+        return cli.EXIT_IO
     return 0
 
 

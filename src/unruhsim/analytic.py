@@ -24,9 +24,9 @@ from .channels import (
     PHASE_FLIP,
     PRODUCT,
 )
-from .entanglement import pt_spectra
 from .errors import OutOfRange
-from .state import R_MAX, unruh_state
+from .state import R_MAX
+from .sweep import evaluate
 
 MATCH = "match"
 MISMATCH = "mismatch"
@@ -134,33 +134,20 @@ def verify_against_numeric(
     r_axis = np.linspace(0.0, R_MAX, grid_points)
     p_axis = axis if coupling == GLOBAL else np.array([0.0])
 
-    # Deviations in the (r, p1, p2, p) order of a nested loop, so argmax
-    # picks the first worst point in that order.
-    dev = np.empty((len(r_axis), len(axis), len(axis), len(p_axis)))
-    states = np.stack([unruh_state(float(r)).matrix for r in r_axis])
-    for i, p1 in enumerate(axis):
-        for j, p2 in enumerate(axis):
-            for k, p in enumerate(p_axis):
-                spec = channels.ChannelSpec(
-                    kind=kind,
-                    coupling=coupling,
-                    p1=float(p1),
-                    p2=float(p2),
-                    p=float(p),
-                    global_mode=global_mode,
-                    variant=variant,
-                    level_order=level_order,
-                )
-                evolved = channels.evolve(states, spec, allow_incomplete=True)
-                eig, neg = pt_spectra(evolved)
-                analytic = np.array([
-                    lam(coupling, float(p1), float(p2), float(p), float(r))
-                    for r in r_axis
-                ])
-                dev[:, i, j, k] = np.maximum(
-                    np.abs(analytic - eig[:, 0]),
-                    np.abs(np.maximum(0.0, -analytic) - neg),
-                )
+    specs = [
+        channels.ChannelSpec(kind, coupling, float(p1), float(p2), float(p),
+                             global_mode, variant, level_order)
+        for p1 in axis for p2 in axis for p in p_axis
+    ]
+    min_eig, neg = evaluate(specs, r_axis, allow_incomplete=True)
+    analytic = np.array([[lam(coupling, s.p1, s.p2, s.p, float(r)) for r in r_axis]
+                         for s in specs])
+    dev = np.maximum(np.abs(analytic - min_eig),
+                     np.abs(np.maximum(0.0, -analytic) - neg))
+    # Reorder to the (r, p1, p2, p) order of a nested loop, so argmax picks
+    # the first worst point in that order.
+    dev = dev.reshape(len(axis), len(axis), len(p_axis), len(r_axis))
+    dev = dev.transpose(3, 0, 1, 2)
     worst_index = np.unravel_index(dev.argmax(), dev.shape)
     worst = float(dev[worst_index])
     r_i, p1_i, p2_i, p_i = worst_index

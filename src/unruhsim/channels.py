@@ -101,6 +101,8 @@ class ChannelSpec:
             raise OutOfRange(f"unknown global mode {self.global_mode!r}")
         if self.variant not in VARIANTS:
             raise OutOfRange(f"unknown variant {self.variant!r}")
+        if self.level_order not in (PRINTED, REVERSED):
+            raise OutOfRange(f"unknown level order {self.level_order!r}")
         for name in ("p1", "p2", "p"):
             _check_p(getattr(self, name), name)
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import analytic, channels, sweep
 from .channels import ChannelSpec
-from .entanglement import negativity as pt_negativity
 from .errors import (
     CompletenessViolation,
     IoFailure,
@@ -123,9 +122,12 @@ def _build_parser() -> _Parser:
     p_neg = sub.add_parser("negativity", help="single point evaluation")
     p_neg.add_argument("--channel", choices=sorted(_KIND_FLAGS), required=True)
     p_neg.add_argument("--coupling", choices=sorted(_COUPLING_FLAGS), required=True)
-    p_neg.add_argument("--p", default="0", help="linked decoherence parameter")
-    p_neg.add_argument("--p1", default=None, help="qubit local parameter override")
-    p_neg.add_argument("--p2", default=None, help="qutrit local parameter override")
+    p_neg.add_argument("--p", type=float, default=0.0,
+                       help="linked decoherence parameter")
+    p_neg.add_argument("--p1", type=float, default=None,
+                       help="qubit local parameter override")
+    p_neg.add_argument("--p2", type=float, default=None,
+                       help="qutrit local parameter override")
     p_neg.add_argument("--r", required=True, help="acceleration in [0, pi/4]")
     p_neg.add_argument("--global-mode", choices=sorted(channels.GLOBAL_MODES),
                        default=channels.PRODUCT)
@@ -138,7 +140,8 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--coupling", choices=sorted(_COUPLING_FLAGS), required=True)
     p_sweep.add_argument("--axis", choices=["p", "r", "grid"], required=True)
     p_sweep.add_argument("--r", default="0", help="fixed acceleration (p axis)")
-    p_sweep.add_argument("--p", default="0", help="fixed linked p (r axis)")
+    p_sweep.add_argument("--p", type=float, default=0.0,
+                         help="fixed linked p (r axis)")
     p_sweep.add_argument("--steps", type=int, default=101)
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--plot-data", action="store_true",
@@ -187,7 +190,7 @@ def _apply_config(parser: _Parser, argv: list[str], args) -> argparse.Namespace:
     try:
         with open(path, "r") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path!r}: {exc}")
     overrides = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -225,9 +228,9 @@ def _channel_spec(args, linked_p: float | None = None) -> ChannelSpec:
     kind = _KIND_FLAGS[args.channel]
     coupling = _COUPLING_FLAGS[args.coupling]
     variant = _VARIANT_FLAGS[getattr(args, "variant", "corrected")]
-    p = float(getattr(args, "p", 0.0) or 0.0) if linked_p is None else linked_p
-    p1 = float(args.p1) if getattr(args, "p1", None) is not None else p
-    p2 = float(args.p2) if getattr(args, "p2", None) is not None else p
+    p = args.p if linked_p is None else linked_p
+    p1 = p if getattr(args, "p1", None) is None else args.p1
+    p2 = p if getattr(args, "p2", None) is None else args.p2
     return ChannelSpec(
         kind=kind,
         coupling=coupling,
@@ -266,15 +269,14 @@ def _cmd_check_channels(args) -> int:
 
 def _cmd_negativity(args) -> int:
     spec = _channel_spec(args)
-    rho = channels.evolve(unruh_state(parse_angle(args.r)), spec)
-    print(_fmt(pt_negativity(rho).negativity))
+    _, neg = sweep.evaluate([spec], [parse_angle(args.r)])
+    print(_fmt(neg[0, 0]))
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
     axis = {"p": sweep.AXIS_P, "r": sweep.AXIS_R, "grid": sweep.AXIS_GRID}[args.axis]
-    fixed_p = float(args.p)
-    template = _channel_spec(args, linked_p=fixed_p)
+    template = _channel_spec(args)
     spec = sweep.SweepSpec(
         channel=template,
         axis=axis,

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import channels
 from .channels import ChannelSpec, GLOBAL, MULTILOCAL
-from .entanglement import negativity, pt_spectra
+from .entanglement import pt_spectra
 from .errors import IoFailure, OutOfRange
 from .state import R_MAX, unruh_state
 
@@ -23,9 +23,6 @@ AXIS_P = "p"
 AXIS_R = "r"
 AXIS_GRID = "p_and_r"
 AXES = (AXIS_P, AXIS_R, AXIS_GRID)
-
-LINKED = "linked"
-INDEPENDENT = "independent"
 
 # A state counts as disentangled when its negativity falls to this level;
 # this mirrors the max{0, .} clamp in the negativity itself.
@@ -38,14 +35,13 @@ CSV_HEADER = "channel,coupling,global_mode,p1,p2,p,r,negativity,min_pt_eigenvalu
 class SweepSpec:
     """One sweep: a channel template plus the axis and grids to walk.
 
-    With ``p_linkage=LINKED`` the swept p value is applied to p1, p2 and
-    (for global coupling) the collective p simultaneously; the template's
-    own parameter values are used for whatever is not swept.
+    The swept p value is applied to p1, p2 and (for global coupling) the
+    collective p simultaneously; the template's own parameter values are
+    used for whatever is not swept.
     """
 
     channel: ChannelSpec
     axis: str = AXIS_P
-    p_linkage: str = LINKED
     r: float = 0.0  # fixed acceleration when the r axis is not swept
     p_count: int = 101  # over [0, 1]
     r_count: int = 101  # over [0, pi/4]
@@ -53,8 +49,6 @@ class SweepSpec:
     def __post_init__(self):
         if self.axis not in AXES:
             raise OutOfRange(f"unknown sweep axis {self.axis!r}")
-        if self.p_linkage not in (LINKED, INDEPENDENT):
-            raise OutOfRange(f"unknown p linkage {self.p_linkage!r}")
         if self.p_count < 1 or self.r_count < 1:
             raise OutOfRange("grids must be nonempty")
 
@@ -74,30 +68,20 @@ class SweepRecord:
     min_pt_eigenvalue: float
 
 
-def _initial_states(r_values) -> np.ndarray:
-    """The (N, 6, 6) stack of initial states along an r-axis."""
-    return np.stack([unruh_state(float(r)).matrix for r in r_values])
+def evaluate(specs, r_values, allow_incomplete: bool = False):
+    """Minimum PT eigenvalues and negativities, each of shape
+    (len(specs), len(r_values)), of every spec over one r-axis.
 
-
-def _evaluate(spec: ChannelSpec, r_values, states: np.ndarray) -> list[SweepRecord]:
-    """Records for one channel spec over an r-axis, from one batched
-    evolution and one batched PT spectrum."""
-    eig, neg = pt_spectra(channels.evolve(states, spec))
-    global_ = spec.coupling == GLOBAL
-    return [
-        SweepRecord(
-            kind=spec.kind,
-            coupling=spec.coupling,
-            global_mode=spec.global_mode if global_ else "",
-            p1=spec.p1,
-            p2=spec.p2,
-            p=spec.p if global_ else 0.0,
-            r=float(r),
-            negativity=n,
-            min_pt_eigenvalue=e,
-        )
-        for r, n, e in zip(r_values, neg.tolist(), eig[:, 0].tolist())
-    ]
+    The r-axis states are built once; each spec evolves the whole stack in
+    one batched call and takes its PT spectrum in one eigensolver call.
+    """
+    states = np.stack([unruh_state(float(r)).matrix for r in r_values])
+    min_eig = np.empty((len(specs), len(states)))
+    neg = np.empty_like(min_eig)
+    for i, spec in enumerate(specs):
+        eig, neg[i] = pt_spectra(channels.evolve(states, spec, allow_incomplete))
+        min_eig[i] = eig[:, 0]
+    return min_eig, neg
 
 
 def _linked(channel: ChannelSpec, p: float) -> ChannelSpec:
@@ -107,36 +91,26 @@ def _linked(channel: ChannelSpec, p: float) -> ChannelSpec:
                                p=p if channel.coupling == GLOBAL else None)
 
 
-def _with_swept_p(spec: SweepSpec, p: float) -> ChannelSpec:
-    if spec.p_linkage == LINKED:
-        return _linked(spec.channel, p)
-    if spec.channel.coupling != GLOBAL:
-        raise OutOfRange(
-            "independent p linkage sweeps the collective parameter, "
-            "which requires global coupling"
-        )
-    return spec.channel.with_params(p=p)
-
-
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     """Evaluate the sweep grid; one record per point, outer p, inner r."""
     p_grid = np.linspace(0.0, 1.0, spec.p_count)
-    if spec.axis == AXIS_P:
-        states = _initial_states([spec.r])
-        return [rec for p in p_grid
-                for rec in _evaluate(_with_swept_p(spec, float(p)), [spec.r], states)]
-    r_grid = np.linspace(0.0, R_MAX, spec.r_count)
-    states = _initial_states(r_grid)
-    if spec.axis == AXIS_R:
-        return _evaluate(spec.channel, r_grid, states)
+    specs = ([spec.channel] if spec.axis == AXIS_R
+             else [_linked(spec.channel, float(p)) for p in p_grid])
+    r_values = ([spec.r] if spec.axis == AXIS_P
+                else np.linspace(0.0, R_MAX, spec.r_count))
+    min_eig, neg = evaluate(specs, r_values)
     records = []
-    for p in p_grid:
-        records.extend(_evaluate(_with_swept_p(spec, float(p)), r_grid, states))
+    for ch, eig_row, neg_row in zip(specs, min_eig.tolist(), neg.tolist()):
+        global_ = ch.coupling == GLOBAL
+        fixed = (ch.kind, ch.coupling, ch.global_mode if global_ else "",
+                 ch.p1, ch.p2, ch.p if global_ else 0.0)
+        records.extend(SweepRecord(*fixed, float(r), n, e)
+                       for r, n, e in zip(r_values, neg_row, eig_row))
     return records
 
 
 def _linked_negativity(channel: ChannelSpec, p: float, r: float) -> float:
-    return negativity(channels.evolve(unruh_state(r), _linked(channel, p))).negativity
+    return float(evaluate([_linked(channel, p)], [r])[1][0, 0])
 
 
 def esd_threshold(channel: ChannelSpec, r: float, p_tol: float = 1e-6):
@@ -187,6 +161,10 @@ def _atomic_write(destination: str, text: str) -> None:
         fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", newline="\n") as fh:
+                # mkstemp makes the file owner-only; give it open()'s mode.
+                umask = os.umask(0)
+                os.umask(umask)
+                os.fchmod(fh.fileno(), 0o666 & ~umask)
                 fh.write(text)
             os.replace(tmp_path, destination)
         except BaseException:

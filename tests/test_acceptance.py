@@ -158,6 +158,27 @@ def test_failed_report_write_keeps_previous_report(tmp_path, monkeypatch, capsys
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("failure", ["makedirs", "replace"])
+def test_verify_script_reports_write_failure_as_exit_three(
+    tmp_path, monkeypatch, capsys, failure
+):
+    mod = _verify_script()
+    out_dir = tmp_path
+    if failure == "makedirs":
+        (tmp_path / "file").write_text("")
+        out_dir = tmp_path / "file" / "sub"
+    else:
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(analytic, "verify_against_numeric", functools.partial(
+            analytic.verify_against_numeric, grid_points=3))
+        monkeypatch.setattr(os, "replace", fail)
+    monkeypatch.setattr("sys.argv", ["verify_formulas.py", "--out-dir", str(out_dir)])
+    assert mod.main() == cli.EXIT_IO
+    assert capsys.readouterr().err.startswith("i/o failure: ")
+
+
 def test_readme_python_example_runs(capsys):
     readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
     with open(readme) as fh:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unruhsim import channels as ch
+from unruhsim import sweep
 from unruhsim.entanglement import pt_spectra
 from unruhsim.errors import (
     CompletenessViolation,
@@ -276,6 +277,9 @@ def test_channel_spec_validation():
         ch.ChannelSpec(kind="nope", coupling=ch.MULTILOCAL)
     with pytest.raises(OutOfRange):
         ch.ChannelSpec(kind=ch.DEPHASING, coupling=ch.MULTILOCAL, p1=1.5)
+    with pytest.raises(OutOfRange, match="level order"):
+        ch.ChannelSpec(kind=ch.DEPHASING, coupling=ch.MULTILOCAL,
+                       level_order="bogus")
 
 
 # --- batched evaluation against the per-point Kraus arithmetic ---------------
@@ -336,14 +340,19 @@ def test_stacked_evolution_is_bit_equal_to_per_point_kraus(
     eig, neg = pt_spectra(evolved)
     expected_eig = np.stack([_pt_oracle(m) for m in expected])
     np.testing.assert_array_equal(eig, expected_eig)
-    np.testing.assert_array_equal(
-        neg, [-e[e < -1e-12].sum() for e in expected_eig]
-    )
+    expected_neg = [-e[e < -1e-12].sum() for e in expected_eig]
+    np.testing.assert_array_equal(neg, expected_neg)
 
     # The per-point call is the same computation at N = 1.
     single = ch.evolve(unruh_state(rs[0]), spec, allow_incomplete=True)
     single = getattr(single, "matrix", single)
     np.testing.assert_array_equal(single, expected[0])
+
+    # The evaluator behind sweep, esd, verify and the CLI gives the same
+    # numbers, as (1, len(rs)) arrays.
+    min_eig, neg_grid = sweep.evaluate([spec], rs, allow_incomplete=True)
+    np.testing.assert_array_equal(min_eig, [expected_eig[:, 0]])
+    np.testing.assert_array_equal(neg_grid, [expected_neg])
 
 
 def test_stack_validation_names_first_failing_matrix():

@@ -260,6 +260,32 @@ def test_config_value_outside_choices_exits_one(tmp_path, capsys):
     assert "bogus" in captured.err
 
 
+_NEGATIVITY = ["negativity", "--channel", "phase-flip", "--coupling", "ml",
+               "--r", "0"]
+
+
+@pytest.mark.parametrize("argv, config", [
+    (_NEGATIVITY + ["--p1", "abc"], None),
+    (_NEGATIVITY + ["--p", "abc"], None),
+    (_NEGATIVITY, b"p2 = abc\n"),
+    (["sweep", "--channel", "phase-flip", "--coupling", "ml", "--axis", "r",
+      "--p", "abc", "--out", "s.csv"], None),
+    (_NEGATIVITY, b"p = \xff\n"),  # not UTF-8
+], ids=["p1", "p", "config-p2", "sweep-p", "config-not-utf8"])
+def test_bad_input_exits_one_without_traceback(
+    tmp_path, monkeypatch, capsys, argv, config
+):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "run.cfg").write_bytes(config)
+        argv = argv + ["--config", "run.cfg"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_abbreviated_flag_beats_config(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("steps = 7\n")

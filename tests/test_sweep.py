@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -57,31 +59,6 @@ def test_grid_sweep_ordering_and_size():
     assert [rec.r for rec in records[:3]] == sorted({rec.r for rec in records})
     assert records[0].p1 == records[2].p1
     assert records[0].p1 != records[3].p1
-
-
-def test_independent_linkage_requires_global():
-    s = sweep.SweepSpec(
-        channel=_spec(channels.PHASE_FLIP),
-        axis=sweep.AXIS_P,
-        p_linkage=sweep.INDEPENDENT,
-    )
-    with pytest.raises(OutOfRange):
-        sweep.run_sweep(s)
-
-
-def test_independent_linkage_sweeps_collective_only():
-    template = _spec(
-        channels.PHASE_FLIP, coupling=channels.GLOBAL, p1=0.2, p2=0.3
-    )
-    s = sweep.SweepSpec(
-        channel=template,
-        axis=sweep.AXIS_P,
-        p_linkage=sweep.INDEPENDENT,
-        p_count=5,
-    )
-    records = sweep.run_sweep(s)
-    assert all(rec.p1 == 0.2 and rec.p2 == 0.3 for rec in records)
-    assert [rec.p for rec in records] == pytest.approx([0, 0.25, 0.5, 0.75, 1])
 
 
 def test_sweep_spec_validation():
@@ -214,6 +191,19 @@ def test_csv_malformed_row_names_path_and_line(tmp_path):
     p.write_text(sweep.CSV_HEADER + "\nphase_flip,multilocal\n")
     with pytest.raises(IoFailure, match="line 2"):
         sweep.read_csv(str(p))
+
+
+def test_written_files_get_the_mode_of_a_plain_open(tmp_path):
+    records = sweep.run_sweep(sweep.SweepSpec(
+        channel=_spec(channels.PHASE_FLIP), axis=sweep.AXIS_P, p_count=2))
+    old = os.umask(0o022)
+    try:
+        sweep.write_csv(records, str(tmp_path / "out.csv"))
+        sweep.write_plot_data(records, str(tmp_path / "out.dat"))
+    finally:
+        os.umask(old)
+    for name in ("out.csv", "out.dat"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o644
 
 
 def test_empty_record_list_rejected(tmp_path):
