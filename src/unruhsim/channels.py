@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CompletenessViolation, DimensionMismatch, OutOfRange
-from .state import DensityMatrix, validate_density
+from .state import validate_density
 
 PHASE_FLIP = "phase_flip"
 DEPHASING = "dephasing"
@@ -62,17 +62,6 @@ _I3 = np.eye(3, dtype=complex)
 # Reversal permutation for the 3-level basis: level 2 first.
 _REV3 = np.fliplr(np.eye(3)).astype(complex)
 _OMEGA = complex(np.exp(2j * np.pi / 3))
-
-
-@dataclass(frozen=True)
-class KrausSet:
-    """An ordered set of same-dimension Kraus operators for one channel."""
-
-    dim: int
-    ops: tuple[np.ndarray, ...]
-    p: float
-    kind: str
-    variant: str = CORRECTED
 
 
 @dataclass(frozen=True)
@@ -121,7 +110,7 @@ def _check_p(p: float, name: str = "p") -> float:
     return float(p)
 
 
-def qubit_channel(kind: str, p: float) -> KrausSet:
+def qubit_channel(kind: str, p: float) -> tuple[np.ndarray, ...]:
     """Single-qubit Kraus set for the qubit half of ``kind``.
 
     All four qubit sets satisfy the completeness relation for every p.
@@ -149,7 +138,7 @@ def qubit_channel(kind: str, p: float) -> KrausSet:
         )
     else:
         raise OutOfRange(f"unknown channel kind {kind!r}")
-    return KrausSet(dim=2, ops=ops, p=p, kind=kind)
+    return ops
 
 
 def _qutrit_ops_printed(kind: str, p: float, variant: str) -> list[np.ndarray]:
@@ -192,7 +181,7 @@ def qutrit_channel(
     p: float,
     variant: str = CORRECTED,
     level_order: str = DEFAULT_LEVEL_ORDER,
-) -> KrausSet:
+) -> tuple[np.ndarray, ...]:
     """Single-qutrit Kraus set for the qutrit half of ``kind``.
 
     ``variant=AS_PRINTED`` keeps the literal circulating matrices even
@@ -206,31 +195,50 @@ def qutrit_channel(
     ops = _qutrit_ops_printed(kind, p, variant)
     if level_order == REVERSED:
         ops = [_REV3 @ e @ _REV3 for e in ops]
-    return KrausSet(dim=3, ops=tuple(ops), p=p, kind=kind, variant=variant)
+    return tuple(ops)
 
 
-def completeness_defect(k: KrausSet) -> float:
+def completeness_defect(ops) -> float:
     """Max-norm of (sum E^dag E - I)."""
-    acc = np.zeros((k.dim, k.dim), dtype=complex)
-    for e in k.ops:
+    dim = ops[0].shape[0]
+    acc = np.zeros((dim, dim), dtype=complex)
+    for e in ops:
         acc += e.conj().T @ e
-    return float(np.max(np.abs(acc - np.eye(k.dim))))
+    return float(np.max(np.abs(acc - np.eye(dim))))
 
 
-def lift_qubit(k: KrausSet) -> KrausSet:
+def _check_dim(ops, dim: int, name: str) -> None:
+    if ops[0].shape != (dim, dim):
+        raise DimensionMismatch(f"{name} expects dim {dim}, got {ops[0].shape[0]}")
+
+
+def lift_qubit(ops) -> tuple[np.ndarray, ...]:
     """Tensor each qubit operator with the qutrit identity (index 3A+a)."""
-    if k.dim != 2:
-        raise DimensionMismatch(f"lift_qubit expects dim 2, got {k.dim}")
-    ops = tuple(np.kron(e, _I3) for e in k.ops)
-    return KrausSet(dim=6, ops=ops, p=k.p, kind=k.kind, variant=k.variant)
+    _check_dim(ops, 2, "lift_qubit")
+    return tuple(np.kron(e, _I3) for e in ops)
 
 
-def lift_qutrit(k: KrausSet) -> KrausSet:
+def lift_qutrit(ops) -> tuple[np.ndarray, ...]:
     """Tensor each qutrit operator with the qubit identity (index 3A+a)."""
-    if k.dim != 3:
-        raise DimensionMismatch(f"lift_qutrit expects dim 3, got {k.dim}")
-    ops = tuple(np.kron(_I2, e) for e in k.ops)
-    return KrausSet(dim=6, ops=ops, p=k.p, kind=k.kind, variant=k.variant)
+    _check_dim(ops, 3, "lift_qutrit")
+    return tuple(np.kron(_I2, e) for e in ops)
+
+
+def _tensor_set(qubit_ops, qutrit_ops, global_mode: str = PRODUCT):
+    """The 6x6 set of a qubit set and a qutrit set (index 3A+a).
+
+    ``product`` tensors every qubit operator with every qutrit operator
+    (qubit outer, qutrit inner); ``correlated`` pairs them index by index,
+    padding the shorter set with zeros.
+    """
+    if global_mode == PRODUCT:
+        return tuple(np.kron(a, b) for a in qubit_ops for b in qutrit_ops)
+    if global_mode != CORRELATED:
+        raise OutOfRange(f"unknown global mode {global_mode!r}")
+    n = max(len(qubit_ops), len(qutrit_ops))
+    pad = lambda ops, d: [*ops] + [np.zeros((d, d), dtype=complex)] * (n - len(ops))
+    return tuple(np.kron(a, b)
+                 for a, b in zip(pad(qubit_ops, 2), pad(qutrit_ops, 3)))
 
 
 def apply_unchecked(ops, matrix: np.ndarray) -> np.ndarray:
@@ -264,37 +272,28 @@ def _push(matrices: np.ndarray, sets, allow_incomplete: bool, failure: str, **fi
     ``allow_incomplete``; if not, CompletenessViolation is raised with the
     worst defect (``failure`` formatted with ``fields`` and the defect).
     """
-    defect = max(completeness_defect(k) for k in sets)
+    defect = max(completeness_defect(ops) for ops in sets)
     if defect > COMPLETENESS_TOL and not allow_incomplete:
         raise CompletenessViolation(
             failure.format(defect=defect, **fields), defect=defect
         )
     out = matrices
-    for k in sets:
-        out = apply_unchecked(k.ops, out)
+    for ops in sets:
+        out = apply_unchecked(ops, out)
     return validate_density(out) if defect <= COMPLETENESS_TOL else out
 
 
-def apply(k: KrausSet, rho: DensityMatrix) -> DensityMatrix:
+def apply(ops, rho) -> np.ndarray:
     """Evolve a state through a 6-dimensional Kraus set and revalidate.
 
     Raises CompletenessViolation (with the measured defect) when the set
     is not trace preserving; incomplete sets are never silently
     renormalized.
     """
-    if k.dim != 6:
-        raise DimensionMismatch(f"apply expects a lifted dim-6 set, got {k.dim}")
-    return _push(rho.matrix, (k,), False, _INCOMPLETE_SET,
-                 kind=k.kind, variant=k.variant)
-
-
-def _local_set(
-    kind: str, p1: float, p2: float, variant: str, level_order: str
-) -> KrausSet:
-    qubit = lift_qubit(qubit_channel(kind, p1))
-    qutrit = lift_qutrit(qutrit_channel(kind, p2, variant, level_order))
-    ops = tuple(b @ a for a in qubit.ops for b in qutrit.ops)
-    return KrausSet(dim=6, ops=ops, p=max(p1, p2), kind=kind, variant=variant)
+    _check_dim(ops, 6, "apply")
+    return _push(np.asarray(rho, complex), (ops,), False,
+                 "Kraus set has completeness defect {defect:.3e}; "
+                 "evolution would not preserve the trace")
 
 
 def collective_set(
@@ -303,7 +302,7 @@ def collective_set(
     global_mode: str = PRODUCT,
     variant: str = CORRECTED,
     level_order: str = DEFAULT_LEVEL_ORDER,
-) -> KrausSet:
+) -> tuple[np.ndarray, ...]:
     """The shared-environment Kraus set acting on the full 6-level system.
 
     ``product`` tensors every qubit operator with every qutrit operator
@@ -311,56 +310,52 @@ def collective_set(
     operators index by index, padding the shorter set with zeros; it
     generally violates completeness, which callers must check.
     """
-    qb = qubit_channel(kind, p)
-    qt = qutrit_channel(kind, p, variant, level_order)
-    if global_mode == PRODUCT:
-        ops = tuple(np.kron(a, b) for a in qb.ops for b in qt.ops)
-    elif global_mode == CORRELATED:
-        n = max(len(qb.ops), len(qt.ops))
-        a_ops = list(qb.ops) + [np.zeros((2, 2), dtype=complex)] * (n - len(qb.ops))
-        b_ops = list(qt.ops) + [np.zeros((3, 3), dtype=complex)] * (n - len(qt.ops))
-        ops = tuple(np.kron(a, b) for a, b in zip(a_ops, b_ops))
-    else:
-        raise OutOfRange(f"unknown global mode {global_mode!r}")
-    return KrausSet(dim=6, ops=ops, p=p, kind=kind, variant=variant)
+    return _tensor_set(qubit_channel(kind, p),
+                       qutrit_channel(kind, p, variant, level_order), global_mode)
 
 
-def _evolve(matrices: np.ndarray, spec: ChannelSpec, allow_incomplete: bool):
-    """The one evaluation path, for one state or a stack of them: build the
-    spec's Kraus sets once, then push the whole stack through the local set
-    and, for global coupling, the collective set."""
-    local = _local_set(spec.kind, spec.p1, spec.p2, spec.variant, spec.level_order)
+def evolve(rho, spec: ChannelSpec, allow_incomplete: bool = False) -> np.ndarray:
+    """Evolve a 6x6 state, or an (N, 6, 6) stack of them, through a
+    ChannelSpec: the one evaluation path.
+
+    The spec's Kraus sets are built once and the whole stack is pushed
+    through the local set at (p1, p2) and, for global coupling, the
+    collective set at p.  The result has the shape of ``rho`` and is
+    validated and read-only, unless ``allow_incomplete`` let a
+    non-trace-preserving set through; then the raw evolved array is
+    returned for diagnostics.
+    """
+    m = np.asarray(rho, complex)
+    local = _tensor_set(qubit_channel(spec.kind, spec.p1),
+                        qutrit_channel(spec.kind, spec.p2, spec.variant,
+                                       spec.level_order))
     if spec.coupling == MULTILOCAL:
-        return _push(matrices, (local,), allow_incomplete, _INCOMPLETE_SET,
+        return _push(m, (local,), allow_incomplete, _INCOMPLETE_SET,
                      kind=spec.kind, variant=spec.variant)
     coll = collective_set(spec.kind, spec.p, spec.global_mode, spec.variant,
                           spec.level_order)
-    return _push(matrices, (local, coll), allow_incomplete, _INCOMPLETE_GLOBAL,
+    return _push(m, (local, coll), allow_incomplete, _INCOMPLETE_GLOBAL,
                  kind=spec.kind, global_mode=spec.global_mode)
 
 
 def multilocal_evolve(
-    rho: DensityMatrix,
+    rho,
     kind: str,
     p1: float,
     p2: float,
     variant: str = CORRECTED,
     level_order: str = DEFAULT_LEVEL_ORDER,
     allow_incomplete: bool = False,
-):
-    """Independent local environments: qubit at p1, qutrit at p2.
-
-    Returns a validated DensityMatrix; with ``allow_incomplete`` a set
-    that violates completeness yields the raw evolved ndarray instead of
-    raising, for diagnostics of non-trace-preserving variants.
-    """
+) -> np.ndarray:
+    """``evolve`` under independent local environments: qubit at p1,
+    qutrit at p2."""
     spec = ChannelSpec(kind, MULTILOCAL, p1, p2, variant=variant,
                        level_order=level_order)
-    return _evolve(rho.matrix, spec, allow_incomplete)
+    return evolve(rho, spec, allow_incomplete)
 
 
 def global_evolve(
-    rho: DensityMatrix,
+    rho,
     kind: str,
     p1: float,
     p2: float,
@@ -369,28 +364,8 @@ def global_evolve(
     variant: str = CORRECTED,
     level_order: str = DEFAULT_LEVEL_ORDER,
     allow_incomplete: bool = False,
-):
-    """Local environments followed by a collective one at parameter p.
-
-    Returns a validated DensityMatrix.  When the collective set violates
-    completeness (correlated mode in general), raises
-    CompletenessViolation unless ``allow_incomplete`` is set, in which
-    case the raw evolved matrix (an ndarray, generally not unit trace) is
-    returned for diagnostics.
-    """
+) -> np.ndarray:
+    """``evolve`` under local environments followed by a collective one at
+    parameter p."""
     spec = ChannelSpec(kind, GLOBAL, p1, p2, p, global_mode, variant, level_order)
-    return _evolve(rho.matrix, spec, allow_incomplete)
-
-
-def evolve(rho, spec: ChannelSpec, allow_incomplete: bool = False):
-    """Evolve a state, or a stack of states, through a ChannelSpec.
-
-    ``rho`` is a DensityMatrix, or an (N, 6, 6) array of validated density
-    matrices (for example a sweep's whole r-axis), all pushed through Kraus
-    sets built once.  A DensityMatrix comes back as in
-    ``multilocal_evolve``/``global_evolve``; a stack comes back as an
-    (N, 6, 6) array, validated and read-only unless ``allow_incomplete``
-    let a non-trace-preserving set through.
-    """
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, complex)
-    return _evolve(m, spec, allow_incomplete)
+    return evolve(rho, spec, allow_incomplete)

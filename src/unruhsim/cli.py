@@ -115,7 +115,7 @@ def _build_parser() -> _Parser:
     p_check = sub.add_parser("check-channels", help="completeness table")
     p_check.add_argument("--variant", choices=sorted(_VARIANT_FLAGS), default=None,
                          help="restrict to one variant (default: both)")
-    p_check.add_argument("--p", default="11", dest="p_grid",
+    p_check.add_argument("--p", default="11", metavar="P_GRID",
                          help="point count or comma list of p values")
     add_common(p_check)
 
@@ -182,6 +182,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_SWITCH_VALUES = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+                  **dict.fromkeys(("0", "false", "no", "off"), False)}
+
+
 def _apply_config(parser: _Parser, argv: list[str], args) -> argparse.Namespace:
     """Re-parse with defaults overridden by the config file, if any."""
     path = getattr(args, "config", None)
@@ -216,7 +220,13 @@ def _apply_config(parser: _Parser, argv: list[str], args) -> argparse.Namespace:
                 f"(choose from {', '.join(map(repr, choices))})"
             )
         if isinstance(getattr(args, key), bool):  # a switch takes no value
-            overrides[key] = value.lower() in ("1", "true", "yes", "on")
+            switch = _SWITCH_VALUES.get(value.lower())
+            if switch is None:
+                raise UsageError(
+                    f"{path}: invalid switch value {value!r} for {key!r} "
+                    f"(use 1/true/yes/on or 0/false/no/off)"
+                )
+            overrides[key] = switch
     # Config values become the subcommand's defaults; argparse converts
     # them with each flag's type, and flags given on the command line,
     # abbreviated or not, still win.
@@ -244,7 +254,7 @@ def _channel_spec(args, linked_p: float | None = None) -> ChannelSpec:
 
 def _cmd_state(args) -> int:
     rho = unruh_state(parse_angle(args.r))
-    for row in rho.matrix:
+    for row in rho:
         print(",".join(_fmt_complex(z) for z in row))
     return EXIT_OK
 
@@ -253,7 +263,7 @@ def _cmd_check_channels(args) -> int:
     variants = (
         [_VARIANT_FLAGS[args.variant]] if args.variant else list(channels.VARIANTS)
     )
-    p_values = _parse_p_grid(args.p_grid)
+    p_values = _parse_p_grid(args.p)
     print("channel,side,variant,p,completeness_defect")
     for kind in channels.KINDS:
         for variant in variants:

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import hermitian_eigenvalues
-from .state import DensityMatrix
 
 # Eigenvalues above this threshold are treated as eigensolver noise, so
 # separable states report exactly zero negativity.
@@ -35,7 +34,7 @@ def partial_transpose_qubit(rho) -> np.ndarray:
     blocks and keeps the diagonal blocks; an (N, 6, 6) stack is transposed
     matrix by matrix.
     """
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, complex)
+    m = np.asarray(rho, complex)
     out = m.copy()
     out[..., 0:3, 3:6] = m[..., 3:6, 0:3]
     out[..., 3:6, 0:3] = m[..., 0:3, 3:6]
@@ -57,7 +56,7 @@ def negativity(rho) -> PtSpectrum:
     """Negativity of a state: sum of |negative eigenvalues| of its partial
     transpose over the qubit.
 
-    Accepts a DensityMatrix or a raw Hermitian matrix (the latter is used
+    Accepts a validated state or a raw Hermitian matrix (the latter is used
     for diagnostics of non-trace-preserving evolutions).
     """
     eig, neg = pt_spectra(rho)

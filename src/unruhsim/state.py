@@ -10,7 +10,6 @@ cos^2(r) envelope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,27 +30,19 @@ PSD_TOL = 1e-10
 DIM = 6
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """A validated 6x6 density matrix (Hermitian, PSD, unit trace)."""
-
-    matrix: np.ndarray
-
-
-def validate_density(m):
+def validate_density(m) -> np.ndarray:
     """Check the density-matrix invariants and freeze the result.
 
-    A 6x6 matrix comes back wrapped in a DensityMatrix.  An (N, 6, 6)
-    stack is checked matrix by matrix, with one eigensolver call for the
-    whole stack, and comes back as a read-only array.
+    Takes a 6x6 matrix or an (N, 6, 6) stack, checked matrix by matrix
+    with one eigensolver call for the whole stack, and returns a read-only
+    copy of the same shape.
 
     Raises NotHermitian, TraceDeviation or NegativeEigenvalue with the
     measured defect when an invariant fails; in a stack, for the first
     failing matrix, checked in that order.
     """
     m = np.asarray(m, dtype=complex)
-    single = m.ndim == 2
-    ms = m[np.newaxis] if single else m
+    ms = m[np.newaxis] if m.ndim == 2 else m
     if ms.ndim != 3:
         raise DimensionMismatch(f"expected a matrix or a stack, got ndim={m.ndim}")
     if not np.isfinite(ms).all():
@@ -80,10 +71,10 @@ def validate_density(m):
         )
     out = m.copy()
     out.flags.writeable = False
-    return DensityMatrix(out) if single else out
+    return out
 
 
-def unruh_state(r: float) -> DensityMatrix:
+def unruh_state(r: float) -> np.ndarray:
     """Qubit-qutrit state shared with a uniformly accelerated observer.
 
     Nonzero entries: cos^2(r)/2 at (1,1), (1,3), (3,1), (3,3) and
@@ -101,14 +92,3 @@ def unruh_state(r: float) -> DensityMatrix:
     m[5, 5] = s2 / 2
     return validate_density(m)
 
-
-def reduced_qubit(rho: DensityMatrix) -> np.ndarray:
-    """Partial trace over the qutrit: 2x2 reduced state."""
-    m = rho.matrix.reshape(2, 3, 2, 3)
-    return np.einsum("iaja->ij", m)
-
-
-def reduced_qutrit(rho: DensityMatrix) -> np.ndarray:
-    """Partial trace over the qubit: 3x3 reduced state."""
-    m = rho.matrix.reshape(2, 3, 2, 3)
-    return np.einsum("iaib->ab", m)

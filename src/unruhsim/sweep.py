@@ -75,7 +75,7 @@ def evaluate(specs, r_values, allow_incomplete: bool = False):
     The r-axis states are built once; each spec evolves the whole stack in
     one batched call and takes its PT spectrum in one eigensolver call.
     """
-    states = np.stack([unruh_state(float(r)).matrix for r in r_values])
+    states = np.stack([unruh_state(float(r)) for r in r_values])
     min_eig = np.empty((len(specs), len(states)))
     neg = np.empty_like(min_eig)
     for i, spec in enumerate(specs):
@@ -199,37 +199,6 @@ def write_csv(records: list[SweepRecord], destination: str) -> int:
     lines.extend(",".join(_record_fields(r)) for r in records)
     _atomic_write(destination, "\n".join(lines) + "\n")
     return len(records)
-
-
-def read_csv(path: str) -> list[SweepRecord]:
-    """Parse a file produced by write_csv back into records."""
-    try:
-        with open(path, "r", newline="") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path!r}: {exc}") from exc
-    if not lines or lines[0] != CSV_HEADER:
-        raise IoFailure(f"{path!r} is not a sweep CSV (bad header)")
-    records = []
-    for lineno, line in enumerate(lines[1:], 2):
-        try:
-            kind, coupling, gmode, p1, p2, p, r, neg, mineig = line.split(",")
-            records.append(
-                SweepRecord(
-                    kind=kind,
-                    coupling=coupling,
-                    global_mode=gmode,
-                    p1=float(p1),
-                    p2=float(p2),
-                    p=float(p),
-                    r=float(r),
-                    negativity=float(neg),
-                    min_pt_eigenvalue=float(mineig),
-                )
-            )
-        except ValueError as exc:
-            raise IoFailure(f"{path!r} line {lineno}: malformed row {line!r}") from exc
-    return records
 
 
 def write_plot_data(records: list[SweepRecord], destination: str) -> int:

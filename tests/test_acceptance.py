@@ -73,7 +73,7 @@ def test_evolved_states_keep_density_matrix_invariants():
                 for r in r_grid:
                     spec = _spec(kind, coupling, p1=float(p), p2=float(p),
                                  p=float(p))
-                    m = channels.evolve(unruh_state(float(r)), spec).matrix
+                    m = channels.evolve(unruh_state(float(r)), spec)
                     assert np.abs(m - m.conj().T).max() <= 1e-12
                     assert abs(np.trace(m) - 1.0) <= 1e-12
                     assert np.linalg.eigvalsh(m)[0] >= -1e-10

@@ -286,6 +286,36 @@ def test_bad_input_exits_one_without_traceback(
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("value, written", [
+    ("ture", None), ("ON", "# phase_flip"), ("off", sweep.CSV_HEADER),
+])
+def test_config_switch_takes_only_known_values(tmp_path, capsys, value, written):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"plot_data = {value}\n")
+    out = tmp_path / "s.out"
+    code = main([
+        "sweep", "--channel", "phase-flip", "--coupling", "ml", "--axis", "p",
+        "--steps", "3", "--out", str(out), "--config", str(cfg),
+    ])
+    captured = capsys.readouterr()
+    if written is None:
+        assert code == EXIT_USAGE
+        assert captured.err.startswith("error: ") and value in captured.err
+        assert not out.exists()
+    else:
+        assert code == EXIT_OK
+        assert out.read_text().startswith(written)
+
+
+def test_check_channels_config_key_is_the_flag_name(tmp_path, capsys):
+    assert main(["check-channels", "--p", "3"]) == EXIT_OK
+    expected = capsys.readouterr().out
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p = 3\n")
+    assert main(["check-channels", "--config", str(cfg)]) == EXIT_OK
+    assert capsys.readouterr().out == expected
+
+
 def test_abbreviated_flag_beats_config(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("steps = 7\n")

@@ -25,14 +25,14 @@ def test_partial_transpose_block_positions():
 
 
 def test_partial_transpose_is_involution():
-    m = unruh_state(0.37).matrix
+    m = unruh_state(0.37)
     np.testing.assert_array_equal(
         partial_transpose_qubit(partial_transpose_qubit(m)), m
     )
 
 
 def test_partial_transpose_preserves_trace_and_hermiticity():
-    m = unruh_state(0.5).matrix
+    m = unruh_state(0.5)
     pt = partial_transpose_qubit(m)
     assert np.trace(pt) == pytest.approx(1.0, abs=1e-15)
     np.testing.assert_allclose(pt, pt.conj().T, atol=1e-15)
@@ -82,7 +82,7 @@ def _random_local_unitary(rng):
 @given(st.integers(0, 10**6), st.floats(0.0, math.pi / 4))
 def test_negativity_invariant_under_local_unitaries(seed, r):
     rng = np.random.default_rng(seed)
-    rho = unruh_state(r).matrix
+    rho = unruh_state(r)
     u = _random_local_unitary(rng)
     rotated = u @ rho @ u.conj().T
     assert negativity(rotated).negativity == pytest.approx(
@@ -102,7 +102,7 @@ def test_negativity_bounded(seed):
 
 
 def test_accepts_raw_arrays():
-    m = unruh_state(0.2).matrix
+    m = unruh_state(0.2)
     assert negativity(np.array(m)).negativity == pytest.approx(
         negativity(unruh_state(0.2)).negativity
     )

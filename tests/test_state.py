@@ -15,7 +15,7 @@ R_GRID = np.linspace(0.0, state.R_MAX, 101)
 
 
 def test_bell_limit_at_r_zero():
-    m = state.unruh_state(0.0).matrix
+    m = state.unruh_state(0.0)
     expected = np.zeros((6, 6), dtype=complex)
     for i, j in [(1, 1), (1, 3), (3, 1), (3, 3)]:
         expected[i, j] = 0.5
@@ -23,7 +23,7 @@ def test_bell_limit_at_r_zero():
 
 
 def test_infinite_acceleration_limit():
-    m = state.unruh_state(math.pi / 4).matrix
+    m = state.unruh_state(math.pi / 4)
     for i, j in [(1, 1), (1, 3), (3, 1), (3, 3), (2, 2), (5, 5)]:
         assert m[i, j] == pytest.approx(0.25, abs=1e-15)
     assert np.count_nonzero(m) == 6
@@ -32,7 +32,7 @@ def test_infinite_acceleration_limit():
 @pytest.mark.parametrize("r", [float(r) for r in R_GRID])
 def test_valid_density_across_range(r):
     rho = state.unruh_state(r)
-    assert abs(np.trace(rho.matrix) - 1.0) <= 1e-12
+    assert abs(np.trace(rho) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("r", [-0.01, math.pi / 4 + 0.01, 2.0])
@@ -43,28 +43,15 @@ def test_out_of_range_rejected(r):
 
 def test_rank_profile():
     for r in R_GRID:
-        eig = np.linalg.eigvalsh(state.unruh_state(float(r)).matrix)
+        eig = np.linalg.eigvalsh(state.unruh_state(float(r)))
         rank = int((eig > 1e-10).sum())
         assert rank == (1 if r == 0.0 else 3)
 
 
-def test_reduced_states():
-    # Explicit partial traces: the qutrit marginal carries the cos^2/sin^2
-    # populations split across levels 0 and 1, with the pair level at sin^2.
-    for r in (0.0, 0.3, math.pi / 4):
-        rho = state.unruh_state(r)
-        c2, s2 = math.cos(r) ** 2, math.sin(r) ** 2
-        np.testing.assert_allclose(
-            state.reduced_qutrit(rho), np.diag([c2 / 2, c2 / 2, s2]), atol=1e-12
-        )
-        np.testing.assert_allclose(
-            state.reduced_qubit(rho), np.eye(2) / 2, atol=1e-12
-        )
-
-
 def test_validate_maximally_mixed():
     rho = state.validate_density(np.eye(6) / 6)
-    assert isinstance(rho, state.DensityMatrix)
+    assert type(rho) is np.ndarray and rho.shape == (6, 6)
+    assert not rho.flags.writeable
 
 
 def test_validate_detects_each_violation():
@@ -85,4 +72,4 @@ def test_validate_detects_each_violation():
 def test_validated_matrix_is_frozen():
     rho = state.unruh_state(0.2)
     with pytest.raises(ValueError):
-        rho.matrix[0, 0] = 1.0
+        rho[0, 0] = 1.0
