@@ -25,6 +25,7 @@ completeness defects are invariant under the choice.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -56,6 +57,10 @@ CORRELATED = "correlated"
 GLOBAL_MODES = (PRODUCT, CORRELATED)
 
 COMPLETENESS_TOL = 1e-12
+# Sets kept by ``_kraus_set``.  A global verify report needs 12 (its 11
+# collective sets and the current local one); 256 raised the peak memory
+# of the six verify reports by 1.1 MiB.
+_SET_CACHE_SIZE = 32
 
 _I2 = np.eye(2, dtype=complex)
 _I3 = np.eye(3, dtype=complex)
@@ -212,16 +217,24 @@ def _check_dim(ops, dim: int, name: str) -> None:
         raise DimensionMismatch(f"{name} expects dim {dim}, got {ops[0].shape[0]}")
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The tensor product a (x) b of two matrices (index i*dim(b) + k), as
+    one broadcast multiply: entry for entry the same product numpy's kron
+    takes, without its per-call overhead."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def lift_qubit(ops) -> tuple[np.ndarray, ...]:
     """Tensor each qubit operator with the qutrit identity (index 3A+a)."""
     _check_dim(ops, 2, "lift_qubit")
-    return tuple(np.kron(e, _I3) for e in ops)
+    return tuple(_kron(e, _I3) for e in ops)
 
 
 def lift_qutrit(ops) -> tuple[np.ndarray, ...]:
     """Tensor each qutrit operator with the qubit identity (index 3A+a)."""
     _check_dim(ops, 3, "lift_qutrit")
-    return tuple(np.kron(_I2, e) for e in ops)
+    return tuple(_kron(_I2, e) for e in ops)
 
 
 def _tensor_set(qubit_ops, qutrit_ops, global_mode: str = PRODUCT):
@@ -232,13 +245,26 @@ def _tensor_set(qubit_ops, qutrit_ops, global_mode: str = PRODUCT):
     padding the shorter set with zeros.
     """
     if global_mode == PRODUCT:
-        return tuple(np.kron(a, b) for a in qubit_ops for b in qutrit_ops)
+        return tuple(_kron(a, b) for a in qubit_ops for b in qutrit_ops)
     if global_mode != CORRELATED:
         raise OutOfRange(f"unknown global mode {global_mode!r}")
     n = max(len(qubit_ops), len(qutrit_ops))
     pad = lambda ops, d: [*ops] + [np.zeros((d, d), dtype=complex)] * (n - len(ops))
-    return tuple(np.kron(a, b)
+    return tuple(_kron(a, b)
                  for a, b in zip(pad(qubit_ops, 2), pad(qutrit_ops, 3)))
+
+
+@functools.lru_cache(maxsize=_SET_CACHE_SIZE)
+def _kraus_set(kind, qubit_p, qutrit_p, global_mode, variant, level_order):
+    """The read-only 6x6 set of ``kind``'s qubit set at ``qubit_p`` and
+    qutrit set at ``qutrit_p``, and its completeness defect, built once
+    per key while it stays among the most recently used."""
+    ops = _tensor_set(qubit_channel(kind, qubit_p),
+                      qutrit_channel(kind, qutrit_p, variant, level_order),
+                      global_mode)
+    for e in ops:
+        e.flags.writeable = False
+    return ops, completeness_defect(ops)
 
 
 def apply_unchecked(ops, matrix: np.ndarray) -> np.ndarray:
@@ -265,20 +291,20 @@ _INCOMPLETE_GLOBAL = (
 
 def _push(matrices: np.ndarray, sets, allow_incomplete: bool, failure: str, **fields):
     """Evolve a 6x6 matrix, or an (N, 6, 6) stack, through each Kraus set
-    in turn.
+    in turn; ``sets`` holds (ops, completeness defect) pairs.
 
     When every set is trace preserving the result goes through
     ``validate_density``.  Otherwise the raw evolved array is returned if
     ``allow_incomplete``; if not, CompletenessViolation is raised with the
     worst defect (``failure`` formatted with ``fields`` and the defect).
     """
-    defect = max(completeness_defect(ops) for ops in sets)
+    defect = max(d for _, d in sets)
     if defect > COMPLETENESS_TOL and not allow_incomplete:
         raise CompletenessViolation(
             failure.format(defect=defect, **fields), defect=defect
         )
     out = matrices
-    for ops in sets:
+    for ops, _ in sets:
         out = apply_unchecked(ops, out)
     return validate_density(out) if defect <= COMPLETENESS_TOL else out
 
@@ -291,7 +317,8 @@ def apply(ops, rho) -> np.ndarray:
     renormalized.
     """
     _check_dim(ops, 6, "apply")
-    return _push(np.asarray(rho, complex), (ops,), False,
+    return _push(np.asarray(rho, complex), ((ops, completeness_defect(ops)),),
+                 False,
                  "Kraus set has completeness defect {defect:.3e}; "
                  "evolution would not preserve the trace")
 
@@ -308,32 +335,31 @@ def collective_set(
     ``product`` tensors every qubit operator with every qutrit operator
     and is the unique trace-preserving completion.  ``correlated`` pairs
     operators index by index, padding the shorter set with zeros; it
-    generally violates completeness, which callers must check.
+    generally violates completeness, which callers must check.  The
+    operators are the read-only ones ``evolve`` takes from its cache.
     """
-    return _tensor_set(qubit_channel(kind, p),
-                       qutrit_channel(kind, p, variant, level_order), global_mode)
+    return _kraus_set(kind, p, p, global_mode, variant, level_order)[0]
 
 
 def evolve(rho, spec: ChannelSpec, allow_incomplete: bool = False) -> np.ndarray:
     """Evolve a 6x6 state, or an (N, 6, 6) stack of them, through a
     ChannelSpec: the one evaluation path.
 
-    The spec's Kraus sets are built once and the whole stack is pushed
-    through the local set at (p1, p2) and, for global coupling, the
-    collective set at p.  The result has the shape of ``rho`` and is
-    validated and read-only, unless ``allow_incomplete`` let a
-    non-trace-preserving set through; then the raw evolved array is
-    returned for diagnostics.
+    The whole stack is pushed through the local set at (p1, p2) and, for
+    global coupling, the collective set at p; both come from the bounded
+    ``_kraus_set`` cache with their completeness defects.  The result has
+    the shape of ``rho`` and is validated and read-only, unless
+    ``allow_incomplete`` let a non-trace-preserving set through; then the
+    raw evolved array is returned for diagnostics.
     """
     m = np.asarray(rho, complex)
-    local = _tensor_set(qubit_channel(spec.kind, spec.p1),
-                        qutrit_channel(spec.kind, spec.p2, spec.variant,
-                                       spec.level_order))
+    local = _kraus_set(spec.kind, spec.p1, spec.p2, PRODUCT, spec.variant,
+                       spec.level_order)
     if spec.coupling == MULTILOCAL:
         return _push(m, (local,), allow_incomplete, _INCOMPLETE_SET,
                      kind=spec.kind, variant=spec.variant)
-    coll = collective_set(spec.kind, spec.p, spec.global_mode, spec.variant,
-                          spec.level_order)
+    coll = _kraus_set(spec.kind, spec.p, spec.p, spec.global_mode, spec.variant,
+                      spec.level_order)
     return _push(m, (local, coll), allow_incomplete, _INCOMPLETE_GLOBAL,
                  kind=spec.kind, global_mode=spec.global_mode)
 

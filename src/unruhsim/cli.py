@@ -263,7 +263,7 @@ def _cmd_check_channels(args) -> int:
     variants = (
         [_VARIANT_FLAGS[args.variant]] if args.variant else list(channels.VARIANTS)
     )
-    p_values = _parse_p_grid(args.p)
+    p_values = [channels._check_p(p) for p in _parse_p_grid(args.p)]
     print("channel,side,variant,p,completeness_defect")
     for kind in channels.KINDS:
         for variant in variants:

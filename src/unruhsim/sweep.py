@@ -174,18 +174,14 @@ def _atomic_write(destination: str, text: str) -> None:
         raise IoFailure(f"cannot write {destination!r}: {exc}") from exc
 
 
-def _record_fields(rec: SweepRecord) -> list[str]:
-    return [
-        rec.kind,
-        rec.coupling,
-        rec.global_mode,
-        _fmt(rec.p1),
-        _fmt(rec.p2),
-        _fmt(rec.p),
-        _fmt(rec.r),
-        _fmt(rec.negativity),
-        _fmt(rec.min_pt_eigenvalue),
-    ]
+# One %-template per output row; '%.12g' % x is f"{x:.12g}" for every float.
+_CSV_ROW = "%s,%s,%s" + ",%.12g" * 6
+_PLOT_ROW = " ".join(["%.12g"] * 6)
+
+
+def _numbers(rec: SweepRecord) -> tuple:
+    """The numeric fields of a row: p1, p2, p, r and the two results."""
+    return (rec.p1, rec.p2, rec.p, rec.r, rec.negativity, rec.min_pt_eigenvalue)
 
 
 def write_csv(records: list[SweepRecord], destination: str) -> int:
@@ -196,7 +192,8 @@ def write_csv(records: list[SweepRecord], destination: str) -> int:
     if not records:
         raise OutOfRange("refusing to write an empty record list")
     lines = [CSV_HEADER]
-    lines.extend(",".join(_record_fields(r)) for r in records)
+    lines.extend(_CSV_ROW % (r.kind, r.coupling, r.global_mode, *_numbers(r))
+                 for r in records)
     _atomic_write(destination, "\n".join(lines) + "\n")
     return len(records)
 
@@ -215,8 +212,7 @@ def write_plot_data(records: list[SweepRecord], destination: str) -> int:
     blocks = []
     for (kind, coupling, gmode), recs in groups.items():
         label = f"# {kind} {coupling}" + (f" {gmode}" if gmode else "")
-        # The numeric fields of a CSV row: p1, p2, p, r and the two results.
-        body = "\n".join(" ".join(_record_fields(r)[3:]) for r in recs)
+        body = "\n".join(_PLOT_ROW % _numbers(r) for r in recs)
         blocks.append(label + "\n" + body + "\n")
     _atomic_write(destination, "\n".join(blocks))
     return len(groups)

@@ -293,6 +293,21 @@ _I2 = np.eye(2, dtype=complex)
 _I3 = np.eye(3, dtype=complex)
 
 
+def _collective_oracle(spec):
+    """The collective set at p from the single-system sets and np.kron:
+    every pair for product, index-by-index pairs padded with zeros for
+    correlated."""
+    qubit = list(ch.qubit_channel(spec.kind, spec.p))
+    qutrit = list(ch.qutrit_channel(spec.kind, spec.p, spec.variant,
+                                    spec.level_order))
+    if spec.global_mode == ch.PRODUCT:
+        return [np.kron(a, b) for a in qubit for b in qutrit]
+    n = max(len(qubit), len(qutrit))
+    qubit += [np.zeros((2, 2), dtype=complex)] * (n - len(qubit))
+    qutrit += [np.zeros((3, 3), dtype=complex)] * (n - len(qutrit))
+    return [np.kron(a, b) for a, b in zip(qubit, qutrit)]
+
+
 def _kraus_oracle(rho, spec):
     """One state through the spec's Kraus sets, one operator at a time:
     the local set (qutrit after qubit), then the collective set."""
@@ -301,8 +316,7 @@ def _kraus_oracle(rho, spec):
         spec.kind, spec.p2, spec.variant, spec.level_order)]
     sets = [[b @ a for a in qubit for b in qutrit]]
     if spec.coupling == ch.GLOBAL:
-        sets.append(ch.collective_set(spec.kind, spec.p, spec.global_mode,
-                                      spec.variant, spec.level_order))
+        sets.append(_collective_oracle(spec))
     for ops in sets:
         out = np.zeros((6, 6), dtype=complex)
         for e in ops:
@@ -366,3 +380,42 @@ def test_stack_validation_names_first_failing_matrix():
     states[3, 0, 1] += 5e-3
     with pytest.raises(NotHermitian, match="defect 3.000e-03"):
         ch.evolve(states, noiseless)
+
+
+# --- the bounded Kraus-set cache ----------------------------------------------
+
+def test_cached_incomplete_set_still_raises_with_its_defect():
+    spec = ch.ChannelSpec(ch.DEPHASING, ch.MULTILOCAL, 0.3, 0.4,
+                          variant=ch.AS_PRINTED)
+    rho = unruh_state(0.2)
+    defects = []
+    for _ in range(2):
+        with pytest.raises(CompletenessViolation) as err:
+            ch.evolve(rho, spec)
+        defects.append(err.value.defect)
+    assert defects[0] == defects[1] == pytest.approx(2.0, abs=1e-12)
+    assert ch._kraus_set.cache_info().hits >= 1
+
+
+def test_cached_operators_are_read_only():
+    ops, _ = ch._kraus_set(ch.PHASE_FLIP, 0.3, 0.3, ch.PRODUCT, ch.CORRECTED,
+                           ch.REVERSED)
+    with pytest.raises(ValueError):
+        ops[0][0, 0] = 2.0
+
+
+def test_cache_eviction_keeps_results():
+    kinds_modes = [(k, m) for k in ch.KINDS for m in ch.GLOBAL_MODES]
+    specs = [ch.ChannelSpec(kind, ch.GLOBAL, 0.05 * i, 0.5, 0.03 * i, mode)
+             for i in range(6) for kind, mode in kinds_modes]
+    assert len(specs) > ch._SET_CACHE_SIZE
+    states = np.stack([unruh_state(r) for r in (0.0, 0.4, math.pi / 4)])
+    alone = []
+    for spec in specs:
+        ch._kraus_set.cache_clear()
+        alone.append(ch.evolve(states, spec, allow_incomplete=True))
+    for _ in range(2):  # the second round meets only evicted entries
+        for spec, expected in zip(specs, alone):
+            np.testing.assert_array_equal(
+                ch.evolve(states, spec, allow_incomplete=True), expected)
+    assert ch._kraus_set.cache_info().currsize <= ch._SET_CACHE_SIZE

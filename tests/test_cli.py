@@ -87,6 +87,13 @@ def test_check_channels_reports_defects(capsys):
     assert float(bpf[0][4]) == pytest.approx(0.2)
 
 
+def test_check_channels_bad_p_prints_no_partial_table(capsys):
+    assert main(["check-channels", "--p", "0,2"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: decoherence parameter p=2.0 outside [0, 1]\n"
+
+
 def test_usage_errors_exit_one(capsys):
     assert main(["negativity", "--channel", "phase-flip"]) == EXIT_USAGE
     assert main([

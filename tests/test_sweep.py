@@ -219,6 +219,32 @@ def test_plot_data_blocks(tmp_path):
         assert len(block.strip().splitlines()) == 6  # label + 5 points
 
 
+def test_writers_format_each_field_as_twelve_significant_digits(tmp_path):
+    values = [-0.0, 5e-324, 1e-13, 0.1 + 0.2, math.pi / 4]
+    groups = [(channels.PHASE_FLIP, channels.MULTILOCAL, ""),
+              (channels.DEPHASING, channels.GLOBAL, channels.PRODUCT)]
+    records = [
+        sweep.SweepRecord(*group, *(values[(i + j) % 5] for j in range(6)))
+        for group in groups for i in range(5)
+    ]
+    numbers = lambda rec: [f"{x:.12g}" for x in (
+        rec.p1, rec.p2, rec.p, rec.r, rec.negativity, rec.min_pt_eigenvalue)]
+    csv_rows = [",".join([rec.kind, rec.coupling, rec.global_mode, *numbers(rec)])
+                for rec in records]
+    blocks = [
+        f"# {kind} {coupling}" + (f" {gmode}" if gmode else "") + "\n"
+        + "\n".join(" ".join(numbers(rec)) for rec in records[5 * g:5 * g + 5])
+        + "\n"
+        for g, (kind, coupling, gmode) in enumerate(groups)
+    ]
+    sweep.write_csv(records, str(tmp_path / "a.csv"))
+    sweep.write_plot_data(records, str(tmp_path / "a.dat"))
+    assert (tmp_path / "a.csv").read_bytes().decode() == (
+        "\n".join([sweep.CSV_HEADER, *csv_rows]) + "\n")
+    assert (tmp_path / "a.dat").read_bytes().decode() == "\n".join(blocks)
+    assert "-0 4.94065645841e-324 1e-13 0.3 0.785398163397" in blocks[0]
+
+
 def test_write_failure_raises_io(tmp_path):
     s = sweep.SweepSpec(
         channel=_spec(channels.PHASE_FLIP), axis=sweep.AXIS_P, p_count=2
