@@ -31,13 +31,33 @@ from .sweep import evaluate
 MATCH = "match"
 MISMATCH = "mismatch"
 
-ANALYTIC_KINDS = (PHASE_FLIP, DEPHASING)
-
 
 def _check(value: float, name: str, hi: float = 1.0) -> float:
     if not (0.0 <= value <= hi):
         raise OutOfRange(f"{name}={value!r} outside [0, {hi:g}]")
     return float(value)
+
+
+def _phase_flip_factor(coupling: str, p1: float, p2: float, p: float) -> float:
+    """``phase_flip_lambda`` without its cos^2 r."""
+    if coupling == MULTILOCAL:
+        return -0.5 * (1 - p1) * (1 - p2)
+    if coupling == GLOBAL:
+        _check(p, "p")
+        return -0.5 * abs(1 - p) * (1 - p1) ** 2 * abs(1 - p2)
+    raise OutOfRange(f"unknown coupling {coupling!r}")
+
+
+def _dephasing_factor(coupling: str, p1: float, p2: float, p: float) -> float:
+    """``dephasing_lambda`` without its cos^2 r."""
+    f2 = 2 * math.sqrt((1 - p2) * p2) + 1
+    if coupling == MULTILOCAL:
+        return -0.5 * math.sqrt((1 - p1) * f2)
+    if coupling == GLOBAL:
+        _check(p, "p")
+        f = 2 * math.sqrt((1 - p) * p) + 1
+        return -0.5 * math.sqrt(f * (1 - p1) ** 2 * f2)
+    raise OutOfRange(f"unknown coupling {coupling!r}")
 
 
 def phase_flip_lambda(
@@ -54,13 +74,7 @@ def phase_flip_lambda(
     is a recorded mismatch.
     """
     _check(p1, "p1"), _check(p2, "p2"), _check(r, "r", R_MAX)
-    c2 = math.cos(r) ** 2
-    if coupling == MULTILOCAL:
-        return -0.5 * (1 - p1) * (1 - p2) * c2
-    if coupling == GLOBAL:
-        _check(p, "p")
-        return -0.5 * abs(1 - p) * (1 - p1) ** 2 * abs(1 - p2) * c2
-    raise OutOfRange(f"unknown coupling {coupling!r}")
+    return _phase_flip_factor(coupling, p1, p2, p) * math.cos(r) ** 2
 
 
 def dephasing_lambda(
@@ -77,18 +91,13 @@ def dephasing_lambda(
     to verification to judge.
     """
     _check(p1, "p1"), _check(p2, "p2"), _check(r, "r", R_MAX)
-    c2 = math.cos(r) ** 2
-    f2 = 2 * math.sqrt((1 - p2) * p2) + 1
-    if coupling == MULTILOCAL:
-        return -0.5 * math.sqrt((1 - p1) * f2) * c2
-    if coupling == GLOBAL:
-        _check(p, "p")
-        f = 2 * math.sqrt((1 - p) * p) + 1
-        return -0.5 * math.sqrt(f * (1 - p1) ** 2 * f2) * c2
-    raise OutOfRange(f"unknown coupling {coupling!r}")
+    return _dephasing_factor(coupling, p1, p2, p) * math.cos(r) ** 2
 
 
+# The closed forms; ``verify_against_numeric`` evaluates each factor once per spec.
 _LAMBDAS = {PHASE_FLIP: phase_flip_lambda, DEPHASING: dephasing_lambda}
+_FACTORS = {PHASE_FLIP: _phase_flip_factor, DEPHASING: _dephasing_factor}
+ANALYTIC_KINDS = tuple(_LAMBDAS)
 
 
 @dataclass(frozen=True)
@@ -129,7 +138,7 @@ def verify_against_numeric(
         grid_points = 21 if coupling == MULTILOCAL else 11
     if grid_points < 2:
         raise OutOfRange("grid_points must be at least 2")
-    lam = _LAMBDAS[kind]
+    factor = _FACTORS[kind]
     axis = np.linspace(0.0, 1.0, grid_points)
     r_axis = np.linspace(0.0, R_MAX, grid_points)
     p_axis = axis if coupling == GLOBAL else np.array([0.0])
@@ -140,8 +149,9 @@ def verify_against_numeric(
         for p1 in axis for p2 in axis for p in p_axis
     ]
     min_eig, neg = evaluate(specs, r_axis, allow_incomplete=True)
-    analytic = np.array([[lam(coupling, s.p1, s.p2, s.p, float(r)) for r in r_axis]
-                         for s in specs])
+    # factor * cos^2 r: the same float operations as the public closed forms.
+    cos2 = np.array([math.cos(float(r)) ** 2 for r in r_axis])
+    analytic = np.array([[factor(coupling, s.p1, s.p2, s.p)] for s in specs]) * cos2
     dev = np.maximum(np.abs(analytic - min_eig),
                      np.abs(np.maximum(0.0, -analytic) - neg))
     # Reorder to the (r, p1, p2, p) order of a nested loop, so argmax picks

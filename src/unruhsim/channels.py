@@ -57,15 +57,14 @@ CORRELATED = "correlated"
 GLOBAL_MODES = (PRODUCT, CORRELATED)
 
 COMPLETENESS_TOL = 1e-12
-# Sets kept by ``_kraus_set``.  A global verify report needs 12 (its 11
-# collective sets and the current local one); 256 raised the peak memory
-# of the six verify reports by 1.1 MiB.
+# Sets kept by ``_kraus_set``.  One ``evolve`` call over a chunk of a
+# global verify grid (the 11 specs of one (p1, p2) pair) needs 12: its 11
+# collective sets and the local one.  256 raised the peak memory of the
+# six verify reports by 1.1 MiB.
 _SET_CACHE_SIZE = 32
 
 _I2 = np.eye(2, dtype=complex)
 _I3 = np.eye(3, dtype=complex)
-# Reversal permutation for the 3-level basis: level 2 first.
-_REV3 = np.fliplr(np.eye(3)).astype(complex)
 _OMEGA = complex(np.exp(2j * np.pi / 3))
 
 
@@ -198,18 +197,16 @@ def qutrit_channel(
     if level_order not in (PRINTED, REVERSED):
         raise OutOfRange(f"unknown level order {level_order!r}")
     ops = _qutrit_ops_printed(kind, p, variant)
-    if level_order == REVERSED:
-        ops = [_REV3 @ e @ _REV3 for e in ops]
+    if level_order == REVERSED:  # level 2 first
+        ops = [e[::-1, ::-1] for e in ops]
     return tuple(ops)
 
 
 def completeness_defect(ops) -> float:
     """Max-norm of (sum E^dag E - I)."""
-    dim = ops[0].shape[0]
-    acc = np.zeros((dim, dim), dtype=complex)
-    for e in ops:
-        acc += e.conj().T @ e
-    return float(np.max(np.abs(acc - np.eye(dim))))
+    e = np.asarray(ops)
+    acc = (e.conj().transpose(0, 2, 1) @ e).sum(axis=0)
+    return float(np.max(np.abs(acc - np.eye(e.shape[-1]))))
 
 
 def _check_dim(ops, dim: int, name: str) -> None:
@@ -218,11 +215,13 @@ def _check_dim(ops, dim: int, name: str) -> None:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The tensor product a (x) b of two matrices (index i*dim(b) + k), as
-    one broadcast multiply: entry for entry the same product numpy's kron
-    takes, without its per-call overhead."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    """The tensor products a (x) b over the last two axes (index
+    i*dim(b) + k), broadcast over the leading ones, as one multiply: entry
+    for entry the same product numpy's kron takes, without its per-call
+    overhead."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (out.shape[-4] * out.shape[-3],
+                                         out.shape[-2] * out.shape[-1]))
 
 
 def lift_qubit(ops) -> tuple[np.ndarray, ...]:
@@ -238,20 +237,21 @@ def lift_qutrit(ops) -> tuple[np.ndarray, ...]:
 
 
 def _tensor_set(qubit_ops, qutrit_ops, global_mode: str = PRODUCT):
-    """The 6x6 set of a qubit set and a qutrit set (index 3A+a).
+    """The 6x6 set of a qubit set and a qutrit set (index 3A+a), as one
+    (K, 6, 6) stack.
 
     ``product`` tensors every qubit operator with every qutrit operator
     (qubit outer, qutrit inner); ``correlated`` pairs them index by index,
     padding the shorter set with zeros.
     """
+    a, b = np.asarray(qubit_ops), np.asarray(qutrit_ops)
     if global_mode == PRODUCT:
-        return tuple(_kron(a, b) for a in qubit_ops for b in qutrit_ops)
+        return _kron(a[:, None], b[None, :]).reshape(-1, 6, 6)
     if global_mode != CORRELATED:
         raise OutOfRange(f"unknown global mode {global_mode!r}")
-    n = max(len(qubit_ops), len(qutrit_ops))
-    pad = lambda ops, d: [*ops] + [np.zeros((d, d), dtype=complex)] * (n - len(ops))
-    return tuple(_kron(a, b)
-                 for a, b in zip(pad(qubit_ops, 2), pad(qutrit_ops, 3)))
+    n = max(len(a), len(b))
+    pad = lambda e: np.concatenate([e, np.zeros((n - len(e),) + e.shape[1:], complex)])
+    return _kron(pad(a), pad(b))
 
 
 @functools.lru_cache(maxsize=_SET_CACHE_SIZE)
@@ -262,15 +262,14 @@ def _kraus_set(kind, qubit_p, qutrit_p, global_mode, variant, level_order):
     ops = _tensor_set(qubit_channel(kind, qubit_p),
                       qutrit_channel(kind, qutrit_p, variant, level_order),
                       global_mode)
-    for e in ops:
-        e.flags.writeable = False
-    return ops, completeness_defect(ops)
+    ops.flags.writeable = False
+    return tuple(ops), completeness_defect(ops)
 
 
 def apply_unchecked(ops, matrix: np.ndarray) -> np.ndarray:
     """sum E rho E^dag without any revalidation of the result.
 
-    ``matrix`` may be one 6x6 matrix or an (N, 6, 6) stack; each operator
+    ``matrix`` may be one 6x6 matrix or a stack (..., 6, 6); each operator
     is applied to the whole stack at once.
     """
     out = np.zeros_like(np.asarray(matrix, dtype=complex))
@@ -289,26 +288,6 @@ _INCOMPLETE_GLOBAL = (
 )
 
 
-def _push(matrices: np.ndarray, sets, allow_incomplete: bool, failure: str, **fields):
-    """Evolve a 6x6 matrix, or an (N, 6, 6) stack, through each Kraus set
-    in turn; ``sets`` holds (ops, completeness defect) pairs.
-
-    When every set is trace preserving the result goes through
-    ``validate_density``.  Otherwise the raw evolved array is returned if
-    ``allow_incomplete``; if not, CompletenessViolation is raised with the
-    worst defect (``failure`` formatted with ``fields`` and the defect).
-    """
-    defect = max(d for _, d in sets)
-    if defect > COMPLETENESS_TOL and not allow_incomplete:
-        raise CompletenessViolation(
-            failure.format(defect=defect, **fields), defect=defect
-        )
-    out = matrices
-    for ops, _ in sets:
-        out = apply_unchecked(ops, out)
-    return validate_density(out) if defect <= COMPLETENESS_TOL else out
-
-
 def apply(ops, rho) -> np.ndarray:
     """Evolve a state through a 6-dimensional Kraus set and revalidate.
 
@@ -317,10 +296,12 @@ def apply(ops, rho) -> np.ndarray:
     renormalized.
     """
     _check_dim(ops, 6, "apply")
-    return _push(np.asarray(rho, complex), ((ops, completeness_defect(ops)),),
-                 False,
-                 "Kraus set has completeness defect {defect:.3e}; "
-                 "evolution would not preserve the trace")
+    defect = completeness_defect(ops)
+    if defect > COMPLETENESS_TOL:
+        raise CompletenessViolation(
+            f"Kraus set has completeness defect {defect:.3e}; "
+            "evolution would not preserve the trace", defect=defect)
+    return validate_density(apply_unchecked(ops, np.asarray(rho, complex)))
 
 
 def collective_set(
@@ -341,27 +322,58 @@ def collective_set(
     return _kraus_set(kind, p, p, global_mode, variant, level_order)[0]
 
 
-def evolve(rho, spec: ChannelSpec, allow_incomplete: bool = False) -> np.ndarray:
+def evolve(rho, specs, allow_incomplete: bool = False) -> np.ndarray:
     """Evolve a 6x6 state, or an (N, 6, 6) stack of them, through a
-    ChannelSpec: the one evaluation path.
+    ChannelSpec, or through each of a sequence of specs that differ only in
+    p1, p2 and p: the one evaluation path.
 
-    The whole stack is pushed through the local set at (p1, p2) and, for
-    global coupling, the collective set at p; both come from the bounded
-    ``_kraus_set`` cache with their completeness defects.  The result has
-    the shape of ``rho`` and is validated and read-only, unless
-    ``allow_incomplete`` let a non-trace-preserving set through; then the
-    raw evolved array is returned for diagnostics.
+    The stack goes through each distinct local set at (p1, p2) once; for
+    global coupling, the local results of every spec that shares a
+    collective p go through that set in one call.  Sets come from the
+    bounded ``_kraus_set`` cache with their completeness defects.  The
+    result has the shape of ``rho``, with a leading spec axis for a
+    sequence.  Every matrix of a trace-preserving spec is validated; the
+    result is read-only when every spec is trace preserving.  A spec that
+    is not raises CompletenessViolation, as the first failure of a
+    spec-by-spec loop would, unless ``allow_incomplete``; then its raw
+    evolved matrices are returned for diagnostics.
     """
     m = np.asarray(rho, complex)
-    local = _kraus_set(spec.kind, spec.p1, spec.p2, PRODUCT, spec.variant,
-                       spec.level_order)
-    if spec.coupling == MULTILOCAL:
-        return _push(m, (local,), allow_incomplete, _INCOMPLETE_SET,
-                     kind=spec.kind, variant=spec.variant)
-    coll = _kraus_set(spec.kind, spec.p, spec.p, spec.global_mode, spec.variant,
-                      spec.level_order)
-    return _push(m, (local, coll), allow_incomplete, _INCOMPLETE_GLOBAL,
-                 kind=spec.kind, global_mode=spec.global_mode)
+    one = isinstance(specs, ChannelSpec)
+    specs = [specs] if one else list(specs)
+    shared = {(s.kind, s.coupling, s.global_mode, s.variant, s.level_order)
+              for s in specs}
+    if len(shared) != 1:
+        raise OutOfRange("evolve takes one or more specs that differ only in "
+                         "p1, p2 and p")
+    kind, coupling, global_mode, variant, level_order = shared.pop()
+    local = [_kraus_set(kind, s.p1, s.p2, PRODUCT, variant, level_order)
+             for s in specs]
+    coll = ([_kraus_set(kind, s.p, s.p, global_mode, variant, level_order)
+             for s in specs] if coupling == GLOBAL else local)
+    defects = [max(a[1], b[1]) for a, b in zip(local, coll)]
+    tp = [d <= COMPLETENESS_TOL for d in defects]
+    n = len(specs) if allow_incomplete or all(tp) else tp.index(False)
+    out = np.empty((n,) + m.shape, complex)
+    evolved, shared_p = {}, {}
+    for i, s in enumerate(specs[:n]):
+        if (s.p1, s.p2) not in evolved:
+            evolved[s.p1, s.p2] = apply_unchecked(local[i][0], m)
+        out[i] = evolved[s.p1, s.p2]
+        shared_p.setdefault(s.p, []).append(i)
+    if coupling == GLOBAL:
+        for idx in shared_p.values():
+            out[idx] = apply_unchecked(coll[idx[0]][0], out[idx])
+    if n and all(tp[:n]):
+        out = validate_density(out.reshape(-1, 6, 6)).reshape(out.shape)
+    elif any(tp[:n]):
+        validate_density(out[np.array(tp[:n])].reshape(-1, 6, 6))
+    if n < len(specs):
+        failure = _INCOMPLETE_GLOBAL if coupling == GLOBAL else _INCOMPLETE_SET
+        raise CompletenessViolation(
+            failure.format(kind=kind, variant=variant, global_mode=global_mode,
+                           defect=defects[n]), defect=defects[n])
+    return out[0] if one else out
 
 
 def multilocal_evolve(

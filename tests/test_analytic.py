@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unruhsim import analytic, channels
 from unruhsim.analytic import (
@@ -48,6 +50,40 @@ def test_lambda_rejects_out_of_range():
         dephasing_lambda("multilocal", 0, 0, 0, 1.0)
     with pytest.raises(OutOfRange):
         phase_flip_lambda("sideways", 0, 0, 0, 0)
+
+
+_unit = st.floats(0.0, 1.0, allow_nan=False)
+
+
+def _closed_form_oracle(kind, coupling, p1, p2, p, r):
+    """Each closed form as one expression, cos^2 r last."""
+    c2 = math.cos(r) ** 2
+    f2 = 2 * math.sqrt((1 - p2) * p2) + 1
+    f = 2 * math.sqrt((1 - p) * p) + 1
+    return {
+        ("phase_flip", "multilocal"): lambda: -0.5 * (1 - p1) * (1 - p2) * c2,
+        ("phase_flip", "global"):
+            lambda: -0.5 * abs(1 - p) * (1 - p1) ** 2 * abs(1 - p2) * c2,
+        ("dephasing", "multilocal"): lambda: -0.5 * math.sqrt((1 - p1) * f2) * c2,
+        ("dephasing", "global"):
+            lambda: -0.5 * math.sqrt(f * (1 - p1) ** 2 * f2) * c2,
+    }[kind, coupling]()
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(analytic.ANALYTIC_KINDS),
+       coupling=st.sampled_from(channels.COUPLINGS),
+       p1=_unit, p2=_unit, p=_unit,
+       r=st.floats(0.0, math.pi / 4, allow_nan=False))
+def test_closed_form_is_its_factor_times_cos_squared(kind, coupling, p1, p2, p, r):
+    # verify_against_numeric multiplies one factor per spec by cos^2 r;
+    # that must be the public closed form, and the one-expression form,
+    # to the last bit.
+    bits = lambda x: np.float64(x).tobytes()
+    factor = analytic._FACTORS[kind](coupling, p1, p2, p)
+    lam = analytic._LAMBDAS[kind](coupling, p1, p2, p, r)
+    assert bits(factor * math.cos(r) ** 2) == bits(lam)
+    assert bits(lam) == bits(_closed_form_oracle(kind, coupling, p1, p2, p, r))
 
 
 def test_verify_rejects_unsupported_kind():

@@ -345,9 +345,12 @@ _unit = st.floats(0.0, 1.0, allow_nan=False)
     p1=_unit, p2=_unit, p=_unit,
     rs=st.lists(st.floats(0.0, math.pi / 4, allow_nan=False),
                 min_size=1, max_size=8),
+    # Further specs whose (p1, p2, p) are drawn from the pool {p1, p2, p},
+    # so that local and collective sets repeat across the list.
+    picks=st.lists(st.tuples(*[st.integers(0, 2)] * 3), max_size=6),
 )
 def test_stacked_evolution_is_bit_equal_to_per_point_kraus(
-    kind, coupling, global_mode, variant, level_order, p1, p2, p, rs
+    kind, coupling, global_mode, variant, level_order, p1, p2, p, rs, picks
 ):
     spec = ch.ChannelSpec(kind, coupling, p1, p2, p, global_mode, variant,
                           level_order)
@@ -366,11 +369,93 @@ def test_stacked_evolution_is_bit_equal_to_per_point_kraus(
     single = ch.evolve(unruh_state(rs[0]), spec, allow_incomplete=True)
     np.testing.assert_array_equal(single, expected[0])
 
+    # A spec list evolves each spec as the oracle does, with a leading
+    # spec axis, however its local and collective sets are shared.
+    pool = (p1, p2, p)
+    specs = [spec] + [spec.with_params(*(pool[i] for i in pick))
+                      for pick in picks]
+    expected_list = np.stack([[_kraus_oracle(m, s) for m in states]
+                              for s in specs])
+    np.testing.assert_array_equal(
+        ch.evolve(states, specs, allow_incomplete=True), expected_list)
+
     # The evaluator behind sweep, esd, verify and the CLI gives the same
-    # numbers, as (1, len(rs)) arrays.
-    min_eig, neg_grid = sweep.evaluate([spec], rs, allow_incomplete=True)
-    np.testing.assert_array_equal(min_eig, [expected_eig[:, 0]])
-    np.testing.assert_array_equal(neg_grid, [expected_neg])
+    # numbers, as (len(specs), len(rs)) arrays.
+    oracle_eig = np.stack([[_pt_oracle(m) for m in row] for row in expected_list])
+    min_eig, neg_grid = sweep.evaluate(specs, rs, allow_incomplete=True)
+    np.testing.assert_array_equal(min_eig, oracle_eig[..., 0])
+    np.testing.assert_array_equal(
+        neg_grid, [[-e[e < -1e-12].sum() for e in row] for row in oracle_eig])
+
+
+def test_evaluate_across_chunks_equals_spec_by_spec():
+    axis = [0.0, 0.25, 0.5, 0.75, 1.0]
+    rs = np.linspace(0.0, math.pi / 4, 11)
+    for mode in ch.GLOBAL_MODES:
+        specs = [ch.ChannelSpec(ch.BIT_TRIT_PHASE_FLIP, ch.GLOBAL, p1, p2, p, mode)
+                 for p1 in axis for p2 in axis for p in axis]
+        assert len(specs) * len(rs) > 2 * sweep._CHUNK_MATRICES
+        batched = sweep.evaluate(specs, rs, allow_incomplete=True)
+        alone = [sweep.evaluate([s], rs, allow_incomplete=True) for s in specs]
+        for got, want in zip(batched, zip(*alone)):
+            assert got.tobytes() == np.concatenate(want).tobytes()
+
+
+# --- spec lists: the same checks as a spec-by-spec loop -----------------------
+
+def _trit_phase_flip_specs(ps):
+    return [ch.ChannelSpec(ch.BIT_TRIT_PHASE_FLIP, ch.MULTILOCAL, p, p,
+                           variant=ch.AS_PRINTED) for p in ps]
+
+
+def test_spec_list_raises_the_first_incomplete_specs_defect():
+    states = np.stack([unruh_state(r) for r in (0.0, 0.4)])
+    specs = _trit_phase_flip_specs([0.0, 0.3, 0.6])
+    with pytest.raises(CompletenessViolation) as err:
+        ch.evolve(states, specs)
+    assert err.value.defect == pytest.approx(0.1, abs=1e-12)
+    with pytest.raises(CompletenessViolation) as alone:
+        ch.evolve(states, specs[1])
+    assert str(err.value) == str(alone.value)
+
+
+def test_spec_list_with_incomplete_specs_still_validates_the_rest():
+    states = np.stack([unruh_state(r) for r in (0.0, 0.4)])
+    specs = _trit_phase_flip_specs([0.0, 0.3, 0.6])
+    raw = ch.evolve(states, specs, allow_incomplete=True)
+    assert raw.shape == (3, 2, 6, 6) and raw.flags.writeable
+    np.testing.assert_array_equal(raw[0], ch.evolve(states, specs[0]))
+    # The p = 0 rows go through validation: a defect there is reported.
+    states[1, 0, 1] += 3e-3
+    with pytest.raises(NotHermitian, match="defect 3.000e-03"):
+        ch.evolve(states, specs, allow_incomplete=True)
+
+
+def test_spec_list_raises_whichever_failure_comes_first():
+    states = np.stack([unruh_state(r) for r in (0.0, 0.4)])
+    states[1, 0, 1] += 3e-3
+    with pytest.raises(NotHermitian):  # the p = 0 spec fails validation
+        ch.evolve(states, _trit_phase_flip_specs([0.0, 0.3]))
+    with pytest.raises(CompletenessViolation):  # the p = 0.3 spec fails first
+        ch.evolve(states, _trit_phase_flip_specs([0.3, 0.0]))
+
+
+def test_spec_list_of_trace_preserving_specs_is_read_only():
+    specs = [ch.ChannelSpec(ch.DEPHASING, ch.GLOBAL, p, 0.2, 0.5) for p in (0.1, 0.9)]
+    out = ch.evolve(unruh_state(0.3), specs)
+    assert out.shape == (2, 6, 6) and not out.flags.writeable
+
+
+@pytest.mark.parametrize("specs", [
+    [],
+    [ch.ChannelSpec(ch.PHASE_FLIP, ch.MULTILOCAL),
+     ch.ChannelSpec(ch.DEPHASING, ch.MULTILOCAL)],
+    [ch.ChannelSpec(ch.PHASE_FLIP, ch.MULTILOCAL),
+     ch.ChannelSpec(ch.PHASE_FLIP, ch.GLOBAL)],
+])
+def test_spec_list_must_be_nonempty_and_share_all_but_the_parameters(specs):
+    with pytest.raises(OutOfRange):
+        ch.evolve(unruh_state(0.1), specs)
 
 
 def test_stack_validation_names_first_failing_matrix():
@@ -419,3 +504,28 @@ def test_cache_eviction_keeps_results():
             np.testing.assert_array_equal(
                 ch.evolve(states, spec, allow_incomplete=True), expected)
     assert ch._kraus_set.cache_info().currsize <= ch._SET_CACHE_SIZE
+
+
+# --- the Choi matrix of every 6x6 set ----------------------------------------
+
+@pytest.mark.parametrize("kind", ch.KINDS)
+@pytest.mark.parametrize("variant", ch.VARIANTS)
+@pytest.mark.parametrize("order", [ch.PRINTED, ch.REVERSED])
+@pytest.mark.parametrize("mode", ch.GLOBAL_MODES)
+def test_choi_matrix_is_psd_and_traces_to_identity_iff_complete(
+    kind, variant, order, mode
+):
+    # J = sum vec(E) vec(E)^dag is PSD for any operator set, and its trace
+    # over the output index is conj(sum E^dag E): I exactly when the set
+    # is complete (Choi 1975).
+    for p in (0.0, 0.3, 0.7, 1.0):
+        for ops in (ch.collective_set(kind, p, mode, variant, order),
+                    ch._kraus_set(kind, p, 1 - p, ch.PRODUCT, variant, order)[0]):
+            vecs = np.stack([e.reshape(-1) for e in ops])
+            choi = vecs.T @ vecs.conj()
+            assert np.linalg.eigvalsh(choi).min() >= -1e-12
+            traced = np.einsum("ijil->jl", choi.reshape(6, 6, 6, 6))
+            off = np.abs(traced - np.eye(6)).max()
+            defect = ch.completeness_defect(ops)
+            assert (off <= 1e-12) == (defect <= 1e-12)
+            assert off == pytest.approx(defect, abs=1e-14)
