@@ -26,7 +26,7 @@ from .channels import (
 )
 from .errors import OutOfRange
 from .state import R_MAX
-from .sweep import evaluate
+from .sweep import _axis, evaluate
 
 MATCH = "match"
 MISMATCH = "mismatch"
@@ -139,8 +139,8 @@ def verify_against_numeric(
     if grid_points < 2:
         raise OutOfRange("grid_points must be at least 2")
     factor = _FACTORS[kind]
-    axis = np.linspace(0.0, 1.0, grid_points)
-    r_axis = np.linspace(0.0, R_MAX, grid_points)
+    axis = _axis(1.0, grid_points)
+    r_axis = _axis(R_MAX, grid_points)
     p_axis = axis if coupling == GLOBAL else np.array([0.0])
 
     specs = [

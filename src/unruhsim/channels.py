@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,14 +98,6 @@ class ChannelSpec:
             raise OutOfRange(f"unknown level order {self.level_order!r}")
         for name in ("p1", "p2", "p"):
             _check_p(getattr(self, name), name)
-
-    def with_params(self, p1=None, p2=None, p=None) -> "ChannelSpec":
-        return replace(
-            self,
-            p1=self.p1 if p1 is None else p1,
-            p2=self.p2 if p2 is None else p2,
-            p=self.p if p is None else p,
-        )
 
 
 def _check_p(p: float, name: str = "p") -> float:

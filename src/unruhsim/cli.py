@@ -286,21 +286,12 @@ def _cmd_negativity(args) -> int:
 
 def _cmd_sweep(args) -> int:
     axis = {"p": sweep.AXIS_P, "r": sweep.AXIS_R, "grid": sweep.AXIS_GRID}[args.axis]
-    template = _channel_spec(args)
-    spec = sweep.SweepSpec(
-        channel=template,
-        axis=axis,
-        r=parse_angle(args.r),
-        p_count=args.steps,
-        r_count=args.steps,
-    )
-    records = sweep.run_sweep(spec)
-    if args.plot_data:
-        count = sweep.write_plot_data(records, args.out)
-        print(f"wrote {count} block(s) to {args.out}", file=sys.stderr)
-    else:
-        count = sweep.write_csv(records, args.out)
-        print(f"wrote {count} row(s) to {args.out}", file=sys.stderr)
+    spec = sweep.SweepSpec(_channel_spec(args), axis, r=parse_angle(args.r),
+                           steps=args.steps)
+    write, unit = ((sweep.write_plot_data, "block") if args.plot_data
+                   else (sweep.write_csv, "row"))
+    count = write([sweep.run_sweep(spec)], args.out)
+    print(f"wrote {count} {unit}(s) to {args.out}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -342,12 +333,10 @@ def _cmd_repro(args) -> int:
         raise IoFailure(f"cannot create {out_dir!r}: {exc}") from exc
     figures = sweep.FIGURES if args.figure == "all" else [args.figure]
     for figure in figures:
-        records = []
-        for spec in sweep.figure_sweeps(figure):
-            records.extend(sweep.run_sweep(spec))
+        results = [sweep.run_sweep(s) for s in sweep.figure_sweeps(figure)]
         base = os.path.join(out_dir, f"fig{figure}")
-        rows = sweep.write_csv(records, base + ".csv")
-        blocks = sweep.write_plot_data(records, base + ".dat")
+        rows = sweep.write_csv(results, base + ".csv")
+        blocks = sweep.write_plot_data(results, base + ".dat")
         print(f"wrote {rows} row(s) to {base}.csv and {blocks} block(s) to "
               f"{base}.dat", file=sys.stderr)
     return EXIT_OK

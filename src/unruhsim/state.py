@@ -47,8 +47,9 @@ def validate_density(m) -> np.ndarray:
         raise DimensionMismatch(f"expected a matrix or a stack, got ndim={m.ndim}")
     if not np.isfinite(ms).all():
         raise ValueError("matrix contains non-finite entries")
-    if ms.shape[1:] != (DIM, DIM):
-        raise OutOfRange(f"expected a {DIM}x{DIM} matrix, got {ms.shape[1:]}")
+    if ms.shape[1:] != (DIM, DIM) or not len(ms):
+        raise OutOfRange(f"expected a {DIM}x{DIM} matrix or a nonempty stack "
+                         f"of them, got shape {m.shape}")
     h_defect = hermiticity_defect(ms)
     tr_defect = np.abs(ms.trace(axis1=1, axis2=2) - 1.0)
     min_eig = np.linalg.eigvalsh(ms)[:, 0]

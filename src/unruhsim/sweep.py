@@ -1,7 +1,8 @@
 """Parameter sweeps, sudden-death thresholds and figure datasets.
 
-Grid points are independent pure evaluations; records are assembled in a
-deterministic order (outer p, inner r) and written by a single writer.
+A sweep evaluates to one ``SweepResult``: its linked spec at each p (rows,
+outer) and its r axis (columns, inner), with one negativity and one minimum
+PT eigenvalue array over both.  Only the writers here lay those out as rows.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,29 +44,23 @@ class SweepSpec:
     channel: ChannelSpec
     axis: str = AXIS_P
     r: float = 0.0  # fixed acceleration when the r axis is not swept
-    p_count: int = 101  # over [0, 1]
-    r_count: int = 101  # over [0, pi/4]
+    steps: int = 101  # points per swept axis: p over [0, 1], r over [0, pi/4]
 
     def __post_init__(self):
         if self.axis not in AXES:
             raise OutOfRange(f"unknown sweep axis {self.axis!r}")
-        if self.p_count < 1 or self.r_count < 1:
+        if self.steps < 1:
             raise OutOfRange("grids must be nonempty")
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One evaluated grid point."""
+@dataclass(frozen=True, eq=False)
+class SweepResult:
+    """One evaluated sweep: row i of each array is ``specs[i]`` over ``r``."""
 
-    kind: str
-    coupling: str
-    global_mode: str  # empty for multilocal coupling
-    p1: float
-    p2: float
-    p: float
-    r: float
-    negativity: float
-    min_pt_eigenvalue: float
+    specs: tuple[ChannelSpec, ...]
+    r: np.ndarray
+    negativity: np.ndarray  # (len(specs), len(r))
+    min_pt_eigenvalue: np.ndarray  # (len(specs), len(r))
 
 
 # Matrices one ``channels.evolve`` call takes at most.  Larger stacks made
@@ -84,6 +79,8 @@ def evaluate(specs, r_values, allow_incomplete: bool = False):
     ``channels.evolve`` call, which shares the Kraus sets the specs have
     in common, and takes its PT spectra in one eigensolver call.
     """
+    if len(r_values) == 0:
+        raise OutOfRange("the r axis is empty")
     states = np.stack([unruh_state(float(r)) for r in r_values])
     min_eig = np.empty((len(specs), len(states)))
     neg = np.empty_like(min_eig)
@@ -98,26 +95,26 @@ def evaluate(specs, r_values, allow_incomplete: bool = False):
 def _linked(channel: ChannelSpec, p: float) -> ChannelSpec:
     """The channel with p applied to p1, p2 and, for global coupling, the
     collective p."""
-    return channel.with_params(p1=p, p2=p,
-                               p=p if channel.coupling == GLOBAL else None)
+    return replace(channel, p1=p, p2=p,
+                   p=p if channel.coupling == GLOBAL else channel.p)
 
 
-def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
-    """Evaluate the sweep grid; one record per point, outer p, inner r."""
-    p_grid = np.linspace(0.0, 1.0, spec.p_count)
-    specs = ([spec.channel] if spec.axis == AXIS_R
-             else [_linked(spec.channel, float(p)) for p in p_grid])
-    r_values = ([spec.r] if spec.axis == AXIS_P
-                else np.linspace(0.0, R_MAX, spec.r_count))
-    min_eig, neg = evaluate(specs, r_values)
-    records = []
-    for ch, eig_row, neg_row in zip(specs, min_eig.tolist(), neg.tolist()):
-        global_ = ch.coupling == GLOBAL
-        fixed = (ch.kind, ch.coupling, ch.global_mode if global_ else "",
-                 ch.p1, ch.p2, ch.p if global_ else 0.0)
-        records.extend(SweepRecord(*fixed, float(r), n, e)
-                       for r, n, e in zip(r_values, neg_row, eig_row))
-    return records
+def _axis(stop: float, count: int) -> np.ndarray:
+    """``count`` evenly spaced points over [0, stop]."""
+    try:
+        return np.linspace(0.0, stop, count)
+    except (ValueError, MemoryError) as exc:  # numpy cannot allocate it
+        raise OutOfRange(f"a grid of {count} points is too large") from exc
+
+
+def run_sweep(spec: SweepSpec) -> SweepResult:
+    """Evaluate the sweep grid: one row per swept p, one column per r."""
+    specs = ((spec.channel,) if spec.axis == AXIS_R else
+             tuple(_linked(spec.channel, p) for p in _axis(1.0, spec.steps).tolist()))
+    r = (np.array([spec.r], float) if spec.axis == AXIS_P
+         else _axis(R_MAX, spec.steps))
+    min_eig, neg = evaluate(specs, r)
+    return SweepResult(specs, r, neg, min_eig)
 
 
 def _linked_negativity(channel: ChannelSpec, p: float, r: float) -> float:
@@ -185,63 +182,74 @@ def _atomic_write(destination: str, text: str) -> None:
         raise IoFailure(f"cannot write {destination!r}: {exc}") from exc
 
 
-# One %-template per output row; '%.12g' % x is f"{x:.12g}" for every float.
-_CSV_ROW = "%s,%s,%s" + ",%.12g" * 6
-_PLOT_ROW = " ".join(["%.12g"] * 6)
+def _fixed(spec: ChannelSpec) -> list[str]:
+    """The fixed fields of a spec's rows, formatted: kind, coupling, global
+    mode, p1, p2 and p; empty mode and p = 0 under multilocal coupling."""
+    global_ = spec.coupling == GLOBAL
+    return [spec.kind, spec.coupling, spec.global_mode if global_ else "",
+            _fmt(spec.p1), _fmt(spec.p2), _fmt(spec.p if global_ else 0.0)]
 
 
-def _numbers(rec: SweepRecord) -> tuple:
-    """The numeric fields of a row: p1, p2, p, r and the two results."""
-    return (rec.p1, rec.p2, rec.p, rec.r, rec.negativity, rec.min_pt_eigenvalue)
+def _rows(res: SweepResult, sep: str, first: int) -> list[str]:
+    """A result's rows, outer spec, inner r: the fixed fields from index
+    ``first`` on, formatted once per spec, r once per result, then the two
+    results by one template ('%.12g' % x is _fmt(x) for every float)."""
+    r_text = [_fmt(r) for r in res.r.tolist()]
+    tail = f"{sep}%.12g{sep}%.12g"
+    rows = []
+    for spec, negs, eigs in zip(res.specs, res.negativity.tolist(),
+                                res.min_pt_eigenvalue.tolist()):
+        head = sep.join(_fixed(spec)[first:]) + sep
+        rows.extend(head + r + tail % (n, e) for r, n, e in zip(r_text, negs, eigs))
+    return rows
 
 
-def write_csv(records: list[SweepRecord], destination: str) -> int:
-    """Write records as CSV (12 significant digits, LF endings, atomic).
+def _nonempty(results: list[SweepResult]) -> list[SweepResult]:
+    if not results or any(res.negativity.size == 0 for res in results):
+        raise OutOfRange("refusing to write an empty sweep")
+    return results
+
+
+def write_csv(results: list[SweepResult], destination: str) -> int:
+    """Write results as CSV (12 significant digits, LF endings, atomic).
 
     Returns the number of data rows written.
     """
-    if not records:
-        raise OutOfRange("refusing to write an empty record list")
     lines = [CSV_HEADER]
-    lines.extend(_CSV_ROW % (r.kind, r.coupling, r.global_mode, *_numbers(r))
-                 for r in records)
+    for res in _nonempty(results):
+        lines.extend(_rows(res, ",", 0))
     _atomic_write(destination, "\n".join(lines) + "\n")
-    return len(records)
+    return len(lines) - 1
 
 
-def write_plot_data(records: list[SweepRecord], destination: str) -> int:
-    """Write records as blank-line-separated blocks, one per curve.
+def write_plot_data(results: list[SweepResult], destination: str) -> int:
+    """Write results as blank-line-separated blocks, one per result in
+    input order, labelled with its kind, coupling and global mode; a
+    result is one curve or, for a p-and-r grid, one surface.
 
-    A curve is a (channel, coupling, global mode) group; the block order
-    follows first appearance.  Returns the block count.
+    Returns the block count.
     """
-    if not records:
-        raise OutOfRange("refusing to write an empty record list")
-    groups: dict[tuple, list[SweepRecord]] = {}
-    for rec in records:
-        groups.setdefault((rec.kind, rec.coupling, rec.global_mode), []).append(rec)
     blocks = []
-    for (kind, coupling, gmode), recs in groups.items():
-        label = f"# {kind} {coupling}" + (f" {gmode}" if gmode else "")
-        body = "\n".join(_PLOT_ROW % _numbers(r) for r in recs)
-        blocks.append(label + "\n" + body + "\n")
+    for res in _nonempty(results):
+        label = "# " + " ".join(filter(None, _fixed(res.specs[0])[:3]))
+        blocks.append(label + "\n" + "\n".join(_rows(res, " ", 3)) + "\n")
     _atomic_write(destination, "\n".join(blocks))
-    return len(groups)
+    return len(blocks)
 
 
 # Figure-style presets: four-channel overlays on shared grids.
 FIGURES = ("1a", "1b", "1c", "1d", "2a", "2b", "2c", "2d", "3")
 
 _FIGURE_PARAMS = {
-    "1a": (MULTILOCAL, AXIS_P, math.pi / 6, None),
-    "1b": (MULTILOCAL, AXIS_P, math.pi / 4, None),
-    "1c": (MULTILOCAL, AXIS_R, None, 0.3),
-    "1d": (MULTILOCAL, AXIS_R, None, 0.7),
-    "2a": (GLOBAL, AXIS_P, math.pi / 6, None),
-    "2b": (GLOBAL, AXIS_P, math.pi / 4, None),
-    "2c": (GLOBAL, AXIS_R, None, 0.3),
-    "2d": (GLOBAL, AXIS_R, None, 0.7),
-    "3": (GLOBAL, AXIS_GRID, None, None),
+    "1a": (MULTILOCAL, AXIS_P, math.pi / 6, 0.0),
+    "1b": (MULTILOCAL, AXIS_P, math.pi / 4, 0.0),
+    "1c": (MULTILOCAL, AXIS_R, 0.0, 0.3),
+    "1d": (MULTILOCAL, AXIS_R, 0.0, 0.7),
+    "2a": (GLOBAL, AXIS_P, math.pi / 6, 0.0),
+    "2b": (GLOBAL, AXIS_P, math.pi / 4, 0.0),
+    "2c": (GLOBAL, AXIS_R, 0.0, 0.3),
+    "2d": (GLOBAL, AXIS_R, 0.0, 0.7),
+    "3": (GLOBAL, AXIS_GRID, 0.0, 0.0),
 }
 
 
@@ -249,21 +257,6 @@ def figure_sweeps(figure: str, steps: int = 101) -> list[SweepSpec]:
     """SweepSpecs (one per channel) reproducing a preset figure dataset."""
     if figure not in FIGURES:
         raise OutOfRange(f"unknown figure {figure!r}")
-    coupling, axis, r_fixed, p_fixed = _FIGURE_PARAMS[figure]
-    specs = []
-    for kind in channels.KINDS:
-        if axis == AXIS_R:
-            template = ChannelSpec(
-                kind=kind, coupling=coupling,
-                p1=p_fixed, p2=p_fixed,
-                p=p_fixed if coupling == GLOBAL else 0.0,
-            )
-            specs.append(SweepSpec(channel=template, axis=axis,
-                                   p_count=steps, r_count=steps))
-        else:
-            template = ChannelSpec(kind=kind, coupling=coupling)
-            specs.append(
-                SweepSpec(channel=template, axis=axis, r=(r_fixed or 0.0),
-                          p_count=steps, r_count=steps)
-            )
-    return specs
+    coupling, axis, r, p = _FIGURE_PARAMS[figure]
+    return [SweepSpec(_linked(ChannelSpec(kind, coupling), p), axis, r, steps)
+            for kind in channels.KINDS]

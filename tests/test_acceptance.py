@@ -232,9 +232,9 @@ def test_negativity_degrades_monotonically_with_acceleration():
             for p in (0.3, 0.7):
                 template = _spec(kind, coupling, p1=p, p2=p, p=p)
                 s = sweep.SweepSpec(
-                    channel=template, axis=sweep.AXIS_R, r_count=101
+                    channel=template, axis=sweep.AXIS_R, steps=101
                 )
-                negs = [rec.negativity for rec in sweep.run_sweep(s)]
+                negs = sweep.run_sweep(s).negativity[0]
                 assert (np.diff(negs) <= 1e-10).all()
 
 
@@ -245,9 +245,9 @@ def test_full_grid_performance_budget():
     durations = []
     for s in specs:
         t0 = time.monotonic()
-        records = sweep.run_sweep(s)
-        durations.append((time.monotonic() - t0) / len(records))
-        count += len(records)
+        points = sweep.run_sweep(s).negativity.size
+        durations.append((time.monotonic() - t0) / points)
+        count += points
     elapsed = time.monotonic() - start
     assert count == 4 * 101 * 101
     assert elapsed < 30.0
@@ -263,17 +263,37 @@ def test_repro_outputs_are_deterministic(tmp_path):
     assert (first / "fig1a.dat").read_bytes() == (second / "fig1a.dat").read_bytes()
 
 
-def test_figure_3_bytes_are_pinned(tmp_path):
-    # sha256 of both outputs as written by the per-point Kraus pipeline;
-    # the batched evaluation must reproduce them bit for bit.
-    assert cli.main(["repro", "--figure", "3", "--out-dir", str(tmp_path)]) == 0
-    digests = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in ("fig3.csv", "fig3.dat")
-    }
-    assert digests == {
-        "fig3.csv":
-            "f475cedb38b4063c5cd293e4a083ce04decfbf9ee7aa73897aeb30b64a162b81",
-        "fig3.dat":
-            "94053e2ea0fab6fe713009235f6cb268a5e93ca5f01b19f41b3416de102d02c6",
-    }
+# sha256 of both outputs of every preset as written by the per-point Kraus
+# pipeline and per-point record writers; the batched evaluation and the
+# per-sweep writers must reproduce them bit for bit.
+FIGURE_SHA256 = {
+    "1a": ("875941335741954e9e0c348578b1b53e91bbf1a03ced8e8ced52c6c0566cda0b",
+           "7a220d405fd8dc240c853bc5782845766d3ad1335f4a470e6943f6cf44892872"),
+    "1b": ("850a064efad7a601b88c4c4e205aff11bf0c7490e14ef5cb9607dcd4963c2f0d",
+           "744b4aee5995fb8c3c7794dea40aa06a208e61cbc0e04694caaaee71475f8d7f"),
+    "1c": ("e19f1d97562007f08f487042d07c88b59b66723cf38b0ada1e3a2f700365a9bd",
+           "ff8cbbebbeeffb46ba0bdfe25af97ebf8796e1dbe0742556a96a87f05ec2f0cc"),
+    "1d": ("910ba7a92132783bc47d791d5f2f11ed8129ee4b2c8dbf77958c7fd964c867aa",
+           "f42412b539509b1affc4f4fe9e3012b2c252386fabd410abe1c880124cd587fb"),
+    "2a": ("e9a9c8117ae964371755fe884d1bafe6530bdff2774c0f75481a4a86a9a61954",
+           "183012bdf4828c67df60602a2aa0d3b528e2d8f08f3cc56ea144baec095f221e"),
+    "2b": ("3e115c18b0552de0aab116ea9e36cdb7a7f2a9d32f230b73875c2d9a2b2b2417",
+           "7369c3fe043e05f8437650b8fac5b11f3e49a4e72d9edf6e65f11ae2fe2eee13"),
+    "2c": ("987a18bad0766b9667fe2cd4e47db1531d0cc8b4cc4eb0ca608d8c5eb9ba6898",
+           "cb02d4aab77527c4f98808227e1dc588897d84498bcf8a06c7db1c2061059062"),
+    "2d": ("cb4b7aeffbc61bc3f028f4f3ccb0d1290d079aa5f8c79f64a395c32e222d6a46",
+           "0847867afa988e54b2a30ee917eff4ce53cf24666b4d4588e0d07e996737f48c"),
+    "3": ("f475cedb38b4063c5cd293e4a083ce04decfbf9ee7aa73897aeb30b64a162b81",
+          "94053e2ea0fab6fe713009235f6cb268a5e93ca5f01b19f41b3416de102d02c6"),
+}
+
+
+@pytest.mark.parametrize("figure", sweep.FIGURES)
+def test_figure_bytes_are_pinned(tmp_path, figure):
+    assert cli.main(["repro", "--figure", figure,
+                     "--out-dir", str(tmp_path)]) == 0
+    digests = tuple(
+        hashlib.sha256((tmp_path / f"fig{figure}{ext}").read_bytes()).hexdigest()
+        for ext in (".csv", ".dat")
+    )
+    assert digests == FIGURE_SHA256[figure]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -372,8 +373,8 @@ def test_stacked_evolution_is_bit_equal_to_per_point_kraus(
     # A spec list evolves each spec as the oracle does, with a leading
     # spec axis, however its local and collective sets are shared.
     pool = (p1, p2, p)
-    specs = [spec] + [spec.with_params(*(pool[i] for i in pick))
-                      for pick in picks]
+    specs = [spec] + [replace(spec, p1=pool[a], p2=pool[b], p=pool[c])
+                      for a, b, c in picks]
     expected_list = np.stack([[_kraus_oracle(m, s) for m in states]
                               for s in specs])
     np.testing.assert_array_equal(

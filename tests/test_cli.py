@@ -278,7 +278,13 @@ _NEGATIVITY = ["negativity", "--channel", "phase-flip", "--coupling", "ml",
     (["sweep", "--channel", "phase-flip", "--coupling", "ml", "--axis", "r",
       "--p", "abc", "--out", "s.csv"], None),
     (_NEGATIVITY, b"p = \xff\n"),  # not UTF-8
-], ids=["p1", "p", "config-p2", "sweep-p", "config-not-utf8"])
+    # 10**20 points fail inside numpy before anything is allocated.
+    (["sweep", "--channel", "phase-flip", "--coupling", "ml", "--axis", "p",
+      "--steps", str(10**20), "--out", "s.csv"], None),
+    (["verify", "--channel", "dephasing", "--coupling", "ml",
+      "--grid", str(10**20)], None),
+], ids=["p1", "p", "config-p2", "sweep-p", "config-not-utf8", "sweep-steps-huge",
+        "verify-grid-huge"])
 def test_bad_input_exits_one_without_traceback(
     tmp_path, monkeypatch, capsys, argv, config
 ):

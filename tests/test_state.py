@@ -73,3 +73,8 @@ def test_validated_matrix_is_frozen():
     rho = state.unruh_state(0.2)
     with pytest.raises(ValueError):
         rho[0, 0] = 1.0
+
+
+def test_validate_rejects_an_empty_stack():
+    with pytest.raises(OutOfRange):
+        state.validate_density(np.empty((0, 6, 6)))

@@ -20,52 +20,54 @@ def _spec(kind, coupling=channels.MULTILOCAL, **kw):
 
 def test_zero_noise_r_sweep_follows_closed_form():
     s = sweep.SweepSpec(
-        channel=_spec(channels.PHASE_FLIP), axis=sweep.AXIS_R, r_count=51
+        channel=_spec(channels.PHASE_FLIP), axis=sweep.AXIS_R, steps=51
     )
-    records = sweep.run_sweep(s)
-    assert len(records) == 51
-    for rec in records:
-        assert rec.negativity == pytest.approx(
-            math.cos(rec.r) ** 2 / 2, abs=1e-10
-        )
-    rs = [rec.r for rec in records]
+    res = sweep.run_sweep(s)
+    assert res.specs == (s.channel,)
+    assert res.negativity.shape == res.min_pt_eigenvalue.shape == (1, 51)
+    for r, n in zip(res.r, res.negativity[0]):
+        assert n == pytest.approx(math.cos(r) ** 2 / 2, abs=1e-10)
+    rs = res.r.tolist()
     assert rs == sorted(rs)
     assert rs[0] == 0.0 and rs[-1] == pytest.approx(R_MAX)
 
 
 def test_p_sweep_links_parameters():
     s = sweep.SweepSpec(
-        channel=_spec(channels.PHASE_FLIP), axis=sweep.AXIS_P, r=0.0, p_count=11
+        channel=_spec(channels.PHASE_FLIP), axis=sweep.AXIS_P, r=0.0, steps=11
     )
-    records = sweep.run_sweep(s)
-    assert len(records) == 11
-    for rec in records:
-        assert rec.p1 == rec.p2
-        assert rec.negativity == pytest.approx(
-            0.5 * (1 - rec.p1) * (1 - rec.p2), abs=1e-10
-        )
+    res = sweep.run_sweep(s)
+    assert res.r.tolist() == [0.0]
+    assert res.negativity.shape == (11, 1)
+    for spec, (n,) in zip(res.specs, res.negativity):
+        assert spec.p1 == spec.p2
+        assert n == pytest.approx(0.5 * (1 - spec.p1) * (1 - spec.p2), abs=1e-10)
 
 
 def test_grid_sweep_ordering_and_size():
     s = sweep.SweepSpec(
         channel=_spec(channels.DEPHASING),
         axis=sweep.AXIS_GRID,
-        p_count=4,
-        r_count=3,
+        steps=4,
     )
-    records = sweep.run_sweep(s)
-    assert len(records) == 12
-    # outer p, inner r
-    assert [rec.r for rec in records[:3]] == sorted({rec.r for rec in records})
-    assert records[0].p1 == records[2].p1
-    assert records[0].p1 != records[3].p1
+    res = sweep.run_sweep(s)
+    assert res.negativity.shape == res.min_pt_eigenvalue.shape == (4, 4)
+    # outer p (rows), inner r (columns)
+    assert [spec.p1 for spec in res.specs] == np.linspace(0, 1, 4).tolist()
+    assert res.r.tolist() == np.linspace(0, R_MAX, 4).tolist()
+    assert len({spec.p1 for spec in res.specs}) == 4
 
 
 def test_sweep_spec_validation():
     with pytest.raises(OutOfRange):
         sweep.SweepSpec(channel=_spec(channels.PHASE_FLIP), axis="q")
+    with pytest.raises(OutOfRange, match="grids must be nonempty"):
+        sweep.SweepSpec(channel=_spec(channels.PHASE_FLIP), steps=0)
+
+
+def test_evaluate_rejects_an_empty_r_axis():
     with pytest.raises(OutOfRange):
-        sweep.SweepSpec(channel=_spec(channels.PHASE_FLIP), p_count=0)
+        sweep.evaluate([_spec(channels.PHASE_FLIP)], [])
 
 
 # --- monotonicity invariants ---------------------------------------------------
@@ -78,8 +80,8 @@ def test_negativity_nonincreasing_in_r(kind, coupling):
             kind, coupling=coupling, p1=p, p2=p,
             p=p if coupling == channels.GLOBAL else 0.0,
         )
-        s = sweep.SweepSpec(channel=template, axis=sweep.AXIS_R, r_count=41)
-        negs = [rec.negativity for rec in sweep.run_sweep(s)]
+        s = sweep.SweepSpec(channel=template, axis=sweep.AXIS_R, steps=41)
+        negs = sweep.run_sweep(s).negativity[0]
         diffs = np.diff(negs)
         assert (diffs <= 1e-10).all()
 
@@ -90,9 +92,9 @@ def test_negativity_nonincreasing_in_p(kind, coupling):
     for r in (math.pi / 10, math.pi / 6, math.pi / 4):
         template = _spec(kind, coupling=coupling)
         s = sweep.SweepSpec(
-            channel=template, axis=sweep.AXIS_P, r=r, p_count=41
+            channel=template, axis=sweep.AXIS_P, r=r, steps=41
         )
-        negs = [rec.negativity for rec in sweep.run_sweep(s)]
+        negs = sweep.run_sweep(s).negativity[:, 0]
         diffs = np.diff(negs)
         assert (diffs <= 1e-10).all()
 
@@ -155,62 +157,65 @@ def test_esd_tolerance_below_one_ulp_terminates():
 def test_csv_round_trip(tmp_path):
     s = sweep.SweepSpec(
         channel=_spec(channels.BIT_TRIT_FLIP), axis=sweep.AXIS_P, r=0.4,
-        p_count=101,
+        steps=101,
     )
-    records = sweep.run_sweep(s)
+    res = sweep.run_sweep(s)
     dest = tmp_path / "out.csv"
-    assert sweep.write_csv(records, str(dest)) == 101
+    assert sweep.write_csv([res], str(dest)) == 101
     text = dest.read_text()
     lines = text.splitlines()
     assert len(lines) == 102
     assert lines[0] == sweep.CSV_HEADER
     assert "\r" not in text and text.endswith("\n")
-    for line, rec in zip(lines[1:], records):
+    for line, spec, (n,), (e,) in zip(lines[1:], res.specs, res.negativity,
+                                      res.min_pt_eigenvalue):
         fields = line.split(",")
-        assert fields[:3] == [rec.kind, rec.coupling, rec.global_mode]
+        assert fields[:3] == [spec.kind, spec.coupling, ""]
         assert [float(x) for x in fields[3:]] == pytest.approx(
-            [rec.p1, rec.p2, rec.p, rec.r, rec.negativity, rec.min_pt_eigenvalue],
-            abs=1e-11)
+            [spec.p1, spec.p2, 0.0, 0.4, n, e], abs=1e-11)
 
 
 def test_written_files_get_the_mode_of_a_plain_open(tmp_path):
-    records = sweep.run_sweep(sweep.SweepSpec(
-        channel=_spec(channels.PHASE_FLIP), axis=sweep.AXIS_P, p_count=2))
+    results = [sweep.run_sweep(sweep.SweepSpec(
+        channel=_spec(channels.PHASE_FLIP), axis=sweep.AXIS_P, steps=2))]
     old = os.umask(0o022)
     try:
-        sweep.write_csv(records, str(tmp_path / "out.csv"))
-        sweep.write_plot_data(records, str(tmp_path / "out.dat"))
+        sweep.write_csv(results, str(tmp_path / "out.csv"))
+        sweep.write_plot_data(results, str(tmp_path / "out.dat"))
     finally:
         os.umask(old)
     for name in ("out.csv", "out.dat"):
         assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o644
 
 
-def test_empty_record_list_rejected(tmp_path):
-    with pytest.raises(OutOfRange):
-        sweep.write_csv([], str(tmp_path / "a.csv"))
-    with pytest.raises(OutOfRange):
-        sweep.write_plot_data([], str(tmp_path / "a.dat"))
+def test_empty_result_list_rejected(tmp_path):
+    empty = sweep.SweepResult((), np.array([0.0]), np.empty((0, 1)),
+                              np.empty((0, 1)))
+    for results in ([], [empty]):
+        with pytest.raises(OutOfRange):
+            sweep.write_csv(results, str(tmp_path / "a.csv"))
+        with pytest.raises(OutOfRange):
+            sweep.write_plot_data(results, str(tmp_path / "a.dat"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_write_is_atomic_no_temp_left_behind(tmp_path):
     s = sweep.SweepSpec(
-        channel=_spec(channels.PHASE_FLIP), axis=sweep.AXIS_P, p_count=3
+        channel=_spec(channels.PHASE_FLIP), axis=sweep.AXIS_P, steps=3
     )
-    sweep.write_csv(sweep.run_sweep(s), str(tmp_path / "a.csv"))
+    sweep.write_csv([sweep.run_sweep(s)], str(tmp_path / "a.csv"))
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
 
 
 def test_plot_data_blocks(tmp_path):
-    records = []
-    for kind in channels.KINDS:
-        s = sweep.SweepSpec(
-            channel=_spec(kind), axis=sweep.AXIS_P, r=0.2, p_count=5
-        )
-        records.extend(sweep.run_sweep(s))
+    results = [
+        sweep.run_sweep(sweep.SweepSpec(
+            channel=_spec(kind), axis=sweep.AXIS_P, r=0.2, steps=5))
+        for kind in channels.KINDS
+    ]
     dest = tmp_path / "fig.dat"
-    assert sweep.write_plot_data(records, str(dest)) == 4
+    assert sweep.write_plot_data(results, str(dest)) == 4
     text = dest.read_text()
     blocks = [b for b in text.split("\n\n") if b.strip()]
     assert len(blocks) == 4
@@ -221,37 +226,53 @@ def test_plot_data_blocks(tmp_path):
 
 def test_writers_format_each_field_as_twelve_significant_digits(tmp_path):
     values = [-0.0, 5e-324, 1e-13, 0.1 + 0.2, math.pi / 4]
+    v = lambda k: values[k % 5]
     groups = [(channels.PHASE_FLIP, channels.MULTILOCAL, ""),
               (channels.DEPHASING, channels.GLOBAL, channels.PRODUCT)]
-    records = [
-        sweep.SweepRecord(*group, *(values[(i + j) % 5] for j in range(6)))
-        for group in groups for i in range(5)
+    # Spec row i has p1, p2, p = v(i), v(i + 1), v(i + 2); point (i, j) has
+    # r = v(j), negativity v(i + j + 1) and eigenvalue v(i + j + 2).
+    r = np.array(values)
+    grid = lambda shift: np.array([[v(i + j + shift) for j in range(5)]
+                                   for i in range(5)])
+    results = [
+        sweep.SweepResult(
+            tuple(_spec(kind, coupling, p1=v(i), p2=v(i + 1), p=v(i + 2),
+                        global_mode=gmode or channels.PRODUCT)
+                  for i in range(5)),
+            r, grid(1), grid(2))
+        for kind, coupling, gmode in groups
     ]
-    numbers = lambda rec: [f"{x:.12g}" for x in (
-        rec.p1, rec.p2, rec.p, rec.r, rec.negativity, rec.min_pt_eigenvalue)]
-    csv_rows = [",".join([rec.kind, rec.coupling, rec.global_mode, *numbers(rec)])
-                for rec in records]
+    fmt = lambda x: f"{x:.12g}"
+    rows = [
+        ([kind, coupling, gmode], [fmt(v(i)), fmt(v(i + 1)),
+                                   fmt(v(i + 2)) if gmode else "0",
+                                   fmt(v(j)), fmt(v(i + j + 1)), fmt(v(i + j + 2))])
+        for kind, coupling, gmode in groups for i in range(5) for j in range(5)
+    ]
+    csv_rows = [",".join(labels + numbers) for labels, numbers in rows]
     blocks = [
         f"# {kind} {coupling}" + (f" {gmode}" if gmode else "") + "\n"
-        + "\n".join(" ".join(numbers(rec)) for rec in records[5 * g:5 * g + 5])
+        + "\n".join(" ".join(numbers) for _, numbers in rows[25 * g:25 * g + 25])
         + "\n"
         for g, (kind, coupling, gmode) in enumerate(groups)
     ]
-    sweep.write_csv(records, str(tmp_path / "a.csv"))
-    sweep.write_plot_data(records, str(tmp_path / "a.dat"))
+    assert sweep.write_csv(results, str(tmp_path / "a.csv")) == 50
+    assert sweep.write_plot_data(results, str(tmp_path / "a.dat")) == 2
     assert (tmp_path / "a.csv").read_bytes().decode() == (
         "\n".join([sweep.CSV_HEADER, *csv_rows]) + "\n")
     assert (tmp_path / "a.dat").read_bytes().decode() == "\n".join(blocks)
-    assert "-0 4.94065645841e-324 1e-13 0.3 0.785398163397" in blocks[0]
+    assert "-0 4.94065645841e-324 1e-13 0.3 0.785398163397" in blocks[1]
+    # The multilocal block prints p as 0 whatever the spec holds.
+    assert "-0 4.94065645841e-324 0 0.3 0.785398163397" in blocks[0]
 
 
 def test_write_failure_raises_io(tmp_path):
     s = sweep.SweepSpec(
-        channel=_spec(channels.PHASE_FLIP), axis=sweep.AXIS_P, p_count=2
+        channel=_spec(channels.PHASE_FLIP), axis=sweep.AXIS_P, steps=2
     )
-    records = sweep.run_sweep(s)
     with pytest.raises(IoFailure):
-        sweep.write_csv(records, str(tmp_path / "no_such_dir" / "a.csv"))
+        sweep.write_csv([sweep.run_sweep(s)],
+                        str(tmp_path / "no_such_dir" / "a.csv"))
 
 
 # --- figure presets ---------------------------------------------------------------
