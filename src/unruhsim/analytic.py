@@ -31,6 +31,9 @@ from .sweep import _axis, evaluate
 MATCH = "match"
 MISMATCH = "mismatch"
 
+# Largest deviation a closed form may show and still match the pipeline.
+_TOLERANCE = 1e-9
+
 
 def _check(value: float, name: str, hi: float = 1.0) -> float:
     if not (0.0 <= value <= hi):
@@ -119,7 +122,6 @@ def verify_against_numeric(
     coupling: str,
     global_mode: str = PRODUCT,
     grid_points: int | None = None,
-    tol: float = 1e-9,
     variant: str = CORRECTED,
     level_order: str = DEFAULT_LEVEL_ORDER,
 ) -> VerificationReport:
@@ -174,10 +176,10 @@ def verify_against_numeric(
         coupling=coupling,
         global_mode=global_mode if coupling == GLOBAL else "-",
         grid_description=grid_desc,
-        tolerance=tol,
+        tolerance=_TOLERANCE,
         max_abs_deviation=worst,
         worst_point=worst_point,
-        verdict=MATCH if worst <= tol else MISMATCH,
+        verdict=MATCH if worst <= _TOLERANCE else MISMATCH,
     )
 
 

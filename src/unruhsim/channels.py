@@ -320,15 +320,14 @@ def evolve(rho, specs, allow_incomplete: bool = False) -> np.ndarray:
     p1, p2 and p: the one evaluation path.
 
     The stack goes through each distinct local set at (p1, p2) once; for
-    global coupling, the local results of every spec that shares a
-    collective p go through that set in one call.  Sets come from the
-    bounded ``_kraus_set`` cache with their completeness defects.  The
-    result has the shape of ``rho``, with a leading spec axis for a
-    sequence.  Every matrix of a trace-preserving spec is validated; the
-    result is read-only when every spec is trace preserving.  A spec that
-    is not raises CompletenessViolation, as the first failure of a
-    spec-by-spec loop would, unless ``allow_incomplete``; then its raw
-    evolved matrices are returned for diagnostics.
+    global coupling, each spec's local result then goes through its own
+    collective set.  Sets come from the bounded ``_kraus_set`` cache with
+    their completeness defects.  The result has the shape of ``rho``, with
+    a leading spec axis for a sequence.  Every matrix of a trace-preserving
+    spec is validated; the result is read-only when every spec is trace
+    preserving.  A spec that is not raises CompletenessViolation, as the
+    first failure of a spec-by-spec loop would, unless ``allow_incomplete``;
+    then its raw evolved matrices are returned for diagnostics.
     """
     m = np.asarray(rho, complex)
     one = isinstance(specs, ChannelSpec)
@@ -347,15 +346,12 @@ def evolve(rho, specs, allow_incomplete: bool = False) -> np.ndarray:
     tp = [d <= COMPLETENESS_TOL for d in defects]
     n = len(specs) if allow_incomplete or all(tp) else tp.index(False)
     out = np.empty((n,) + m.shape, complex)
-    evolved, shared_p = {}, {}
+    evolved = {}
     for i, s in enumerate(specs[:n]):
         if (s.p1, s.p2) not in evolved:
             evolved[s.p1, s.p2] = apply_unchecked(local[i][0], m)
-        out[i] = evolved[s.p1, s.p2]
-        shared_p.setdefault(s.p, []).append(i)
-    if coupling == GLOBAL:
-        for idx in shared_p.values():
-            out[idx] = apply_unchecked(coll[idx[0]][0], out[idx])
+        out[i] = (apply_unchecked(coll[i][0], evolved[s.p1, s.p2])
+                  if coupling == GLOBAL else evolved[s.p1, s.p2])
     if n and all(tp[:n]):
         out = validate_density(out.reshape(-1, 6, 6)).reshape(out.shape)
     elif any(tp[:n]):

@@ -13,8 +13,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import analytic, channels, sweep
 from .channels import ChannelSpec
 from .errors import (
@@ -34,15 +32,23 @@ EXIT_USAGE = 1
 EXIT_INVARIANT = 2
 EXIT_IO = 3
 
-_KIND_FLAGS = {
-    "phase-flip": channels.PHASE_FLIP,
-    "dephasing": channels.DEPHASING,
-    "bit-trit-flip": channels.BIT_TRIT_FLIP,
-    "bit-trit-phase-flip": channels.BIT_TRIT_PHASE_FLIP,
-}
+
+def _flag(name: str) -> str:
+    return name.replace("_", "-")
+
+
+_KIND_FLAGS = {_flag(kind): kind for kind in channels.KINDS}
 _COUPLING_FLAGS = {"multilocal": channels.MULTILOCAL, "ml": channels.MULTILOCAL,
                    "global": channels.GLOBAL}
-_VARIANT_FLAGS = {"as-printed": channels.AS_PRINTED, "corrected": channels.CORRECTED}
+_VARIANT_FLAGS = {_flag(variant): variant for variant in channels.VARIANTS}
+
+# The reports ``verify --out-dir`` writes, in order: each closed form under
+# multilocal coupling, then under global coupling in each mode.
+_REPORTS = [
+    (kind, coupling, mode) for kind in analytic.ANALYTIC_KINDS
+    for coupling, mode in [(channels.MULTILOCAL, None),
+                           *((channels.GLOBAL, m) for m in channels.GLOBAL_MODES)]
+]
 
 
 class UsageError(Exception):
@@ -84,15 +90,14 @@ def _parse_p_grid(text: str):
     s = text.strip()
     try:
         n = int(s)
-        if n < 2:
-            raise UsageError("p grid needs at least 2 points")
-        return [float(x) for x in np.linspace(0.0, 1.0, n)]
     except ValueError:
-        pass
-    try:
-        return [float(x) for x in s.split(",")]
-    except ValueError:
-        raise UsageError(f"cannot parse p grid {text!r}")
+        try:
+            return [float(x) for x in s.split(",")]
+        except ValueError:
+            raise UsageError(f"cannot parse p grid {text!r}")
+    if n < 2:
+        raise UsageError("p grid needs at least 2 points")
+    return sweep._axis(1.0, n).tolist()
 
 
 def _fmt_complex(z: complex) -> str:
@@ -162,15 +167,15 @@ def _build_parser() -> _Parser:
     add_common(p_esd)
 
     p_verify = sub.add_parser("verify", help="closed form vs numeric pipeline")
-    p_verify.add_argument("--channel", choices=["phase-flip", "dephasing"],
-                          required=True)
-    p_verify.add_argument("--coupling", choices=sorted(_COUPLING_FLAGS),
-                          required=True)
-    p_verify.add_argument("--global-mode", choices=sorted(channels.GLOBAL_MODES),
-                          default=channels.PRODUCT)
+    p_verify.add_argument("--channel",
+                          choices=[_flag(kind) for kind in analytic.ANALYTIC_KINDS])
+    p_verify.add_argument("--coupling", choices=sorted(_COUPLING_FLAGS))
+    p_verify.add_argument("--global-mode", choices=sorted(channels.GLOBAL_MODES))
     p_verify.add_argument("--grid", type=int, default=None,
                           help="grid points per axis (default 21 ml, 11 global)")
     p_verify.add_argument("--csv", default=None, help="also write the report as CSV")
+    p_verify.add_argument("--out-dir", help="instead write all six reports on "
+                          "their default grids to this directory")
     add_common(p_verify)
 
     p_repro = sub.add_parser("repro", help="regenerate a preset figure dataset")
@@ -303,10 +308,20 @@ def _cmd_esd(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    kind = _KIND_FLAGS[args.channel]
-    coupling = _COUPLING_FLAGS[args.coupling]
+    one_report = {"--channel": args.channel, "--coupling": args.coupling,
+                  "--global-mode": args.global_mode, "--grid": args.grid,
+                  "--csv": args.csv}
+    if args.out_dir is not None:
+        given = [flag for flag, value in one_report.items() if value is not None]
+        if given:
+            raise UsageError(f"--out-dir cannot be combined with {', '.join(given)}")
+        return _write_reports(_make_out_dir(args.out_dir))
+    missing = [flag for flag in ("--channel", "--coupling") if one_report[flag] is None]
+    if missing:  # argparse's wording, were the two flags required
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
     report = analytic.verify_against_numeric(
-        kind, coupling, global_mode=args.global_mode, grid_points=args.grid
+        _KIND_FLAGS[args.channel], _COUPLING_FLAGS[args.coupling],
+        global_mode=args.global_mode or channels.PRODUCT, grid_points=args.grid
     )
     sys.stdout.write(analytic.format_report(report))
     if args.csv:
@@ -325,12 +340,29 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _cmd_repro(args) -> int:
-    out_dir = args.out_dir
+def _write_reports(out_dir: str) -> int:
+    for kind, coupling, mode in _REPORTS:
+        report = analytic.verify_against_numeric(
+            kind, coupling, global_mode=mode or channels.PRODUCT)
+        name = "_".join(filter(None, ("verify", kind, coupling, mode))) + ".txt"
+        path = os.path.join(out_dir, name)
+        sweep._atomic_write(path, analytic.format_report(report))
+        print(f"wrote {path}: {report.verdict} "
+              f"(max dev {report.max_abs_deviation:.3e})", file=sys.stderr)
+    return EXIT_OK
+
+
+def _make_out_dir(out_dir: str) -> str:
+    """``out_dir``, created if missing."""
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise IoFailure(f"cannot create {out_dir!r}: {exc}") from exc
+    return out_dir
+
+
+def _cmd_repro(args) -> int:
+    out_dir = _make_out_dir(args.out_dir)
     figures = sweep.FIGURES if args.figure == "all" else [args.figure]
     for figure in figures:
         results = [sweep.run_sweep(s) for s in sweep.figure_sweeps(figure)]

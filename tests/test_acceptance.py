@@ -8,9 +8,7 @@ faithful to the stated expectation and left failing rather than weakened.
 See notes in the project ledger for the analysis.
 """
 
-import functools
 import hashlib
-import importlib.util
 import math
 import os
 import time
@@ -21,7 +19,6 @@ import pytest
 from unruhsim import analytic, channels, cli, sweep
 from unruhsim.channels import ChannelSpec
 from unruhsim.entanglement import negativity
-from unruhsim.errors import IoFailure
 from unruhsim.state import unruh_state
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -113,70 +110,53 @@ def test_multilocal_phase_flip_eigenvalue_formula():
                 assert spectrum.min_eigenvalue == pytest.approx(lam, abs=1e-9)
 
 
-def _verify_script():
-    script = os.path.join(
-        os.path.dirname(__file__), "..", "scripts", "verify_formulas.py"
-    )
-    spec = importlib.util.spec_from_file_location("verify_formulas", script)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
-def test_verification_reports_match_committed_fixtures():
+def test_verify_out_dir_reproduces_committed_fixtures(tmp_path, capsys):
     # Regenerating every report must reproduce the committed fixtures
     # byte for byte; a recorded mismatch verdict is an expected outcome,
     # a changed report is a regression.
-    mod = _verify_script()
-    assert mod.COMBOS  # all formula/coupling/mode combinations covered
-    for kind, coupling, mode in mod.COMBOS:
-        # The default grid is the one the script and `unruhsim verify` use.
-        report = analytic.verify_against_numeric(
-            kind, coupling, global_mode=mode or channels.PRODUCT
-        )
-        path = os.path.join(FIXTURES, mod.report_name(kind, coupling, mode))
-        with open(path) as fh:
-            assert analytic.format_report(report) == fh.read()
+    assert cli.main(["verify", "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+    names = sorted(os.listdir(FIXTURES))
+    assert len(names) == 6
+    assert sorted(os.listdir(tmp_path)) == names
+    for name in names:
+        with open(os.path.join(FIXTURES, name), "rb") as fh:
+            assert (tmp_path / name).read_bytes() == fh.read()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 6
 
 
-def test_failed_report_write_keeps_previous_report(tmp_path, monkeypatch, capsys):
-    mod = _verify_script()
-    kind, coupling, mode = mod.COMBOS[0]
-    previous = tmp_path / mod.report_name(kind, coupling, mode)
+def test_verify_out_dir_failed_write_keeps_previous_report(
+    tmp_path, monkeypatch, capsys
+):
+    previous = tmp_path / "verify_phase_flip_multilocal.txt"  # the first report
     previous.write_text("previous\n")
 
     def fail(src, dst):
         raise OSError("disk full")
 
-    monkeypatch.setattr(analytic, "verify_against_numeric", functools.partial(
-        analytic.verify_against_numeric, grid_points=3))
     monkeypatch.setattr(os, "replace", fail)
-    with pytest.raises(IoFailure):
-        mod.generate(str(tmp_path))
+    assert cli.main(["verify", "--out-dir", str(tmp_path)]) == cli.EXIT_IO
+    assert capsys.readouterr().err.startswith("i/o failure: ")
     assert previous.read_text() == "previous\n"
     assert os.listdir(tmp_path) == [previous.name]
-    capsys.readouterr()
 
 
-@pytest.mark.parametrize("failure", ["makedirs", "replace"])
-def test_verify_script_reports_write_failure_as_exit_three(
-    tmp_path, monkeypatch, capsys, failure
-):
-    mod = _verify_script()
-    out_dir = tmp_path
-    if failure == "makedirs":
-        (tmp_path / "file").write_text("")
-        out_dir = tmp_path / "file" / "sub"
-    else:
-        def fail(src, dst):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(analytic, "verify_against_numeric", functools.partial(
-            analytic.verify_against_numeric, grid_points=3))
-        monkeypatch.setattr(os, "replace", fail)
-    monkeypatch.setattr("sys.argv", ["verify_formulas.py", "--out-dir", str(out_dir)])
-    assert mod.main() == cli.EXIT_IO
+def test_verify_out_dir_under_a_file_exits_three(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    out_dir = tmp_path / "file" / "sub"
+    assert cli.main(["verify", "--out-dir", str(out_dir)]) == cli.EXIT_IO
     assert capsys.readouterr().err.startswith("i/o failure: ")
+
+
+def test_verify_out_dir_with_channel_exits_one_and_writes_nothing(tmp_path, capsys):
+    out_dir = tmp_path / "reports"
+    argv = ["verify", "--out-dir", str(out_dir), "--channel", "dephasing"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not out_dir.exists()
 
 
 def test_readme_python_example_runs(capsys):

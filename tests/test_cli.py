@@ -169,6 +169,16 @@ def test_verify_csv_side_output(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, missing", [
+    (["verify"], "--channel, --coupling"),
+    (["verify", "--channel", "dephasing"], "--coupling"),
+])
+def test_verify_without_out_dir_needs_channel_and_coupling(capsys, argv, missing):
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: the following arguments are required: {missing}\n")
+
+
 def test_repro_writes_dataset(tmp_path, capsys):
     code = main(["repro", "--figure", "1a", "--out-dir", str(tmp_path)])
     assert code == EXIT_OK
@@ -283,8 +293,9 @@ _NEGATIVITY = ["negativity", "--channel", "phase-flip", "--coupling", "ml",
       "--steps", str(10**20), "--out", "s.csv"], None),
     (["verify", "--channel", "dephasing", "--coupling", "ml",
       "--grid", str(10**20)], None),
+    (["check-channels", "--p", str(10**20)], None),
 ], ids=["p1", "p", "config-p2", "sweep-p", "config-not-utf8", "sweep-steps-huge",
-        "verify-grid-huge"])
+        "verify-grid-huge", "check-channels-huge"])
 def test_bad_input_exits_one_without_traceback(
     tmp_path, monkeypatch, capsys, argv, config
 ):
@@ -296,6 +307,8 @@ def test_bad_input_exits_one_without_traceback(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    if str(10**20) in argv:  # refused for its size, not by a value check
+        assert captured.err == f"error: a grid of {10**20} points is too large\n"
     assert not (tmp_path / "s.csv").exists()
 
 
