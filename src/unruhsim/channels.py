@@ -246,28 +246,97 @@ def _tensor_set(qubit_ops, qutrit_ops, global_mode: str = PRODUCT):
     return _kron(pad(a), pad(b))
 
 
+class _CachedSet(tuple):
+    """The read-only operators of a cached set.  ``gather`` is the plan of
+    ``apply_unchecked``'s gather kernel (the (K, 36) flat index into rho of
+    every output entry and the (K, 36) factors v_i and conj(v_j) of each),
+    or None where the set needs the matmul."""
+
+    gather = None
+
+
+@functools.lru_cache(maxsize=32)  # kind x global mode x variant x level order
+def _gather_pattern(kind, global_mode, variant, level_order):
+    """Where the nonzeros of every set of one structure lie, or None when
+    the gather would not be exact: an operator with two nonzeros in a row
+    or column, or a nonzero that is neither real nor purely imaginary.
+
+    Operator k holds the one nonzero of its row i, v_i, in column
+    pi_k(i).  For output entry (i, j) of each operator, the pattern holds
+    the flat index pi_k(i)*6 + pi_k(j) of its rho entry and the flat
+    indices of v_i and v_j in the (K, 6, 6) stack, each as a (K, 36)
+    array.  It is read off the set at p = 1/2, where every entry that is
+    nonzero at some p is nonzero.
+    """
+    ops = _tensor_set(qubit_channel(kind, 0.5),
+                      qutrit_channel(kind, 0.5, variant, level_order),
+                      global_mode)
+    nonzero = ops != 0
+    if (nonzero.sum(axis=-1).max() > 1 or nonzero.sum(axis=-2).max() > 1
+            or np.any((ops.real != 0) & (ops.imag != 0))):
+        return None
+    col = nonzero.argmax(axis=-1)  # 0 for a zero row, whose v_i is 0
+    k = len(ops)
+    value = np.arange(k)[:, None] * 36 + np.arange(6) * 6 + col
+    return ((col[:, :, None] * 6 + col[:, None, :]).reshape(k, 36),
+            np.repeat(value, 6, axis=1), np.tile(value, 6))
+
+
 @functools.lru_cache(maxsize=_SET_CACHE_SIZE)
 def _kraus_set(kind, qubit_p, qutrit_p, global_mode, variant, level_order):
     """The read-only 6x6 set of ``kind``'s qubit set at ``qubit_p`` and
-    qutrit set at ``qutrit_p``, and its completeness defect, built once
-    per key while it stays among the most recently used."""
+    qutrit set at ``qutrit_p``, with its gather plan where it has one, and
+    its completeness defect, built once per key while it stays among the
+    most recently used."""
     ops = _tensor_set(qubit_channel(kind, qubit_p),
                       qutrit_channel(kind, qutrit_p, variant, level_order),
                       global_mode)
     ops.flags.writeable = False
-    return tuple(ops), completeness_defect(ops)
+    cached = _CachedSet(ops)
+    pattern = _gather_pattern(kind, global_mode, variant, level_order)
+    if pattern is not None:
+        rho_index, left, right = pattern
+        flat = ops.reshape(-1)
+        cached.gather = (rho_index, flat[left], flat[right].conj())
+        for a in cached.gather:
+            a.flags.writeable = False
+    return cached, completeness_defect(ops)
 
 
 def apply_unchecked(ops, matrix: np.ndarray) -> np.ndarray:
     """sum E rho E^dag without any revalidation of the result.
 
     ``matrix`` may be one 6x6 matrix or a stack (..., 6, 6); each operator
-    is applied to the whole stack at once.
+    is applied to the whole stack at once.  A set from the ``_kraus_set``
+    cache with a gather plan (phase flip, dephasing, bit-trit flip) takes
+    the gather kernel: entry (i, j) of E rho E^dag is
+    (rho[pi(i), pi(j)] * v_i) * conj(v_j), for all K operators in one
+    vectorised step.  Any other set, a plain sequence of operators
+    included, takes E @ rho @ E^dag per operator.  On finite input both
+    give the same bits: each matmul entry is that one product plus exact
+    zeros, the complex products round alike because v_i is real or purely
+    imaginary, and both add the operators' terms in order.
     """
-    out = np.zeros_like(np.asarray(matrix, dtype=complex))
+    m = np.asarray(matrix, dtype=complex)
+    gather = getattr(ops, "gather", None)
+    if gather is not None:
+        return _gather_apply(gather, m)
+    out = np.zeros_like(m)
     for e in ops:
-        out += e @ matrix @ e.conj().T
+        out += e @ m @ e.conj().T
     return out
+
+
+def _gather_apply(gather, m: np.ndarray) -> np.ndarray:
+    rho_index, left, right = gather
+    t = m.reshape(m.shape[:-2] + (36,))[..., rho_index]  # (..., K, 36)
+    t *= left
+    t *= right
+    out = t.sum(axis=-2)
+    # -0 to +0: the matmul loop sums from +0, so never ends on -0; numpy's
+    # sum need not start from +0 (numpy 2.4 does; this is then a no-op).
+    out += 0.0
+    return out.reshape(m.shape)
 
 
 _INCOMPLETE_SET = (

@@ -65,8 +65,11 @@ class SweepResult:
 
 # Matrices one ``channels.evolve`` call takes at most.  Larger stacks made
 # fresh processes page-fault on their temporaries (10,000-52,000 extra minor
-# faults in the six verify reports at 132-512 matrices), and at 224 and 512
-# figure 3 ran 5-7 % slower than the parent's one spec per call.
+# faults in the six verify reports at 132-512 matrices).  Re-measured with
+# the gather kernel (BENCH_11.json, three runs each): against 128, the six
+# verify reports took 11 % longer at 256, 14 % at 512 and 11 % at 64, and
+# figure 3, one spec per call below 202 matrices, moved by under 3 % at 256
+# and 512, less than its run-to-run spread.
 _CHUNK_MATRICES = 128
 
 
@@ -82,8 +85,12 @@ def evaluate(specs, r_values, allow_incomplete: bool = False):
     if len(r_values) == 0:
         raise OutOfRange("the r axis is empty")
     states = np.stack([unruh_state(float(r)) for r in r_values])
-    min_eig = np.empty((len(specs), len(states)))
-    neg = np.empty_like(min_eig)
+    try:
+        min_eig = np.empty((len(specs), len(states)))
+        neg = np.empty_like(min_eig)
+    except MemoryError as exc:  # the grid fits, its result arrays do not
+        raise OutOfRange(f"a grid of {len(specs) * len(states)} points is "
+                         "too large") from exc
     step = max(1, _CHUNK_MATRICES // len(states))
     for i in range(0, len(specs), step):
         eig, neg[i:i + step] = pt_spectra(

@@ -402,6 +402,83 @@ def test_evaluate_across_chunks_equals_spec_by_spec():
             assert got.tobytes() == np.concatenate(want).tobytes()
 
 
+# --- the gather kernel against the matmul kernel ------------------------------
+
+_GATHER_KINDS = (ch.PHASE_FLIP, ch.DEPHASING, ch.BIT_TRIT_FLIP)
+_STRUCTURES = [(kind, mode, variant, order)
+               for kind in ch.KINDS for mode in ch.GLOBAL_MODES
+               for variant in ch.VARIANTS for order in (ch.PRINTED, ch.REVERSED)]
+
+
+@pytest.fixture
+def gather_calls(monkeypatch):
+    """The stack shape of each gather-kernel call made so far."""
+    calls = []
+    gather = ch._gather_apply
+
+    def spy(plan, m):
+        calls.append(m.shape)
+        return gather(plan, m)
+
+    monkeypatch.setattr(ch, "_gather_apply", spy)
+    return calls
+
+
+@pytest.mark.parametrize("kind, mode, variant, order", _STRUCTURES)
+def test_gather_kernel_is_chosen_exactly_for_real_or_imaginary_sets(
+    kind, mode, variant, order, gather_calls
+):
+    ops, _ = ch._kraus_set(kind, 0.3, 0.6, mode, variant, order)
+    assert (ops.gather is not None) == (kind in _GATHER_KINDS)
+    ch.apply_unchecked(ops, unruh_state(0.2))
+    assert len(gather_calls) == (kind in _GATHER_KINDS)
+    # evolve applies a local and a collective set, both from the cache.
+    gather_calls.clear()
+    ch.evolve(unruh_state(0.2), ch.ChannelSpec(kind, ch.GLOBAL, 0.3, 0.6, 0.4,
+                                               mode, variant, order),
+              allow_incomplete=True)
+    assert len(gather_calls) == 2 * (kind in _GATHER_KINDS)
+
+
+def test_plain_operator_tuples_take_the_matmul(gather_calls):
+    ops, _ = ch._kraus_set(ch.PHASE_FLIP, 0.3, 0.3, ch.PRODUCT, ch.CORRECTED,
+                           ch.REVERSED)
+    rho = unruh_state(0.4)
+    plain = ch.apply(tuple(ops), rho)
+    np.testing.assert_array_equal(ch.apply_unchecked(tuple(ops), rho), plain)
+    assert gather_calls == []
+    np.testing.assert_array_equal(ch.apply_unchecked(ops, rho), plain)
+    assert gather_calls == [(6, 6)]
+
+
+def _assert_same_bits(got, want):
+    np.testing.assert_array_equal(got, want)
+    for part in ("real", "imag"):
+        np.testing.assert_array_equal(np.signbit(getattr(got, part)),
+                                      np.signbit(getattr(want, part)))
+
+
+_KERNEL_P = (0.0, 5e-324, 0.3, 1.0)
+
+
+@pytest.mark.parametrize("kind, mode, variant, order",
+                         [s for s in _STRUCTURES if s[0] in _GATHER_KINDS])
+def test_gather_kernel_is_bit_equal_to_the_matmul(kind, mode, variant, order):
+    rng = np.random.default_rng(11)
+    states = np.stack([unruh_state(r) for r in np.linspace(0, math.pi / 4, 101)])
+    # Dense matrices with signed zeros in both parts, beside the states.
+    noise = rng.normal(size=(101, 6, 6)) + 1j * rng.normal(size=(101, 6, 6))
+    noise.real[rng.random(noise.shape) < 0.3] = -0.0
+    noise.imag[rng.random(noise.shape) < 0.3] = -0.0
+    for p1 in _KERNEL_P:
+        for p2 in _KERNEL_P:
+            ops, _ = ch._kraus_set(kind, p1, p2, mode, variant, order)
+            for m in (states, noise):
+                for stack in (m, m[:1], m[0]):
+                    _assert_same_bits(ch.apply_unchecked(ops, stack),
+                                      ch.apply_unchecked(tuple(ops), stack))
+
+
 # --- spec lists: the same checks as a spec-by-spec loop -----------------------
 
 def _trit_phase_flip_specs(ps):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from unruhsim import cli, sweep
@@ -309,6 +310,40 @@ def test_bad_input_exits_one_without_traceback(
     assert captured.err.startswith("error: ")
     if str(10**20) in argv:  # refused for its size, not by a value check
         assert captured.err == f"error: a grid of {10**20} points is too large\n"
+    assert not (tmp_path / "s.csv").exists()
+
+
+class _NoRoom:
+    """numpy as ``sweep`` sees it when no array of more than 10**5 entries
+    can be allocated; nothing that large is ever allocated."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, *args, **kwargs):
+        if math.prod(shape) > 10**5:
+            raise MemoryError(f"cannot allocate an array of shape {shape}")
+        return np.empty(shape, *args, **kwargs)
+
+
+@pytest.mark.parametrize("argv, points", [
+    # 400 p x 400 r points: each axis fits, their result arrays do not.
+    (["sweep", "--channel", "dephasing", "--coupling", "ml", "--axis", "grid",
+      "--steps", "400", "--out", "s.csv"], 400 * 400),
+    # 20**3 (p1, p2, p) specs x 20 r.
+    (["verify", "--channel", "dephasing", "--coupling", "global",
+      "--grid", "20"], 20**4),
+], ids=["sweep-grid", "verify-global"])
+def test_result_arrays_that_do_not_fit_exit_one(
+    tmp_path, monkeypatch, capsys, argv, points
+):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sweep, "np", _NoRoom())
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: a grid of {points} points is too large\n"
     assert not (tmp_path / "s.csv").exists()
 
 
