@@ -26,7 +26,7 @@ from .channels import (
 )
 from .errors import OutOfRange
 from .state import R_MAX
-from .sweep import _axis, evaluate
+from .sweep import _axis, _result_arrays, evaluate
 
 MATCH = "match"
 MISMATCH = "mismatch"
@@ -144,13 +144,15 @@ def verify_against_numeric(
     axis = _axis(1.0, grid_points)
     r_axis = _axis(R_MAX, grid_points)
     p_axis = axis if coupling == GLOBAL else np.array([0.0])
+    # Sized from the axes, so a grid too large is refused before any spec exists.
+    out = _result_arrays(len(axis) ** 2 * len(p_axis), len(r_axis))
 
     specs = [
         channels.ChannelSpec(kind, coupling, float(p1), float(p2), float(p),
                              global_mode, variant, level_order)
         for p1 in axis for p2 in axis for p in p_axis
     ]
-    min_eig, neg = evaluate(specs, r_axis, allow_incomplete=True)
+    min_eig, neg = evaluate(specs, r_axis, allow_incomplete=True, out=out)
     # factor * cos^2 r: the same float operations as the public closed forms.
     cos2 = np.array([math.cos(float(r)) ** 2 for r in r_axis])
     analytic = np.array([[factor(coupling, s.p1, s.p2, s.p)] for s in specs]) * cos2

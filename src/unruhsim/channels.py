@@ -106,79 +106,75 @@ def _check_p(p: float, name: str = "p") -> float:
     return float(p)
 
 
-def qubit_channel(kind: str, p: float) -> tuple[np.ndarray, ...]:
-    """Single-qubit Kraus set for the qubit half of ``kind``.
+def _printed(dim: int, kind: str, variant: str) -> list:
+    """``kind``'s set on a qubit (dim 2) or qutrit (dim 3) as printed, level
+    0 first: one (unit, index) per operator, whose entry (i, j) is
+    s[index[i, j]] * unit[i, j] for the scalars s of p (``_scalars``); an
+    int index holds for the whole operator."""
+    if dim == 2:
+        second = {PHASE_FLIP: np.diag([1.0, -1.0]), DEPHASING: np.diag([0.0, 1.0]),
+                  BIT_TRIT_FLIP: [[0, 1], [1, 0]],
+                  BIT_TRIT_PHASE_FLIP: [[0, -1j], [1j, 0]]}[kind]
+        return [(_I2, np.diag([0, 1]) if kind == DEPHASING else 1), (second, 2)]
+    if kind == PHASE_FLIP:
+        return [(_I3, np.diag([0, 1, 1])), ([[0, 1, 0], [0, 0, 0], [0, 0, 0]], 2),
+                ([[0, 0, 1], [0, 0, 0], [0, 0, 0]], 2)]
+    if kind == DEPHASING:
+        stray = variant == AS_PRINTED  # the circulating form's unit (0,0) entries
+        return [(_I3, np.diag([0, 1, 1])), (np.diag([stray, 1, 0]), np.diag([0, 2, 0])),
+                (np.diag([stray, 0, 1]), np.diag([0, 0, 2]))]
+    if kind == BIT_TRIT_FLIP:
+        return [(_I3, 1), ([[0, 0, 1], [1, 0, 0], [0, 1, 0]], 2),
+                ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 2)]
+    om, omc = _OMEGA, _OMEGA.conjugate()
+    return [(_I3, 1), ([[0, 0, om], [1, 0, 0], [0, omc, 0]], 2),
+            ([[0, omc, 0], [0, 0, om], [1, 0, 0]], 2),
+            ([[0, om, 0], [0, 0, omc], [1, 0, 0]], 2)]
+
+
+@functools.lru_cache(maxsize=None)  # 4 qubit and 16 qutrit structures
+def _table(dim: int, kind: str, variant: str, level_order: str):
+    """The read-only (K, dim, dim) index and unit arrays of a set, built on
+    first use, with the reversed level order (level 2 first) folded in."""
+    ops = _printed(dim, kind, variant)
+    index = np.stack([np.broadcast_to(i, (dim, dim)) for _, i in ops]).astype(int)
+    unit = np.array([u for u, _ in ops], dtype=complex)
+    if level_order == REVERSED:
+        index, unit = index[:, ::-1, ::-1].copy(), unit[:, ::-1, ::-1].copy()
+    index.flags.writeable = unit.flags.writeable = False
+    return index, unit
+
+
+def _scalars(dim: int, kind: str, p: float, variant: str) -> np.ndarray:
+    """s = (1, x, y): 1 and the two scalars of p in ``kind``'s set on a
+    qubit (dim 2) or qutrit (dim 3).  The trit phase flip as printed has
+    sqrt(1-2p/3) where completeness needs sqrt(1-p)."""
+    if kind not in KINDS:
+        raise OutOfRange(f"unknown channel kind {kind!r}")
+    if dim == 2 and kind != DEPHASING:
+        return np.array((1.0, math.sqrt(1 - p / 2), math.sqrt(p / 2)))
+    if dim == 2 or kind in (PHASE_FLIP, DEPHASING):
+        return np.array((1.0, math.sqrt(1 - p), math.sqrt(p)))
+    tp = kind == BIT_TRIT_PHASE_FLIP and variant == CORRECTED
+    return np.array((1.0, math.sqrt(1 - p) if tp else math.sqrt(1 - 2 * p / 3),
+                     math.sqrt(p / 3)))
+
+
+def qubit_channel(kind: str, p: float) -> np.ndarray:
+    """Single-qubit Kraus set for the qubit half of ``kind``, as one
+    (K, 2, 2) array.
 
     All four qubit sets satisfy the completeness relation for every p.
     """
-    p = _check_p(p)
-    if kind == PHASE_FLIP:
-        ops = (
-            math.sqrt(1 - p / 2) * _I2,
-            math.sqrt(p / 2) * np.diag([1.0, -1.0]).astype(complex),
-        )
-    elif kind == DEPHASING:
-        ops = (
-            np.diag([1.0, math.sqrt(1 - p)]).astype(complex),
-            np.diag([0.0, math.sqrt(p)]).astype(complex),
-        )
-    elif kind == BIT_TRIT_FLIP:
-        ops = (
-            math.sqrt(1 - p / 2) * _I2,
-            math.sqrt(p / 2) * np.array([[0, 1], [1, 0]], dtype=complex),
-        )
-    elif kind == BIT_TRIT_PHASE_FLIP:
-        ops = (
-            math.sqrt(1 - p / 2) * _I2,
-            math.sqrt(p / 2) * np.array([[0, -1j], [1j, 0]], dtype=complex),
-        )
-    else:
-        raise OutOfRange(f"unknown channel kind {kind!r}")
-    return ops
+    s = _scalars(2, kind, _check_p(p), CORRECTED)
+    index, unit = _table(2, kind, CORRECTED, PRINTED)
+    return s[index] * unit
 
 
-def _qutrit_ops_printed(kind: str, p: float, variant: str) -> list[np.ndarray]:
-    """The 3x3 operator matrices in the typeset level order (0 first)."""
-    q = math.sqrt(1 - p)
-    sp = math.sqrt(p)
-    if kind == PHASE_FLIP:
-        e0 = np.diag([1.0, q, q]).astype(complex)
-        e1 = np.zeros((3, 3), dtype=complex)
-        e1[0, 1] = sp
-        e2 = np.zeros((3, 3), dtype=complex)
-        e2[0, 2] = sp
-        return [e0, e1, e2]
-    if kind == DEPHASING:
-        e0 = np.diag([1.0, q, q]).astype(complex)
-        e1 = np.diag([0.0, sp, 0.0]).astype(complex)
-        e2 = np.diag([0.0, 0.0, sp]).astype(complex)
-        if variant == AS_PRINTED:
-            # The circulating form carries stray unit (0,0) entries.
-            e1[0, 0] = 1.0
-            e2[0, 0] = 1.0
-        return [e0, e1, e2]
-    if kind == BIT_TRIT_FLIP:
-        w = math.sqrt(p / 3)
-        cyc = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
-        return [math.sqrt(1 - 2 * p / 3) * _I3, w * cyc, w * (cyc @ cyc)]
-    if kind == BIT_TRIT_PHASE_FLIP:
-        w = math.sqrt(p / 3)
-        om, omc = _OMEGA, _OMEGA.conjugate()
-        e1 = w * np.array([[0, 0, om], [1, 0, 0], [0, omc, 0]], dtype=complex)
-        e2 = w * np.array([[0, omc, 0], [0, 0, om], [1, 0, 0]], dtype=complex)
-        e3 = w * np.array([[0, om, 0], [0, 0, omc], [1, 0, 0]], dtype=complex)
-        coeff = math.sqrt(1 - 2 * p / 3) if variant == AS_PRINTED else q
-        return [coeff * _I3, e1, e2, e3]
-    raise OutOfRange(f"unknown channel kind {kind!r}")
-
-
-def qutrit_channel(
-    kind: str,
-    p: float,
-    variant: str = CORRECTED,
-    level_order: str = DEFAULT_LEVEL_ORDER,
-) -> tuple[np.ndarray, ...]:
-    """Single-qutrit Kraus set for the qutrit half of ``kind``.
+def qutrit_channel(kind: str, p: float, variant: str = CORRECTED,
+                   level_order: str = DEFAULT_LEVEL_ORDER) -> np.ndarray:
+    """Single-qutrit Kraus set for the qutrit half of ``kind``, as one
+    (K, 3, 3) array.
 
     ``variant=AS_PRINTED`` keeps the literal circulating matrices even
     where they violate completeness; the default repairs them minimally.
@@ -188,17 +184,17 @@ def qutrit_channel(
         raise OutOfRange(f"unknown variant {variant!r}")
     if level_order not in (PRINTED, REVERSED):
         raise OutOfRange(f"unknown level order {level_order!r}")
-    ops = _qutrit_ops_printed(kind, p, variant)
-    if level_order == REVERSED:  # level 2 first
-        ops = [e[::-1, ::-1] for e in ops]
-    return tuple(ops)
+    s = _scalars(3, kind, p, variant)
+    index, unit = _table(3, kind, variant, level_order)
+    return s[index] * unit
 
 
 def completeness_defect(ops) -> float:
     """Max-norm of (sum E^dag E - I)."""
     e = np.asarray(ops)
     acc = (e.conj().transpose(0, 2, 1) @ e).sum(axis=0)
-    return float(np.max(np.abs(acc - np.eye(e.shape[-1]))))
+    acc.flat[::len(acc) + 1] -= 1.0
+    return float(np.abs(acc).max())
 
 
 def _check_dim(ops, dim: int, name: str) -> None:
@@ -228,15 +224,14 @@ def lift_qutrit(ops) -> tuple[np.ndarray, ...]:
     return tuple(_kron(_I2, e) for e in ops)
 
 
-def _tensor_set(qubit_ops, qutrit_ops, global_mode: str = PRODUCT):
-    """The 6x6 set of a qubit set and a qutrit set (index 3A+a), as one
-    (K, 6, 6) stack.
+def _tensor_set(a: np.ndarray, b: np.ndarray, global_mode: str = PRODUCT):
+    """The 6x6 set of a (Ka, 2, 2) qubit set and a (Kb, 3, 3) qutrit set
+    (index 3A+a), as one (K, 6, 6) stack.
 
     ``product`` tensors every qubit operator with every qutrit operator
     (qubit outer, qutrit inner); ``correlated`` pairs them index by index,
     padding the shorter set with zeros.
     """
-    a, b = np.asarray(qubit_ops), np.asarray(qutrit_ops)
     if global_mode == PRODUCT:
         return _kron(a[:, None], b[None, :]).reshape(-1, 6, 6)
     if global_mode != CORRELATED:
@@ -278,8 +273,11 @@ def _gather_pattern(kind, global_mode, variant, level_order):
     col = nonzero.argmax(axis=-1)  # 0 for a zero row, whose v_i is 0
     k = len(ops)
     value = np.arange(k)[:, None] * 36 + np.arange(6) * 6 + col
-    return ((col[:, :, None] * 6 + col[:, None, :]).reshape(k, 36),
-            np.repeat(value, 6, axis=1), np.tile(value, 6))
+    pattern = ((col[:, :, None] * 6 + col[:, None, :]).reshape(k, 36),
+               np.repeat(value, 6, axis=1), np.tile(value, 6))
+    for a in pattern:
+        a.flags.writeable = False
+    return pattern
 
 
 @functools.lru_cache(maxsize=_SET_CACHE_SIZE)
@@ -297,9 +295,10 @@ def _kraus_set(kind, qubit_p, qutrit_p, global_mode, variant, level_order):
     if pattern is not None:
         rho_index, left, right = pattern
         flat = ops.reshape(-1)
-        cached.gather = (rho_index, flat[left], flat[right].conj())
-        for a in cached.gather:
-            a.flags.writeable = False
+        v, w = flat[left], flat[right]
+        np.conjugate(w, out=w)
+        v.flags.writeable = w.flags.writeable = False
+        cached.gather = (rho_index, v, w)
     return cached, completeness_defect(ops)
 
 
@@ -393,10 +392,11 @@ def evolve(rho, specs, allow_incomplete: bool = False) -> np.ndarray:
     collective set.  Sets come from the bounded ``_kraus_set`` cache with
     their completeness defects.  The result has the shape of ``rho``, with
     a leading spec axis for a sequence.  Every matrix of a trace-preserving
-    spec is validated; the result is read-only when every spec is trace
-    preserving.  A spec that is not raises CompletenessViolation, as the
-    first failure of a spec-by-spec loop would, unless ``allow_incomplete``;
-    then its raw evolved matrices are returned for diagnostics.
+    spec is validated; the result is read-only exactly when every spec is
+    trace preserving, so every matrix in it was validated.  A spec that is
+    not raises CompletenessViolation, as the first failure of a
+    spec-by-spec loop would, unless ``allow_incomplete``; then its raw
+    evolved matrices are returned for diagnostics.
     """
     m = np.asarray(rho, complex)
     one = isinstance(specs, ChannelSpec)

@@ -41,11 +41,19 @@ def partial_transpose_qubit(rho) -> np.ndarray:
     return out
 
 
-def pt_spectra(matrices) -> tuple[np.ndarray, np.ndarray]:
+def pt_spectra(matrices, validated: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """PT eigenvalues (..., 6), ascending, and negativities (...) of a
     6x6 matrix or of each matrix in an (N, 6, 6) stack, from one
-    eigensolver call."""
-    eig = hermitian_eigenvalues(partial_transpose_qubit(matrices))
+    eigensolver call.
+
+    The partial transposes are checked for hermiticity unless
+    ``validated`` says every matrix has passed ``validate_density``: the
+    transpose only moves entries, pairing each (i, j) with the same
+    partner (j, i) as before, so its hermiticity defect is the matrix's
+    own, bit for bit.
+    """
+    pt = partial_transpose_qubit(matrices)
+    eig = np.linalg.eigvalsh(pt) if validated else hermitian_eigenvalues(pt)
     # Eigenvalues ascend, so the negative ones are a prefix of each row and
     # the zero padding leaves the row sums bit-equal to a masked sum.
     neg = -np.where(eig < NEGATIVE_EIG_THRESHOLD, eig, 0.0).sum(axis=-1)

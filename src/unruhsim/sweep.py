@@ -73,28 +73,38 @@ class SweepResult:
 _CHUNK_MATRICES = 128
 
 
-def evaluate(specs, r_values, allow_incomplete: bool = False):
+def _result_arrays(rows: int, columns: int):
+    """Empty minimum-PT-eigenvalue and negativity arrays of a grid, each
+    of shape (rows, columns); OutOfRange when they do not fit."""
+    try:
+        min_eig = np.empty((rows, columns))
+        return min_eig, np.empty_like(min_eig)
+    except MemoryError as exc:  # the grid fits, its result arrays do not
+        raise OutOfRange(f"a grid of {rows * columns} points is too large") from exc
+
+
+def evaluate(specs, r_values, allow_incomplete: bool = False, out=None):
     """Minimum PT eigenvalues and negativities, each of shape
-    (len(specs), len(r_values)), of every spec over one r-axis.
+    (len(specs), len(r_values)), of every spec over one r-axis, written
+    into ``out`` (from ``_result_arrays``) when given.
 
     The specs must differ only in p1, p2 and p.  The r-axis states are
     built once; each chunk of specs evolves the whole stack in one
     ``channels.evolve`` call, which shares the Kraus sets the specs have
-    in common, and takes its PT spectra in one eigensolver call.
+    in common, and takes its PT spectra in one eigensolver call.  Only a
+    chunk with raw rows (``allow_incomplete``) has its partial transposes
+    checked for hermiticity; ``evolve`` has validated the rows of every
+    other chunk.
     """
     if len(r_values) == 0:
         raise OutOfRange("the r axis is empty")
     states = np.stack([unruh_state(float(r)) for r in r_values])
-    try:
-        min_eig = np.empty((len(specs), len(states)))
-        neg = np.empty_like(min_eig)
-    except MemoryError as exc:  # the grid fits, its result arrays do not
-        raise OutOfRange(f"a grid of {len(specs) * len(states)} points is "
-                         "too large") from exc
+    min_eig, neg = _result_arrays(len(specs), len(states)) if out is None else out
     step = max(1, _CHUNK_MATRICES // len(states))
     for i in range(0, len(specs), step):
-        eig, neg[i:i + step] = pt_spectra(
-            channels.evolve(states, specs[i:i + step], allow_incomplete))
+        rows = channels.evolve(states, specs[i:i + step], allow_incomplete)
+        # evolve returns a read-only array exactly when it validated every row.
+        eig, neg[i:i + step] = pt_spectra(rows, validated=not rows.flags.writeable)
         min_eig[i:i + step] = eig[..., 0]
     return min_eig, neg
 

@@ -144,6 +144,94 @@ def test_parameter_range_enforced(bad):
         ch.qutrit_channel(ch.DEPHASING, bad)
 
 
+# --- the scalar tables against the paper's matrices ---------------------------
+
+def _paper_qubit(kind, p):
+    """The qubit operators as printed in the paper."""
+    if kind == ch.DEPHASING:
+        return [np.diag([1.0, math.sqrt(1 - p)]).astype(complex),
+                np.diag([0.0, math.sqrt(p)]).astype(complex)]
+    second = {ch.PHASE_FLIP: [[1, 0], [0, -1]], ch.BIT_TRIT_FLIP: [[0, 1], [1, 0]],
+              ch.BIT_TRIT_PHASE_FLIP: [[0, -1j], [1j, 0]]}[kind]
+    return [math.sqrt(1 - p / 2) * np.eye(2, dtype=complex),
+            math.sqrt(p / 2) * np.array(second, dtype=complex)]
+
+
+def _paper_qutrit(kind, p, variant, order):
+    """The qutrit operators as printed (level 0 first), with the
+    completeness repairs of the corrected variant, in the given order."""
+    q, sp = math.sqrt(1 - p), math.sqrt(p)
+    if kind in (ch.PHASE_FLIP, ch.DEPHASING):
+        e0 = np.diag([1.0, q, q]).astype(complex)
+        e1 = np.zeros((3, 3), dtype=complex)
+        e2 = np.zeros((3, 3), dtype=complex)
+        if kind == ch.PHASE_FLIP:
+            e1[0, 1] = e2[0, 2] = sp
+        else:
+            e1[1, 1] = e2[2, 2] = sp
+            if variant == ch.AS_PRINTED:  # the stray unit entries
+                e1[0, 0] = e2[0, 0] = 1.0
+        ops = [e0, e1, e2]
+    elif kind == ch.BIT_TRIT_FLIP:
+        w = math.sqrt(p / 3)
+        cyc = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
+        ops = [math.sqrt(1 - 2 * p / 3) * np.eye(3, dtype=complex), w * cyc,
+               w * (cyc @ cyc)]
+    else:
+        w, om = math.sqrt(p / 3), complex(OMEGA)
+        omc = om.conjugate()
+        coeff = math.sqrt(1 - 2 * p / 3) if variant == ch.AS_PRINTED else q
+        ops = [coeff * np.eye(3, dtype=complex),
+               w * np.array([[0, 0, om], [1, 0, 0], [0, omc, 0]], dtype=complex),
+               w * np.array([[0, omc, 0], [0, 0, om], [1, 0, 0]], dtype=complex),
+               w * np.array([[0, om, 0], [0, 0, omc], [1, 0, 0]], dtype=complex)]
+    return [e[::-1, ::-1] for e in ops] if order == ch.REVERSED else ops
+
+
+def _paper_defect(ops):
+    return np.abs(sum(e.conj().T @ e for e in ops) - np.eye(len(ops[0]))).max()
+
+
+def _paper_set(kind, p1, p2, mode, variant, order):
+    """The 6x6 set from the paper's matrices and np.kron: every pair for
+    product, index-by-index pairs padded with zeros for correlated."""
+    qubit, qutrit = _paper_qubit(kind, p1), _paper_qutrit(kind, p2, variant, order)
+    if mode == ch.PRODUCT:
+        return np.stack([np.kron(a, b) for a in qubit for b in qutrit])
+    qubit += [np.zeros((2, 2), dtype=complex)] * (len(qutrit) - len(qubit))
+    return np.stack([np.kron(a, b) for a, b in zip(qubit, qutrit)])
+
+
+_TABLE_P = (0.0, 5e-324, 1e-300, 0.3, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("kind", ch.KINDS)
+@pytest.mark.parametrize("variant", ch.VARIANTS)
+@pytest.mark.parametrize("order", [ch.PRINTED, ch.REVERSED])
+def test_table_sets_are_the_papers_matrices_bit_for_bit(kind, variant, order):
+    for p in _TABLE_P:
+        qubit, qutrit = _paper_qubit(kind, p), _paper_qutrit(kind, p, variant, order)
+        for got, want in ((ch.qubit_channel(kind, p), qubit),
+                          (ch.qutrit_channel(kind, p, variant, order), qutrit)):
+            _assert_same_bits(got, np.stack(want))
+            assert ch.completeness_defect(got) == _paper_defect(want)
+    for mode in ch.GLOBAL_MODES:
+        pattern = ch._gather_pattern(kind, mode, variant, order)
+        # A collective set (correlated or product) takes one p; a local
+        # (product) set one p per system.
+        pairs = [(p1, p2) for p1 in _TABLE_P for p2 in _TABLE_P
+                 if mode == ch.PRODUCT or p1 == p2]
+        for p1, p2 in pairs:
+            want = _paper_set(kind, p1, p2, mode, variant, order)
+            ops, defect = ch._kraus_set(kind, p1, p2, mode, variant, order)
+            _assert_same_bits(np.stack(ops), want)
+            assert defect == _paper_defect(want)
+            if pattern is not None:
+                flat = want.reshape(-1)
+                _assert_same_bits(ops.gather[1], flat[pattern[1]])
+                _assert_same_bits(ops.gather[2], flat[pattern[2]].conj())
+
+
 # --- lifting ----------------------------------------------------------------
 
 def test_lift_identity_cases():

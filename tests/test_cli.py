@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from unruhsim import cli, sweep
+from unruhsim import channels, cli, sweep
 from unruhsim.cli import EXIT_INVARIANT, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 
@@ -345,6 +345,22 @@ def test_result_arrays_that_do_not_fit_exit_one(
     assert captured.out == ""
     assert captured.err == f"error: a grid of {points} points is too large\n"
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_verify_grid_too_large_is_refused_before_any_spec_exists(
+    monkeypatch, capsys
+):
+    built = []
+    spec = channels.ChannelSpec
+    monkeypatch.setattr(channels, "ChannelSpec",
+                        lambda *args, **kwargs: built.append(args) or spec(*args, **kwargs))
+    monkeypatch.setattr(sweep, "np", _NoRoom())
+    argv = ["verify", "--channel", "dephasing", "--coupling", "global", "--grid", "120"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a grid of 207360000 points is too large\n"
+    assert built == []
 
 
 @pytest.mark.parametrize("value, written", [

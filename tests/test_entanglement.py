@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from unruhsim.entanglement import (
     PtSpectrum,
     negativity,
     partial_transpose_qubit,
+    pt_spectra,
 )
+from unruhsim.errors import NotHermitian
+from unruhsim.linalg import hermiticity_defect
 from unruhsim.state import unruh_state, validate_density
 
 R_GRID = np.linspace(0.0, math.pi / 4, 101)
@@ -36,6 +40,28 @@ def test_partial_transpose_preserves_trace_and_hermiticity():
     pt = partial_transpose_qubit(m)
     assert np.trace(pt) == pytest.approx(1.0, abs=1e-15)
     np.testing.assert_allclose(pt, pt.conj().T, atol=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(complex, hnp.array_shapes(min_dims=0, max_dims=2, max_side=4)
+                  .map(lambda shape: shape + (6, 6)),
+                  elements=st.complex_numbers(allow_nan=False, allow_infinity=False)))
+def test_partial_transpose_keeps_the_hermiticity_defect_bit_for_bit(m):
+    # The transpose pairs every entry with the same partner as before, so
+    # a validated matrix needs no second check of its partial transpose.
+    with np.errstate(over="ignore"):  # a huge difference may round to inf
+        got = np.asarray(hermiticity_defect(partial_transpose_qubit(m)))
+        want = np.asarray(hermiticity_defect(m))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_raw_non_hermitian_matrices_are_still_checked():
+    m = np.array(unruh_state(0.3))
+    m[0, 4] += 2e-3
+    with pytest.raises(NotHermitian, match="defect 2.000e-03"):
+        negativity(m)
+    with pytest.raises(NotHermitian, match="defect 2.000e-03"):
+        pt_spectra(np.stack([unruh_state(0.1), m]))
 
 
 def test_bell_like_state_has_max_negativity():

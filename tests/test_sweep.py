@@ -1,3 +1,4 @@
+import collections
 import math
 import os
 import stat
@@ -5,9 +6,9 @@ import stat
 import numpy as np
 import pytest
 
-from unruhsim import channels, sweep
+from unruhsim import channels, linalg, state, sweep
 from unruhsim.channels import ChannelSpec
-from unruhsim.errors import IoFailure, OutOfRange
+from unruhsim.errors import IoFailure, NotHermitian, OutOfRange
 
 R_MAX = math.pi / 4
 
@@ -68,6 +69,53 @@ def test_sweep_spec_validation():
 def test_evaluate_rejects_an_empty_r_axis():
     with pytest.raises(OutOfRange):
         sweep.evaluate([_spec(channels.PHASE_FLIP)], [])
+
+
+def test_evaluate_checks_the_raw_rows_of_incomplete_specs(monkeypatch):
+    # As printed, the trit phase flip set is not trace preserving at p > 0,
+    # so its rows come back raw, never validated.
+    raw = [_spec(channels.BIT_TRIT_PHASE_FLIP, p1=p, p2=p,
+                 variant=channels.AS_PRINTED) for p in (0.3, 0.6)]
+    assert sweep.evaluate(raw, [0.3], allow_incomplete=True)[1].shape == (2, 1)
+    bent = np.array(state.unruh_state(0.3))
+    bent[0, 4] += 2e-3
+    monkeypatch.setattr(sweep, "unruh_state", lambda r: bent)
+    with pytest.raises(NotHermitian):
+        sweep.evaluate(raw, [0.3], allow_incomplete=True)
+
+
+@pytest.mark.parametrize("coupling", [channels.MULTILOCAL, channels.GLOBAL])
+@pytest.mark.parametrize("kind", channels.KINDS)
+def test_each_esd_probe_builds_one_set_and_checks_each_stack_once(
+    monkeypatch, kind, coupling
+):
+    counts = collections.Counter()
+
+    def count(module, name, key):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    # Each structure's gather plan is read off one set on first use.
+    channels._gather_pattern(kind, channels.PRODUCT, channels.CORRECTED,
+                             channels.DEFAULT_LEVEL_ORDER)
+    channels._kraus_set.cache_clear()
+    count(sweep, "evaluate", "probes")
+    count(channels, "_tensor_set", "sets built")
+    for module in (state, channels):
+        count(module, "validate_density", "stacks validated")
+    for module in (state, linalg):
+        count(module, "hermiticity_defect", "hermiticity defects")
+    sweep.esd_threshold(_spec(kind, coupling), math.pi / 4, p_tol=1e-2)
+    # One initial state and one evolved row per probe, each validated.
+    probes = counts["probes"]
+    assert probes >= 2 and counts == {
+        "probes": probes, "sets built": probes,
+        "stacks validated": 2 * probes, "hermiticity defects": 2 * probes}
 
 
 # --- monotonicity invariants ---------------------------------------------------
