@@ -9,6 +9,7 @@ digits so regenerated outputs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -106,27 +107,35 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}j"
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser; parsing never changes it, so one serves every call."""
     parser = _Parser(prog="unruhsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="key = value file overriding flag defaults")
+    config = _Parser(add_help=False)
+    config.add_argument("--config", help="key = value file overriding flag defaults")
+    channel = _Parser(add_help=False)
+    channel.add_argument("--channel", choices=sorted(_KIND_FLAGS), required=True)
+    channel.add_argument("--coupling", choices=sorted(_COUPLING_FLAGS), required=True)
+    channel.add_argument("--global-mode", choices=sorted(channels.GLOBAL_MODES),
+                         default=channels.PRODUCT)
+    variant = _Parser(add_help=False)
+    variant.add_argument("--variant", choices=sorted(_VARIANT_FLAGS),
+                         default="corrected")
 
-    p_state = sub.add_parser("state", parents=[], help="print the initial state")
+    p_state = sub.add_parser("state", parents=[config], help="print the initial state")
     p_state.add_argument("--r", default="0", help="acceleration in [0, pi/4]")
-    add_common(p_state)
 
-    p_check = sub.add_parser("check-channels", help="completeness table")
+    p_check = sub.add_parser("check-channels", parents=[config],
+                             help="completeness table")
     p_check.add_argument("--variant", choices=sorted(_VARIANT_FLAGS), default=None,
                          help="restrict to one variant (default: both)")
     p_check.add_argument("--p", default="11", metavar="P_GRID",
                          help="point count or comma list of p values")
-    add_common(p_check)
 
-    p_neg = sub.add_parser("negativity", help="single point evaluation")
-    p_neg.add_argument("--channel", choices=sorted(_KIND_FLAGS), required=True)
-    p_neg.add_argument("--coupling", choices=sorted(_COUPLING_FLAGS), required=True)
+    p_neg = sub.add_parser("negativity", parents=[channel, variant, config],
+                           help="single point evaluation")
     p_neg.add_argument("--p", type=float, default=0.0,
                        help="linked decoherence parameter")
     p_neg.add_argument("--p1", type=float, default=None,
@@ -134,15 +143,9 @@ def _build_parser() -> _Parser:
     p_neg.add_argument("--p2", type=float, default=None,
                        help="qutrit local parameter override")
     p_neg.add_argument("--r", required=True, help="acceleration in [0, pi/4]")
-    p_neg.add_argument("--global-mode", choices=sorted(channels.GLOBAL_MODES),
-                       default=channels.PRODUCT)
-    p_neg.add_argument("--variant", choices=sorted(_VARIANT_FLAGS),
-                       default="corrected")
-    add_common(p_neg)
 
-    p_sweep = sub.add_parser("sweep", help="grid sweep to CSV or plot data")
-    p_sweep.add_argument("--channel", choices=sorted(_KIND_FLAGS), required=True)
-    p_sweep.add_argument("--coupling", choices=sorted(_COUPLING_FLAGS), required=True)
+    p_sweep = sub.add_parser("sweep", parents=[channel, variant, config],
+                             help="grid sweep to CSV or plot data")
     p_sweep.add_argument("--axis", choices=["p", "r", "grid"], required=True)
     p_sweep.add_argument("--r", default="0", help="fixed acceleration (p axis)")
     p_sweep.add_argument("--p", type=float, default=0.0,
@@ -151,22 +154,14 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--plot-data", action="store_true",
                          help="write gnuplot-style blocks instead of CSV")
-    p_sweep.add_argument("--global-mode", choices=sorted(channels.GLOBAL_MODES),
-                         default=channels.PRODUCT)
-    p_sweep.add_argument("--variant", choices=sorted(_VARIANT_FLAGS),
-                         default="corrected")
-    add_common(p_sweep)
 
-    p_esd = sub.add_parser("esd", help="sudden-death threshold (linked p)")
-    p_esd.add_argument("--channel", choices=sorted(_KIND_FLAGS), required=True)
-    p_esd.add_argument("--coupling", choices=sorted(_COUPLING_FLAGS), required=True)
+    p_esd = sub.add_parser("esd", parents=[channel, config],
+                           help="sudden-death threshold (linked p)")
     p_esd.add_argument("--r", required=True)
     p_esd.add_argument("--tol", type=float, default=1e-6)
-    p_esd.add_argument("--global-mode", choices=sorted(channels.GLOBAL_MODES),
-                       default=channels.PRODUCT)
-    add_common(p_esd)
 
-    p_verify = sub.add_parser("verify", help="closed form vs numeric pipeline")
+    p_verify = sub.add_parser("verify", parents=[config],
+                              help="closed form vs numeric pipeline")
     p_verify.add_argument("--channel",
                           choices=[_flag(kind) for kind in analytic.ANALYTIC_KINDS])
     p_verify.add_argument("--coupling", choices=sorted(_COUPLING_FLAGS))
@@ -176,14 +171,11 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--csv", default=None, help="also write the report as CSV")
     p_verify.add_argument("--out-dir", help="instead write all six reports on "
                           "their default grids to this directory")
-    add_common(p_verify)
 
-    p_repro = sub.add_parser("repro", help="regenerate a preset figure dataset")
+    p_repro = sub.add_parser("repro", parents=[config],
+                             help="regenerate a preset figure dataset")
     p_repro.add_argument("--figure", choices=[*sweep.FIGURES, "all"], required=True)
     p_repro.add_argument("--out-dir", required=True)
-    add_common(p_repro)
-
-    parser.subcommands = sub.choices
     return parser
 
 
@@ -192,8 +184,10 @@ _SWITCH_VALUES = {**dict.fromkeys(("1", "true", "yes", "on"), True),
 
 
 def _apply_config(parser: _Parser, argv: list[str], args) -> argparse.Namespace:
-    """Re-parse with defaults overridden by the config file, if any."""
-    path = getattr(args, "config", None)
+    """Re-parse with each config line ``key = value`` as the flag
+    ``--key=value`` right after the subcommand: argparse converts and checks
+    it, and the command-line flags, which come later, win."""
+    path = args.config
     if not path:
         return args
     try:
@@ -211,18 +205,11 @@ def _apply_config(parser: _Parser, argv: list[str], args) -> argparse.Namespace:
         key, _, value = line.partition("=")
         overrides[key.strip().replace("-", "_")] = value.strip()
     known = set(vars(args)) - {"command", "config"}
-    actions = {a.dest: a for a in parser.subcommands[args.command]._actions}
+    flags = []
     for key, value in overrides.items():
         if key not in known:
             raise UsageError(
                 f"unknown config key {key!r} for subcommand {args.command!r}"
-            )
-        # argparse checks choices only for values given on the command line.
-        choices = actions[key].choices
-        if choices is not None and value not in choices:
-            raise UsageError(
-                f"{path}: invalid choice {value!r} for {key!r} "
-                f"(choose from {', '.join(map(repr, choices))})"
             )
         if isinstance(getattr(args, key), bool):  # a switch takes no value
             switch = _SWITCH_VALUES.get(value.lower())
@@ -231,29 +218,24 @@ def _apply_config(parser: _Parser, argv: list[str], args) -> argparse.Namespace:
                     f"{path}: invalid switch value {value!r} for {key!r} "
                     f"(use 1/true/yes/on or 0/false/no/off)"
                 )
-            overrides[key] = switch
-    # Config values become the subcommand's defaults; argparse converts
-    # them with each flag's type, and flags given on the command line,
-    # abbreviated or not, still win.
-    parser.subcommands[args.command].set_defaults(**overrides)
-    return parser.parse_args(argv)
+            flags += [f"--{_flag(key)}"] if switch else []
+        else:
+            flags.append(f"--{_flag(key)}={value}")
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + flags + argv[at:])
 
 
 def _channel_spec(args, linked_p: float | None = None) -> ChannelSpec:
-    kind = _KIND_FLAGS[args.channel]
     coupling = _COUPLING_FLAGS[args.coupling]
-    variant = _VARIANT_FLAGS[getattr(args, "variant", "corrected")]
     p = args.p if linked_p is None else linked_p
-    p1 = p if getattr(args, "p1", None) is None else args.p1
-    p2 = p if getattr(args, "p2", None) is None else args.p2
     return ChannelSpec(
-        kind=kind,
+        kind=_KIND_FLAGS[args.channel],
         coupling=coupling,
-        p1=p1,
-        p2=p2,
+        p1=p if getattr(args, "p1", None) is None else args.p1,
+        p2=p if getattr(args, "p2", None) is None else args.p2,
         p=p if coupling == channels.GLOBAL else 0.0,
-        global_mode=getattr(args, "global_mode", channels.PRODUCT),
-        variant=variant,
+        global_mode=args.global_mode,
+        variant=_VARIANT_FLAGS[getattr(args, "variant", "corrected")],
     )
 
 
@@ -389,13 +371,9 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        args = _apply_config(parser, argv, args)
+        args = _apply_config(parser, argv, parser.parse_args(argv))
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OutOfRange as exc:
+    except (UsageError, OutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (CompletenessViolation, NotHermitian, TraceDeviation,

@@ -6,7 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DimensionMismatch
 from .linalg import hermitian_eigenvalues
+from .state import DIM, require_finite
 
 # Eigenvalues above this threshold are treated as eigensolver noise, so
 # separable states report exactly zero negativity.
@@ -64,10 +66,14 @@ def negativity(rho) -> PtSpectrum:
     """Negativity of a state: sum of |negative eigenvalues| of its partial
     transpose over the qubit.
 
-    Accepts a validated state or a raw Hermitian matrix (the latter is used
-    for diagnostics of non-trace-preserving evolutions).
+    Accepts one finite 6x6 matrix, a validated state or a raw Hermitian one
+    (used for diagnostics of non-trace-preserving evolutions).
     """
-    eig, neg = pt_spectra(rho)
+    m = np.asarray(rho, dtype=complex)
+    if m.shape != (DIM, DIM):
+        raise DimensionMismatch(f"expected a {DIM}x{DIM} matrix, got shape {m.shape}")
+    require_finite(m)
+    eig, neg = pt_spectra(m)
     return PtSpectrum(
         eigenvalues=tuple(eig.tolist()),
         negativity=float(neg),

@@ -36,9 +36,9 @@ def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
     """
     h = np.asarray(h, dtype=complex)
     defect = np.ravel(hermiticity_defect(h))
-    if defect.max() > HERMITICITY_TOL:
+    if not defect.max() <= HERMITICITY_TOL:  # a NaN defect fails too
         raise NotHermitian(
-            f"hermiticity defect {defect[(defect > HERMITICITY_TOL).argmax()]:.3e} "
+            f"hermiticity defect {defect[(~(defect <= HERMITICITY_TOL)).argmax()]:.3e} "
             f"exceeds tolerance {HERMITICITY_TOL:.3e}"
         )
     return np.linalg.eigvalsh(h)

@@ -30,6 +30,11 @@ PSD_TOL = 1e-10
 DIM = 6
 
 
+def require_finite(m: np.ndarray) -> None:
+    if not np.isfinite(m).all():
+        raise ValueError("matrix contains non-finite entries")
+
+
 def validate_density(m) -> np.ndarray:
     """Check the density-matrix invariants and freeze the result.
 
@@ -45,8 +50,7 @@ def validate_density(m) -> np.ndarray:
     ms = m[np.newaxis] if m.ndim == 2 else m
     if ms.ndim != 3:
         raise DimensionMismatch(f"expected a matrix or a stack, got ndim={m.ndim}")
-    if not np.isfinite(ms).all():
-        raise ValueError("matrix contains non-finite entries")
+    require_finite(ms)
     if ms.shape[1:] != (DIM, DIM) or not len(ms):
         raise OutOfRange(f"expected a {DIM}x{DIM} matrix or a nonempty stack "
                          f"of them, got shape {m.shape}")

@@ -270,10 +270,10 @@ _FIGURE_PARAMS = {
 }
 
 
-def figure_sweeps(figure: str, steps: int = 101) -> list[SweepSpec]:
+def figure_sweeps(figure: str) -> list[SweepSpec]:
     """SweepSpecs (one per channel) reproducing a preset figure dataset."""
     if figure not in FIGURES:
         raise OutOfRange(f"unknown figure {figure!r}")
     coupling, axis, r, p = _FIGURE_PARAMS[figure]
-    return [SweepSpec(_linked(ChannelSpec(kind, coupling), p), axis, r, steps)
+    return [SweepSpec(_linked(ChannelSpec(kind, coupling), p), axis, r)
             for kind in channels.KINDS]

@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import subprocess
@@ -19,6 +20,74 @@ def test_parse_angle_forms():
     for bad in ("tau", "pi/zero", "pie/4"):
         with pytest.raises(cli.UsageError):
             cli.parse_angle(bad)
+
+
+_KINDS = ["bit-trit-flip", "bit-trit-phase-flip", "dephasing", "phase-flip"]
+_COUPLINGS = ["global", "ml", "multilocal"]
+_MODES = ["correlated", "product"]
+_VARIANTS = ["as-printed", "corrected"]
+_EVERY = {"help": (["-h", "--help"], argparse.SUPPRESS, None, False),
+          "config": (["--config"], None, None, False)}
+_CHANNEL = {"channel": (["--channel"], None, _KINDS, True),
+            "coupling": (["--coupling"], None, _COUPLINGS, True),
+            "global_mode": (["--global-mode"], "product", _MODES, False)}
+
+# dest: (option strings, default, choices, required) of every flag.
+_FLAGS = {
+    "state": {**_EVERY, "r": (["--r"], "0", None, False)},
+    "check-channels": {
+        **_EVERY,
+        "variant": (["--variant"], None, _VARIANTS, False),
+        "p": (["--p"], "11", None, False),
+    },
+    "negativity": {
+        **_EVERY, **_CHANNEL,
+        "variant": (["--variant"], "corrected", _VARIANTS, False),
+        "p": (["--p"], 0.0, None, False),
+        "p1": (["--p1"], None, None, False),
+        "p2": (["--p2"], None, None, False),
+        "r": (["--r"], None, None, True),
+    },
+    "sweep": {
+        **_EVERY, **_CHANNEL,
+        "variant": (["--variant"], "corrected", _VARIANTS, False),
+        "axis": (["--axis"], None, ["p", "r", "grid"], True),
+        "r": (["--r"], "0", None, False),
+        "p": (["--p"], 0.0, None, False),
+        "steps": (["--steps"], 101, None, False),
+        "out": (["--out"], None, None, True),
+        "plot_data": (["--plot-data"], False, None, False),
+    },
+    "esd": {
+        **_EVERY, **_CHANNEL,
+        "r": (["--r"], None, None, True),
+        "tol": (["--tol"], 1e-6, None, False),
+    },
+    "verify": {
+        **_EVERY,
+        "channel": (["--channel"], None, ["phase-flip", "dephasing"], False),
+        "coupling": (["--coupling"], None, _COUPLINGS, False),
+        "global_mode": (["--global-mode"], None, _MODES, False),
+        "grid": (["--grid"], None, None, False),
+        "csv": (["--csv"], None, None, False),
+        "out_dir": (["--out-dir"], None, None, False),
+    },
+    "repro": {
+        **_EVERY,
+        "figure": (["--figure"], None, [*sweep.FIGURES, "all"], True),
+        "out_dir": (["--out-dir"], None, None, True),
+    },
+}
+
+
+def test_flag_surface_is_frozen():
+    (subparsers,) = [action for action in cli._build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    assert list(subparsers.choices) == list(_FLAGS)
+    for command, parser in subparsers.choices.items():
+        flags = {a.dest: (a.option_strings, a.default, a.choices, a.required)
+                 for a in parser._actions}
+        assert flags == _FLAGS[command], command
 
 
 def test_state_prints_matrix(capsys):
@@ -215,26 +284,66 @@ def test_repro_all_matches_single_figures(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_config_file_overrides_defaults(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("# example configuration\np = 0.5\n")
-    code = main([
-        "negativity", "--channel", "phase-flip", "--coupling", "ml",
-        "--r", "0", "--config", str(cfg),
-    ])
-    assert code == EXIT_OK
-    assert float(capsys.readouterr().out) == pytest.approx(0.125)
+_SWEEP = ["sweep", "--channel", "phase-flip", "--coupling", "ml", "--out", "s.out"]
+_ESD = ["esd", "--channel", "bit-trit-flip", "--coupling", "global", "--r", "pi/4"]
+
+# (argv, key, value, other): a config line ``key = value`` acts as the flag,
+# and the flag on the command line beats ``key = other``.
+_CONFIG_PARITY = [
+    pytest.param(["negativity", "--channel", "phase-flip", "--coupling", "ml",
+                  "--r", "0"], "p", "0.5", "0", id="negativity-p"),
+    pytest.param(_SWEEP + ["--axis", "p"], "steps", "3", "7", id="sweep-steps"),
+    pytest.param(_ESD, "tol", "0.01", "1e-6", id="esd-tol"),
+    # correlated mode exits 2: no trace-preserving set
+    pytest.param(_ESD, "global-mode", "correlated", "product", id="esd-global-mode"),
+    pytest.param(["state"], "r", "pi/4", "0", id="state-r"),
+    pytest.param(_SWEEP + ["--axis", "p", "--steps", "3"], "plot-data", "on", "off",
+                 id="sweep-plot-data"),
+]
 
 
-def test_explicit_flag_beats_config(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("p = 0.5\n")
-    code = main([
-        "negativity", "--channel", "phase-flip", "--coupling", "ml",
-        "--r", "0", "--p", "0", "--config", str(cfg),
-    ])
-    assert code == EXIT_OK
-    assert capsys.readouterr().out.strip() == "0.5"
+def _as_flags(key, value):
+    if value in ("on", "off"):  # a switch
+        return [f"--{key}"] * (value == "on")
+    return [f"--{key}", value]
+
+
+def _run(capsys, argv, config=None):
+    """Exit code, stdout, stderr and the bytes of ``s.out``, if written."""
+    if config is not None:
+        with open("run.cfg", "w") as fh:
+            fh.write(config + "\n")
+        argv = argv + ["--config", "run.cfg"]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    written = None
+    if os.path.exists("s.out"):
+        with open("s.out", "rb") as fh:
+            written = fh.read()
+        os.remove("s.out")
+    return code, out, err, written
+
+
+@pytest.mark.parametrize("argv, key, value, other", _CONFIG_PARITY)
+def test_config_file_overrides_defaults(tmp_path, monkeypatch, capsys,
+                                        argv, key, value, other):
+    monkeypatch.chdir(tmp_path)
+    expected = _run(capsys, argv + _as_flags(key, value))
+    assert _run(capsys, argv, f"# example configuration\n{key} = {value}") == expected
+    assert _run(capsys, argv) != expected
+
+
+@pytest.mark.parametrize("argv, key, value, other", [
+    *_CONFIG_PARITY,
+    # A required flag comes from the command line, so a config line can only lose.
+    pytest.param(_SWEEP, "axis", "p", "r", id="sweep-axis"),
+])
+def test_explicit_flag_beats_config(tmp_path, monkeypatch, capsys,
+                                    argv, key, value, other):
+    monkeypatch.chdir(tmp_path)
+    expected = _run(capsys, argv + _as_flags(key, value))
+    assert _run(capsys, argv + _as_flags(key, value), f"{key} = {other}") == expected
+    assert _run(capsys, argv + _as_flags(key, other)) != expected
 
 
 def test_config_unknown_key_rejected(tmp_path, capsys):
@@ -265,17 +374,20 @@ def test_config_value_of_wrong_type_exits_one(tmp_path, capsys):
     assert "abc" in capsys.readouterr().err
 
 
-def test_config_value_outside_choices_exits_one(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("variant = bogus\n")
-    code = main([
-        "negativity", "--channel", "dephasing", "--coupling", "ml",
-        "--r", "0", "--p", "0.3", "--config", str(cfg),
-    ])
-    assert code == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "bogus" in captured.err
+@pytest.mark.parametrize("argv, key", [
+    (["negativity", "--channel", "dephasing", "--coupling", "ml", "--r", "0",
+      "--p", "0.3"], "variant"),
+    (_ESD, "global-mode"),
+    (_SWEEP + ["--axis", "p"], "axis"),  # loses to the flag, but is still checked
+], ids=["negativity-variant", "esd-global-mode", "sweep-axis"])
+def test_config_value_outside_choices_exits_one(tmp_path, monkeypatch, capsys,
+                                                argv, key):
+    monkeypatch.chdir(tmp_path)
+    code, out, err, written = _run(capsys, argv, f"{key} = bogus")
+    assert (code, out, written) == (EXIT_USAGE, "", None)
+    # argparse's own message, as for the flag on the command line
+    assert err == _run(capsys, argv + [f"--{key}", "bogus"])[2]
+    assert f"argument --{key}: invalid choice: 'bogus'" in err
 
 
 _NEGATIVITY = ["negativity", "--channel", "phase-flip", "--coupling", "ml",

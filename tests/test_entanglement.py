@@ -12,7 +12,7 @@ from unruhsim.entanglement import (
     partial_transpose_qubit,
     pt_spectra,
 )
-from unruhsim.errors import NotHermitian
+from unruhsim.errors import DimensionMismatch, NotHermitian
 from unruhsim.linalg import hermiticity_defect
 from unruhsim.state import unruh_state, validate_density
 
@@ -132,3 +132,18 @@ def test_accepts_raw_arrays():
     assert negativity(np.array(m)).negativity == pytest.approx(
         negativity(unruh_state(0.2)).negativity
     )
+
+
+@pytest.mark.parametrize("evaluate, m, error, message", [
+    (negativity, np.full((6, 6), np.nan), ValueError, "non-finite"),
+    (negativity, np.full((6, 6), np.inf), ValueError, "non-finite"),
+    (negativity, np.eye(4) / 4, DimensionMismatch, r"shape \(4, 4\)"),
+    (negativity, np.stack([np.eye(6) / 6] * 2), DimensionMismatch,
+     r"shape \(2, 6, 6\)"),
+    # A NaN defect is not within tolerance.
+    (pt_spectra, np.stack([np.eye(6) / 6, np.full((6, 6), np.nan)]), NotHermitian,
+     "defect nan"),
+], ids=["nan", "inf", "4x4", "stack", "pt-spectra-nan"])
+def test_bad_raw_input_raises_package_errors(evaluate, m, error, message):
+    with pytest.raises(error, match=message):
+        evaluate(m)

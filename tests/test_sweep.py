@@ -327,24 +327,24 @@ def test_write_failure_raises_io(tmp_path):
 
 def test_figure_presets_cover_channels():
     for fig in sweep.FIGURES:
-        specs = sweep.figure_sweeps(fig, steps=5)
+        specs = sweep.figure_sweeps(fig)
         assert [s.channel.kind for s in specs] == list(channels.KINDS)
 
 
 def test_figure_axis_assignment():
-    assert all(s.axis == sweep.AXIS_P for s in sweep.figure_sweeps("1a", 3))
-    assert all(s.axis == sweep.AXIS_R for s in sweep.figure_sweeps("1c", 3))
-    assert all(s.axis == sweep.AXIS_GRID for s in sweep.figure_sweeps("3", 3))
+    assert all(s.axis == sweep.AXIS_P for s in sweep.figure_sweeps("1a"))
+    assert all(s.axis == sweep.AXIS_R for s in sweep.figure_sweeps("1c"))
+    assert all(s.axis == sweep.AXIS_GRID for s in sweep.figure_sweeps("3"))
     assert all(
         s.channel.coupling == channels.GLOBAL
-        for s in sweep.figure_sweeps("2b", 3)
+        for s in sweep.figure_sweeps("2b")
     )
 
 
 def test_figure_fixed_parameters():
-    for s in sweep.figure_sweeps("1d", 3):
+    for s in sweep.figure_sweeps("1d"):
         assert s.channel.p1 == 0.7 and s.channel.p2 == 0.7
-    for s in sweep.figure_sweeps("2a", 3):
+    for s in sweep.figure_sweeps("2a"):
         assert s.r == pytest.approx(math.pi / 6)
 
 
