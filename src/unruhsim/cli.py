@@ -318,7 +318,7 @@ def _cmd_verify(args) -> int:
                 _fmt(p1), _fmt(p2), _fmt(p), _fmt(r), report.verdict,
             ]),
         ]
-        sweep._atomic_write(args.csv, "\n".join(lines) + "\n")
+        sweep._atomic_write(args.csv, ["\n".join(lines) + "\n"])
     return EXIT_OK
 
 
@@ -328,7 +328,7 @@ def _write_reports(out_dir: str) -> int:
             kind, coupling, global_mode=mode or channels.PRODUCT)
         name = "_".join(filter(None, ("verify", kind, coupling, mode))) + ".txt"
         path = os.path.join(out_dir, name)
-        sweep._atomic_write(path, analytic.format_report(report))
+        sweep._atomic_write(path, [analytic.format_report(report)])
         print(f"wrote {path}: {report.verdict} "
               f"(max dev {report.max_abs_deviation:.3e})", file=sys.stderr)
     return EXIT_OK

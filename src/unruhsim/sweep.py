@@ -7,6 +7,7 @@ PT eigenvalue array over both.  Only the writers here lay those out as rows.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import tempfile
@@ -17,7 +18,7 @@ import numpy as np
 from . import channels
 from .channels import ChannelSpec, GLOBAL, MULTILOCAL
 from .entanglement import pt_spectra
-from .errors import IoFailure, OutOfRange
+from .errors import DimensionMismatch, IoFailure, OutOfRange
 from .state import R_MAX, unruh_state
 
 AXIS_P = "p"
@@ -61,6 +62,12 @@ class SweepResult:
     r: np.ndarray
     negativity: np.ndarray  # (len(specs), len(r))
     min_pt_eigenvalue: np.ndarray  # (len(specs), len(r))
+
+    def __post_init__(self):
+        # The writers zip specs with array rows and count rows by shape.
+        shape = (len(self.specs), len(self.r))
+        if self.negativity.shape != shape or self.min_pt_eigenvalue.shape != shape:
+            raise DimensionMismatch(f"sweep result arrays must have shape {shape}")
 
 
 # Matrices one ``channels.evolve`` call takes at most.  Larger stacks made
@@ -180,7 +187,11 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _atomic_write(destination: str, text: str) -> None:
+def _atomic_write(destination: str, chunks) -> None:
+    """Write the text chunks, in order, to a temp file beside ``destination``
+    and move it into place with one ``os.replace``: a reader sees the old
+    file or the whole new one, and a failure, while writing or while a
+    chunk is made, leaves no temp file.  OSError becomes IoFailure."""
     directory = os.path.dirname(os.path.abspath(destination))
     try:
         fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -190,7 +201,7 @@ def _atomic_write(destination: str, text: str) -> None:
                 umask = os.umask(0)
                 os.umask(umask)
                 os.fchmod(fh.fileno(), 0o666 & ~umask)
-                fh.write(text)
+                fh.writelines(chunks)
             os.replace(tmp_path, destination)
         except BaseException:
             os.unlink(tmp_path)
@@ -207,18 +218,17 @@ def _fixed(spec: ChannelSpec) -> list[str]:
             _fmt(spec.p1), _fmt(spec.p2), _fmt(spec.p if global_ else 0.0)]
 
 
-def _rows(res: SweepResult, sep: str, first: int) -> list[str]:
-    """A result's rows, outer spec, inner r: the fixed fields from index
-    ``first`` on, formatted once per spec, r once per result, then the two
-    results by one template ('%.12g' % x is _fmt(x) for every float)."""
+def _rows(res: SweepResult, sep: str, first: int):
+    """A result's rows, outer spec, inner r, as one text chunk per spec row
+    whose lines each end in LF: the fixed fields from index ``first`` on,
+    formatted once per spec, r once per result, then the two results by
+    one template ('%.12g' % x is _fmt(x) for every float)."""
     r_text = [_fmt(r) for r in res.r.tolist()]
-    tail = f"{sep}%.12g{sep}%.12g"
-    rows = []
-    for spec, negs, eigs in zip(res.specs, res.negativity.tolist(),
-                                res.min_pt_eigenvalue.tolist()):
+    tail = f"{sep}%.12g{sep}%.12g\n"
+    for spec, negs, eigs in zip(res.specs, res.negativity, res.min_pt_eigenvalue):
         head = sep.join(_fixed(spec)[first:]) + sep
-        rows.extend(head + r + tail % (n, e) for r, n, e in zip(r_text, negs, eigs))
-    return rows
+        yield "".join([head + r + tail % (n, e)
+                       for r, n, e in zip(r_text, negs.tolist(), eigs.tolist())])
 
 
 def _nonempty(results: list[SweepResult]) -> list[SweepResult]:
@@ -228,30 +238,35 @@ def _nonempty(results: list[SweepResult]) -> list[SweepResult]:
 
 
 def write_csv(results: list[SweepResult], destination: str) -> int:
-    """Write results as CSV (12 significant digits, LF endings, atomic).
+    """Write results as CSV (12 significant digits, LF endings, atomic),
+    one spec row at a time.
 
     Returns the number of data rows written.
     """
-    lines = [CSV_HEADER]
-    for res in _nonempty(results):
-        lines.extend(_rows(res, ",", 0))
-    _atomic_write(destination, "\n".join(lines) + "\n")
-    return len(lines) - 1
+    results = _nonempty(results)
+    _atomic_write(destination, itertools.chain(
+        [CSV_HEADER + "\n"], *(_rows(res, ",", 0) for res in results)))
+    return sum(res.negativity.size for res in results)
 
 
 def write_plot_data(results: list[SweepResult], destination: str) -> int:
     """Write results as blank-line-separated blocks, one per result in
     input order, labelled with its kind, coupling and global mode; a
-    result is one curve or, for a p-and-r grid, one surface.
+    result is one curve or, for a p-and-r grid, one surface.  Written one
+    spec row at a time.
 
     Returns the block count.
     """
-    blocks = []
-    for res in _nonempty(results):
-        label = "# " + " ".join(filter(None, _fixed(res.specs[0])[:3]))
-        blocks.append(label + "\n" + "\n".join(_rows(res, " ", 3)) + "\n")
-    _atomic_write(destination, "\n".join(blocks))
-    return len(blocks)
+    results = _nonempty(results)
+
+    def blocks():
+        for i, res in enumerate(results):
+            label = "# " + " ".join(filter(None, _fixed(res.specs[0])[:3]))
+            yield ("\n" if i else "") + label + "\n"
+            yield from _rows(res, " ", 3)
+
+    _atomic_write(destination, blocks())
+    return len(results)
 
 
 # Figure-style presets: four-channel overlays on shared grids.

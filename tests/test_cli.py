@@ -346,6 +346,27 @@ def test_explicit_flag_beats_config(tmp_path, monkeypatch, capsys,
     assert _run(capsys, argv + _as_flags(key, other)) != expected
 
 
+# argparse checks the flags it marks required on the command line, before the
+# config file is read, so no config line can supply one.  verify's --channel
+# and --coupling are not marked required (--out-dir needs neither); they are
+# checked after the file is read, so config lines supply them like any
+# optional flag.
+@pytest.mark.parametrize("argv, config, code, stdout_of, err", [
+    pytest.param(["sweep", "--coupling", "ml", "--axis", "p", "--out", "s.out"],
+                 "channel = phase-flip", EXIT_USAGE, None,
+                 "error: the following arguments are required: --channel\n",
+                 id="sweep-required-channel"),
+    pytest.param(["verify"], "channel = phase-flip\ncoupling = ml\ngrid = 3", EXIT_OK,
+                 ["verify", "--channel", "phase-flip", "--coupling", "ml", "--grid", "3"],
+                 "", id="verify-conditional-channel"),
+])
+def test_config_supplies_no_flag_argparse_requires(tmp_path, monkeypatch, capsys,
+                                                   argv, config, code, stdout_of, err):
+    monkeypatch.chdir(tmp_path)
+    stdout = "" if stdout_of is None else _run(capsys, stdout_of)[1]
+    assert _run(capsys, argv, config) == (code, stdout, err, None)
+
+
 def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("banana = 1\n")
