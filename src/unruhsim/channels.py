@@ -212,12 +212,14 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                                          out.shape[-2] * out.shape[-1]))
 
 
+# Nothing in src/ calls this; kept only for perfbench/spans.py TARGETS (ROADMAP 1-2).
 def lift_qubit(ops) -> tuple[np.ndarray, ...]:
     """Tensor each qubit operator with the qutrit identity (index 3A+a)."""
     _check_dim(ops, 2, "lift_qubit")
     return tuple(_kron(e, _I3) for e in ops)
 
 
+# Nothing in src/ calls this; kept only for perfbench/spans.py TARGETS (ROADMAP 1-2).
 def lift_qutrit(ops) -> tuple[np.ndarray, ...]:
     """Tensor each qutrit operator with the qubit identity (index 3A+a)."""
     _check_dim(ops, 3, "lift_qutrit")
@@ -348,6 +350,7 @@ _INCOMPLETE_GLOBAL = (
 )
 
 
+# Nothing in src/ calls this; kept only for perfbench/spans.py TARGETS (ROADMAP 1-2).
 def apply(ops, rho) -> np.ndarray:
     """Evolve a state through a 6-dimensional Kraus set and revalidate.
 
@@ -364,6 +367,7 @@ def apply(ops, rho) -> np.ndarray:
     return validate_density(apply_unchecked(ops, np.asarray(rho, complex)))
 
 
+# Nothing in src/ calls this; kept only for perfbench/spans.py TARGETS (ROADMAP 1-2).
 def collective_set(
     kind: str,
     p: float,
@@ -433,6 +437,7 @@ def evolve(rho, specs, allow_incomplete: bool = False) -> np.ndarray:
     return out[0] if one else out
 
 
+# Nothing in src/ calls this; kept only for perfbench/spans.py TARGETS (ROADMAP 1-2).
 def multilocal_evolve(
     rho,
     kind: str,
@@ -449,6 +454,7 @@ def multilocal_evolve(
     return evolve(rho, spec, allow_incomplete)
 
 
+# Nothing in src/ calls this; kept only for perfbench/spans.py TARGETS (ROADMAP 1-2).
 def global_evolve(
     rho,
     kind: str,

@@ -12,6 +12,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import sys
 
 from . import analytic, channels, sweep
@@ -62,27 +63,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_angle(text: str) -> float:
-    """Accept decimal radians or literals like 'pi', 'pi/4', '3*pi/10'."""
+    """Accept decimal radians or ``[head*]pi[/tail]``, like 'pi/4', '3*pi/10'."""
     s = text.strip().lower().replace(" ", "")
     try:
         return float(s)
     except ValueError:
         pass
-    mult = 1.0
-    if "*pi" in s:
-        head, _, tail = s.partition("*pi")
+    match = re.fullmatch(r"(?:(.*?)\*)?pi(?:/(.*))?", s, re.DOTALL)
+    if match:
         try:
-            mult = float(head)
-        except ValueError:
-            raise UsageError(f"cannot parse angle {text!r}")
-        s = "pi" + tail
-    if s == "pi":
-        return mult * math.pi
-    if s.startswith("pi/"):
-        try:
-            return mult * math.pi / float(s[3:])
+            head, tail = (float(group) for group in match.groups("1"))
+            return head * math.pi / tail
         except (ValueError, ZeroDivisionError):
-            raise UsageError(f"cannot parse angle {text!r}")
+            pass
     raise UsageError(f"cannot parse angle {text!r}")
 
 
@@ -146,7 +139,7 @@ def _build_parser() -> _Parser:
 
     p_sweep = sub.add_parser("sweep", parents=[channel, variant, config],
                              help="grid sweep to CSV or plot data")
-    p_sweep.add_argument("--axis", choices=["p", "r", "grid"], required=True)
+    p_sweep.add_argument("--axis", choices=list(sweep.AXES), required=True)
     p_sweep.add_argument("--r", default="0", help="fixed acceleration (p axis)")
     p_sweep.add_argument("--p", type=float, default=0.0,
                          help="fixed linked p (r axis)")
@@ -225,9 +218,9 @@ def _apply_config(parser: _Parser, argv: list[str], args) -> argparse.Namespace:
     return parser.parse_args(argv[:at] + flags + argv[at:])
 
 
-def _channel_spec(args, linked_p: float | None = None) -> ChannelSpec:
+def _channel_spec(args) -> ChannelSpec:
     coupling = _COUPLING_FLAGS[args.coupling]
-    p = args.p if linked_p is None else linked_p
+    p = getattr(args, "p", 0.0)
     return ChannelSpec(
         kind=_KIND_FLAGS[args.channel],
         coupling=coupling,
@@ -256,11 +249,10 @@ def _cmd_check_channels(args) -> int:
         for variant in variants:
             for p in p_values:
                 kq = channels.qubit_channel(kind, p)
-                print(f"{kind},qubit,{variant},{_fmt(p)},"
-                      f"{_fmt(channels.completeness_defect(kq))}")
                 kt = channels.qutrit_channel(kind, p, variant)
-                print(f"{kind},qutrit,{variant},{_fmt(p)},"
-                      f"{_fmt(channels.completeness_defect(kt))}")
+                for side, kraus in (("qubit", kq), ("qutrit", kt)):
+                    print(f"{kind},{side},{variant},{_fmt(p)},"
+                          f"{_fmt(channels.completeness_defect(kraus))}")
     return EXIT_OK
 
 
@@ -272,8 +264,7 @@ def _cmd_negativity(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    axis = {"p": sweep.AXIS_P, "r": sweep.AXIS_R, "grid": sweep.AXIS_GRID}[args.axis]
-    spec = sweep.SweepSpec(_channel_spec(args), axis, r=parse_angle(args.r),
+    spec = sweep.SweepSpec(_channel_spec(args), args.axis, r=parse_angle(args.r),
                            steps=args.steps)
     write, unit = ((sweep.write_plot_data, "block") if args.plot_data
                    else (sweep.write_csv, "row"))
@@ -283,8 +274,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_esd(args) -> int:
-    template = _channel_spec(args, linked_p=0.0)
-    threshold = sweep.esd_threshold(template, parse_angle(args.r), p_tol=args.tol)
+    threshold = sweep.esd_threshold(_channel_spec(args), parse_angle(args.r),
+                                    p_tol=args.tol)
     print("none" if threshold is None else _fmt(threshold))
     return EXIT_OK
 
@@ -306,7 +297,7 @@ def _cmd_verify(args) -> int:
         global_mode=args.global_mode or channels.PRODUCT, grid_points=args.grid
     )
     sys.stdout.write(analytic.format_report(report))
-    if args.csv:
+    if args.csv is not None:
         p1, p2, p, r = report.worst_point
         lines = [
             "channel,coupling,global_mode,grid,tolerance,"

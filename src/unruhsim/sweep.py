@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import tempfile
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,7 +22,7 @@ from .state import R_MAX, unruh_state
 
 AXIS_P = "p"
 AXIS_R = "r"
-AXIS_GRID = "p_and_r"
+AXIS_GRID = "grid"
 AXES = (AXIS_P, AXIS_R, AXIS_GRID)
 
 # A state counts as disentangled when its negativity falls to this level;
@@ -159,19 +158,12 @@ def esd_threshold(channel: ChannelSpec, r: float, p_tol: float = 1e-6):
     if not math.isfinite(p_tol):  # nan passes the check above
         raise OutOfRange(f"p_tol must be finite, got {p_tol!r}")
     f = lambda p: _linked_negativity(channel, p, r)
-    prev = 0.0
-    crossing = None
-    for k in range(100):  # p = 0.00, 0.01, ..., 0.99
-        p = k / 100.0
-        if f(p) <= ESD_NEGATIVITY_FLOOR:
-            crossing = p
-            break
-        prev = p
-    if crossing is None:
+    k = next((k for k in range(100) if f(k / 100.0) <= ESD_NEGATIVITY_FLOOR), None)
+    if k is None:
         return None
-    if crossing == 0.0:
+    if k == 0:
         return 0.0
-    lo, hi = prev, crossing
+    lo, hi = (k - 1) / 100.0, k / 100.0
     while hi - lo > p_tol:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # no float lies strictly inside the bracket
@@ -188,19 +180,16 @@ def _fmt(x: float) -> str:
 
 
 def _atomic_write(destination: str, chunks) -> None:
-    """Write the text chunks, in order, to a temp file beside ``destination``
-    and move it into place with one ``os.replace``: a reader sees the old
-    file or the whole new one, and a failure, while writing or while a
-    chunk is made, leaves no temp file.  OSError becomes IoFailure."""
-    directory = os.path.dirname(os.path.abspath(destination))
+    """Write the text chunks, in order, to a temp file (open()'s mode) beside
+    ``destination`` and move it into place with one ``os.replace``: a reader
+    sees the old file or the whole new one, and a failure, while writing or
+    while a chunk is made, leaves no temp file.  OSError becomes IoFailure."""
+    tmp_path = os.path.join(os.path.dirname(destination) or ".",
+                            f"tmp{os.urandom(8).hex()}.tmp")
     try:
-        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", newline="\n") as fh:
-                # mkstemp makes the file owner-only; give it open()'s mode.
-                umask = os.umask(0)
-                os.umask(umask)
-                os.fchmod(fh.fileno(), 0o666 & ~umask)
                 fh.writelines(chunks)
             os.replace(tmp_path, destination)
         except BaseException:
@@ -270,8 +259,6 @@ def write_plot_data(results: list[SweepResult], destination: str) -> int:
 
 
 # Figure-style presets: four-channel overlays on shared grids.
-FIGURES = ("1a", "1b", "1c", "1d", "2a", "2b", "2c", "2d", "3")
-
 _FIGURE_PARAMS = {
     "1a": (MULTILOCAL, AXIS_P, math.pi / 6, 0.0),
     "1b": (MULTILOCAL, AXIS_P, math.pi / 4, 0.0),
@@ -283,6 +270,7 @@ _FIGURE_PARAMS = {
     "2d": (GLOBAL, AXIS_R, 0.0, 0.7),
     "3": (GLOBAL, AXIS_GRID, 0.0, 0.0),
 }
+FIGURES = tuple(_FIGURE_PARAMS)
 
 
 def figure_sweeps(figure: str) -> list[SweepSpec]:

@@ -1,6 +1,7 @@
 import argparse
 import math
 import os
+import shlex
 import subprocess
 import sys
 
@@ -20,6 +21,41 @@ def test_parse_angle_forms():
     for bad in ("tau", "pi/zero", "pie/4"):
         with pytest.raises(cli.UsageError):
             cli.parse_angle(bad)
+
+
+# None marks a text that is not an angle.
+@pytest.mark.parametrize("text, expected", [
+    ("pi/", None), ("*pi", None), ("2*pi*pi", None), ("pi/2*pi", None),
+    ("pi/0", None), ("pi/-0", None), ("-pi/4", None), ("2pi", None),
+    ("nan*pi", math.nan), ("1_0*pi/40", math.pi / 4),
+    (" 3 * PI / 10 ", 0.9424777960769379), ("pi/1e3", math.pi / 1e3),
+    ("pi/-4", -math.pi / 4), ("inf", math.inf),
+])
+def test_angle_grammar(text, expected):
+    if expected is None:
+        with pytest.raises(cli.UsageError, match="cannot parse angle"):
+            cli.parse_angle(text)
+    elif math.isnan(expected):
+        assert math.isnan(cli.parse_angle(text))
+    else:
+        assert cli.parse_angle(text) == expected
+
+
+def test_readme_command_line_examples_parse():
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme) as fh:
+        section = fh.read().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        words = shlex.split(line, comments=True)
+        if words[:1] == ["unruhsim"]:
+            commands.append(words[1:])
+        elif words[:3] == ["python", "-m", "unruhsim"]:
+            commands.append(words[3:])
+    assert {argv[0] for argv in commands} == set(cli._COMMANDS)
+    for argv in commands:
+        cli._build_parser().parse_args(argv)
 
 
 _KINDS = ["bit-trit-flip", "bit-trit-phase-flip", "dephasing", "phase-flip"]
@@ -537,6 +573,19 @@ def test_abbreviated_flag_beats_config(tmp_path, capsys):
     assert code == EXIT_OK
     assert len(out.read_text().splitlines()) == 1 + 3
     capsys.readouterr()
+
+
+def test_verify_csv_to_an_empty_path_is_an_io_failure(tmp_path, monkeypatch,
+                                                      capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["verify", "--channel", "phase-flip", "--coupling", "ml", "--grid", "3"]
+    assert main(argv) == EXIT_OK
+    report = capsys.readouterr().out
+    assert main([*argv, "--csv", ""]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == report
+    assert captured.err.startswith("i/o failure: cannot write ''")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_csv_failed_write_keeps_previous_file(tmp_path, monkeypatch, capsys):

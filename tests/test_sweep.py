@@ -238,6 +238,44 @@ def test_written_files_get_the_mode_of_a_plain_open(tmp_path):
         assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o644
 
 
+def test_writers_leave_the_process_umask_alone(tmp_path, monkeypatch):
+    # The kernel applies the umask when the temp file is created; reading it
+    # with os.umask would set it process-wide, for every thread, meanwhile.
+    results = [sweep.run_sweep(sweep.SweepSpec(
+        channel=_spec(channels.PHASE_FLIP), axis=sweep.AXIS_P, steps=2))]
+
+    def umask(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", umask)
+    assert sweep.write_csv(results, str(tmp_path / "out.csv")) == 2
+    assert sweep.write_plot_data(results, str(tmp_path / "out.dat")) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.dat"]
+
+
+@pytest.mark.parametrize("destination", [".", ""])
+def test_the_temp_file_of_a_bare_destination_lies_in_the_working_directory(
+        tmp_path, monkeypatch, destination):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    results = [sweep.run_sweep(sweep.SweepSpec(
+        channel=_spec(channels.PHASE_FLIP), axis=sweep.AXIS_P, steps=2))]
+    sources = []
+    replace = os.replace
+
+    def recording_replace(src, dst):
+        sources.append(src)
+        return replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    with pytest.raises(IoFailure):
+        sweep.write_csv(results, destination)
+    assert len(sources) == 1
+    assert os.path.samefile(os.path.dirname(os.path.abspath(sources[0])), work)
+    assert list(work.glob("*.tmp")) == list(tmp_path.glob("*.tmp")) == []
+
+
 @pytest.mark.parametrize("negativity_shape, eigenvalue_shape",
                          [((2, 3), (1, 2)), ((1, 2), (2, 1)), ((2,), (2,))])
 def test_result_arrays_must_match_specs_and_r(negativity_shape, eigenvalue_shape):
