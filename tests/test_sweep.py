@@ -490,3 +490,48 @@ def test_figure_fixed_parameters():
 def test_unknown_figure_rejected():
     with pytest.raises(OutOfRange):
         sweep.figure_sweeps("9z")
+
+
+# --- input rules ----------------------------------------------------------------
+
+_BAD = "nope"
+_PF = channels.PHASE_FLIP
+
+
+def _bad_parameter(name, value):
+    return (lambda: _spec(_PF, channels.GLOBAL, **{name: value}),
+            f"decoherence parameter {name}={value!r} outside [0, 1]")
+
+
+# (call, exact OutOfRange text): every membership and range rule where its
+# input enters.
+_RULE_TEXTS = {
+    "spec-kind": (lambda: _spec(_BAD), "unknown channel kind 'nope'"),
+    "spec-coupling": (lambda: _spec(_PF, _BAD), "unknown coupling 'nope'"),
+    "spec-global-mode": (lambda: _spec(_PF, global_mode=_BAD),
+                         "unknown global mode 'nope'"),
+    "spec-variant": (lambda: _spec(_PF, variant=_BAD), "unknown variant 'nope'"),
+    "spec-level-order": (lambda: _spec(_PF, level_order=_BAD),
+                         "unknown level order 'nope'"),
+    "qutrit-kind": (lambda: channels.qutrit_channel(_BAD, 0.5),
+                    "unknown channel kind 'nope'"),
+    "qutrit-variant": (lambda: channels.qutrit_channel(_PF, 0.5, _BAD),
+                       "unknown variant 'nope'"),
+    "qutrit-level-order": (lambda: channels.qutrit_channel(_PF, 0.5, level_order=_BAD),
+                           "unknown level order 'nope'"),
+    "sweep-axis": (lambda: sweep.SweepSpec(_spec(_PF), axis=_BAD),
+                   "unknown sweep axis 'nope'"),
+    "figure": (lambda: sweep.figure_sweeps(_BAD), "unknown figure 'nope'"),
+    **{f"{name}={value!r}": _bad_parameter(name, value)
+       for name in ("p1", "p2", "p") for value in (-0.1, 1.5, math.nan)},
+    **{f"r={value!r}": (lambda value=value: state.unruh_state(value),
+                        f"acceleration parameter r={value!r} outside [0, pi/4]")
+       for value in (-0.1, 0.9, math.nan)},
+}
+
+
+@pytest.mark.parametrize("make, text", _RULE_TEXTS.values(), ids=_RULE_TEXTS)
+def test_every_input_rule_has_one_text(make, text):
+    with pytest.raises(OutOfRange) as err:
+        make()
+    assert str(err.value) == text
