@@ -17,6 +17,7 @@ import numpy as np
 from . import channels
 from .channels import (
     CORRECTED,
+    COUPLINGS,
     DEFAULT_LEVEL_ORDER,
     DEPHASING,
     GLOBAL,
@@ -24,8 +25,8 @@ from .channels import (
     PHASE_FLIP,
     PRODUCT,
 )
-from .errors import OutOfRange
-from .state import R_MAX
+from .errors import OutOfRange, require_member
+from .state import R_MAX, require_parameter
 from .sweep import _axis, _result_arrays, evaluate
 
 MATCH = "match"
@@ -35,32 +36,28 @@ MISMATCH = "mismatch"
 _TOLERANCE = 1e-9
 
 
-def _check(value: float, name: str, hi: float = 1.0) -> float:
-    if not (0.0 <= value <= hi):
-        raise OutOfRange(f"{name}={value!r} outside [0, {hi:g}]")
-    return float(value)
+def _require_inputs(coupling: str, p1: float, p2: float, p: float, r: float) -> None:
+    """Check a closed form's coupling, and p1, p2, p (global only) and r."""
+    require_member("coupling", coupling, COUPLINGS)
+    for name, value in (("p1", p1), ("p2", p2), ("p", p), ("r", r)):
+        if name != "p" or coupling == GLOBAL:
+            require_parameter(name, value)
 
 
 def _phase_flip_factor(coupling: str, p1: float, p2: float, p: float) -> float:
-    """``phase_flip_lambda`` without its cos^2 r."""
+    """``phase_flip_lambda`` without its cos^2 r, on checked inputs."""
     if coupling == MULTILOCAL:
         return -0.5 * (1 - p1) * (1 - p2)
-    if coupling == GLOBAL:
-        _check(p, "p")
-        return -0.5 * abs(1 - p) * (1 - p1) ** 2 * abs(1 - p2)
-    raise OutOfRange(f"unknown coupling {coupling!r}")
+    return -0.5 * abs(1 - p) * (1 - p1) ** 2 * abs(1 - p2)
 
 
 def _dephasing_factor(coupling: str, p1: float, p2: float, p: float) -> float:
-    """``dephasing_lambda`` without its cos^2 r."""
+    """``dephasing_lambda`` without its cos^2 r, on checked inputs."""
     f2 = 2 * math.sqrt((1 - p2) * p2) + 1
     if coupling == MULTILOCAL:
         return -0.5 * math.sqrt((1 - p1) * f2)
-    if coupling == GLOBAL:
-        _check(p, "p")
-        f = 2 * math.sqrt((1 - p) * p) + 1
-        return -0.5 * math.sqrt(f * (1 - p1) ** 2 * f2)
-    raise OutOfRange(f"unknown coupling {coupling!r}")
+    f = 2 * math.sqrt((1 - p) * p) + 1
+    return -0.5 * math.sqrt(f * (1 - p1) ** 2 * f2)
 
 
 def phase_flip_lambda(
@@ -76,7 +73,7 @@ def phase_flip_lambda(
     the exponents on (1-p) and (1-p1) are swapped, so the global verdict
     is a recorded mismatch.
     """
-    _check(p1, "p1"), _check(p2, "p2"), _check(r, "r", R_MAX)
+    _require_inputs(coupling, p1, p2, p, r)
     return _phase_flip_factor(coupling, p1, p2, p) * math.cos(r) ** 2
 
 
@@ -93,7 +90,7 @@ def dephasing_lambda(
     can exceed the physical bound 1/2; it is evaluated literally and left
     to verification to judge.
     """
-    _check(p1, "p1"), _check(p2, "p2"), _check(r, "r", R_MAX)
+    _require_inputs(coupling, p1, p2, p, r)
     return _dephasing_factor(coupling, p1, p2, p) * math.cos(r) ** 2
 
 

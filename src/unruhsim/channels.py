@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CompletenessViolation, DimensionMismatch, OutOfRange
-from .state import validate_density
+from .errors import CompletenessViolation, DimensionMismatch, OutOfRange, require_member
+from .state import require_parameter, validate_density
 
 PHASE_FLIP = "phase_flip"
 DEPHASING = "dephasing"
@@ -46,6 +46,7 @@ VARIANTS = (AS_PRINTED, CORRECTED)
 
 PRINTED = "printed"
 REVERSED = "reversed"
+LEVEL_ORDERS = (PRINTED, REVERSED)
 DEFAULT_LEVEL_ORDER = REVERSED
 
 MULTILOCAL = "multilocal"
@@ -86,24 +87,13 @@ class ChannelSpec:
     level_order: str = DEFAULT_LEVEL_ORDER
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise OutOfRange(f"unknown channel kind {self.kind!r}")
-        if self.coupling not in COUPLINGS:
-            raise OutOfRange(f"unknown coupling {self.coupling!r}")
-        if self.global_mode not in GLOBAL_MODES:
-            raise OutOfRange(f"unknown global mode {self.global_mode!r}")
-        if self.variant not in VARIANTS:
-            raise OutOfRange(f"unknown variant {self.variant!r}")
-        if self.level_order not in (PRINTED, REVERSED):
-            raise OutOfRange(f"unknown level order {self.level_order!r}")
+        require_member("channel kind", self.kind, KINDS)
+        require_member("coupling", self.coupling, COUPLINGS)
+        require_member("global mode", self.global_mode, GLOBAL_MODES)
+        require_member("variant", self.variant, VARIANTS)
+        require_member("level order", self.level_order, LEVEL_ORDERS)
         for name in ("p1", "p2", "p"):
-            _check_p(getattr(self, name), name)
-
-
-def _check_p(p: float, name: str = "p") -> float:
-    if not (0.0 <= p <= 1.0):
-        raise OutOfRange(f"decoherence parameter {name}={p!r} outside [0, 1]")
-    return float(p)
+            require_parameter(name, getattr(self, name))
 
 
 def _printed(dim: int, kind: str, variant: str) -> list:
@@ -135,7 +125,11 @@ def _printed(dim: int, kind: str, variant: str) -> list:
 @functools.lru_cache(maxsize=None)  # 4 qubit and 16 qutrit structures
 def _table(dim: int, kind: str, variant: str, level_order: str):
     """The read-only (K, dim, dim) index and unit arrays of a set, built on
-    first use, with the reversed level order (level 2 first) folded in."""
+    first use, with the reversed level order (level 2 first) folded in; an
+    unknown structure raises on every call, as the cache keeps no exception."""
+    require_member("channel kind", kind, KINDS)
+    require_member("variant", variant, VARIANTS)
+    require_member("level order", level_order, LEVEL_ORDERS)
     ops = _printed(dim, kind, variant)
     index = np.stack([np.broadcast_to(i, (dim, dim)) for _, i in ops]).astype(int)
     unit = np.array([u for u, _ in ops], dtype=complex)
@@ -149,8 +143,6 @@ def _scalars(dim: int, kind: str, p: float, variant: str) -> np.ndarray:
     """s = (1, x, y): 1 and the two scalars of p in ``kind``'s set on a
     qubit (dim 2) or qutrit (dim 3).  The trit phase flip as printed has
     sqrt(1-2p/3) where completeness needs sqrt(1-p)."""
-    if kind not in KINDS:
-        raise OutOfRange(f"unknown channel kind {kind!r}")
     if dim == 2 and kind != DEPHASING:
         return np.array((1.0, math.sqrt(1 - p / 2), math.sqrt(p / 2)))
     if dim == 2 or kind in (PHASE_FLIP, DEPHASING):
@@ -166,9 +158,9 @@ def qubit_channel(kind: str, p: float) -> np.ndarray:
 
     All four qubit sets satisfy the completeness relation for every p.
     """
-    s = _scalars(2, kind, _check_p(p), CORRECTED)
+    p = require_parameter("p", p)
     index, unit = _table(2, kind, CORRECTED, PRINTED)
-    return s[index] * unit
+    return _scalars(2, kind, p, CORRECTED)[index] * unit
 
 
 def qutrit_channel(kind: str, p: float, variant: str = CORRECTED,
@@ -179,14 +171,9 @@ def qutrit_channel(kind: str, p: float, variant: str = CORRECTED,
     ``variant=AS_PRINTED`` keeps the literal circulating matrices even
     where they violate completeness; the default repairs them minimally.
     """
-    p = _check_p(p)
-    if variant not in VARIANTS:
-        raise OutOfRange(f"unknown variant {variant!r}")
-    if level_order not in (PRINTED, REVERSED):
-        raise OutOfRange(f"unknown level order {level_order!r}")
-    s = _scalars(3, kind, p, variant)
+    p = require_parameter("p", p)
     index, unit = _table(3, kind, variant, level_order)
-    return s[index] * unit
+    return _scalars(3, kind, p, variant)[index] * unit
 
 
 def completeness_defect(ops) -> float:
@@ -234,10 +221,9 @@ def _tensor_set(a: np.ndarray, b: np.ndarray, global_mode: str = PRODUCT):
     (qubit outer, qutrit inner); ``correlated`` pairs them index by index,
     padding the shorter set with zeros.
     """
+    require_member("global mode", global_mode, GLOBAL_MODES)
     if global_mode == PRODUCT:
         return _kron(a[:, None], b[None, :]).reshape(-1, 6, 6)
-    if global_mode != CORRELATED:
-        raise OutOfRange(f"unknown global mode {global_mode!r}")
     n = max(len(a), len(b))
     pad = lambda e: np.concatenate([e, np.zeros((n - len(e),) + e.shape[1:], complex)])
     return _kron(pad(a), pad(b))

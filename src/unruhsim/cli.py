@@ -26,7 +26,7 @@ from .errors import (
     SimulationError,
     TraceDeviation,
 )
-from .state import unruh_state
+from .state import require_parameter, unruh_state
 from .sweep import _fmt
 
 EXIT_OK = 0
@@ -240,10 +240,8 @@ def _cmd_state(args) -> int:
 
 
 def _cmd_check_channels(args) -> int:
-    variants = (
-        [_VARIANT_FLAGS[args.variant]] if args.variant else list(channels.VARIANTS)
-    )
-    p_values = [channels._check_p(p) for p in _parse_p_grid(args.p)]
+    variants = [_VARIANT_FLAGS[args.variant]] if args.variant else channels.VARIANTS
+    p_values = [require_parameter("p", p) for p in _parse_p_grid(args.p)]
     print("channel,side,variant,p,completeness_defect")
     for kind in channels.KINDS:
         for variant in variants:

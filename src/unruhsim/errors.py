@@ -17,6 +17,12 @@ class OutOfRange(SimulationError):
     """A physical parameter lies outside its admissible interval."""
 
 
+def require_member(what: str, value, allowed) -> None:
+    """The membership rule: OutOfRange unless ``value`` is one of ``allowed``."""
+    if value not in allowed:
+        raise OutOfRange(f"unknown {what} {value!r}")
+
+
 class TraceDeviation(SimulationError):
     """A density matrix trace deviates from one beyond tolerance."""
 

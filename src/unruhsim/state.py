@@ -35,6 +35,16 @@ def require_finite(m: np.ndarray) -> None:
         raise ValueError("matrix contains non-finite entries")
 
 
+def require_parameter(name: str, value: float) -> float:
+    """The range rule: ``value`` as a float if it lies in [0, pi/4] for ``r``
+    or in [0, 1] for a decoherence parameter, else OutOfRange (nan too)."""
+    r = name == "r"
+    if not 0.0 <= value <= (R_MAX if r else 1.0):
+        what, hi = ("acceleration", "pi/4") if r else ("decoherence", "1")
+        raise OutOfRange(f"{what} parameter {name}={value!r} outside [0, {hi}]")
+    return float(value)
+
+
 def validate_density(m) -> np.ndarray:
     """Check the density-matrix invariants and freeze the result.
 
@@ -86,8 +96,7 @@ def unruh_state(r: float) -> np.ndarray:
     sin^2(r)/2 at (2,2), (5,5).  At r = 0 this is the maximally entangled
     two-level Bell state embedded in the qubit-qutrit space.
     """
-    if not (0.0 <= r <= R_MAX):
-        raise OutOfRange(f"acceleration parameter r={r!r} outside [0, pi/4]")
+    require_parameter("r", r)
     c2 = math.cos(r) ** 2
     s2 = math.sin(r) ** 2
     m = np.zeros((DIM, DIM), dtype=complex)

@@ -17,8 +17,8 @@ import numpy as np
 from . import channels
 from .channels import ChannelSpec, GLOBAL, MULTILOCAL
 from .entanglement import pt_spectra
-from .errors import DimensionMismatch, IoFailure, OutOfRange
-from .state import R_MAX, unruh_state
+from .errors import DimensionMismatch, IoFailure, OutOfRange, require_member
+from .state import R_MAX, require_parameter, unruh_state
 
 AXIS_P = "p"
 AXIS_R = "r"
@@ -47,8 +47,8 @@ class SweepSpec:
     steps: int = 101  # points per swept axis: p over [0, 1], r over [0, pi/4]
 
     def __post_init__(self):
-        if self.axis not in AXES:
-            raise OutOfRange(f"unknown sweep axis {self.axis!r}")
+        require_member("sweep axis", self.axis, AXES)
+        require_parameter("r", self.r)
         if self.steps < 1:
             raise OutOfRange("grids must be nonempty")
 
@@ -275,8 +275,7 @@ FIGURES = tuple(_FIGURE_PARAMS)
 
 def figure_sweeps(figure: str) -> list[SweepSpec]:
     """SweepSpecs (one per channel) reproducing a preset figure dataset."""
-    if figure not in FIGURES:
-        raise OutOfRange(f"unknown figure {figure!r}")
+    require_member("figure", figure, FIGURES)
     coupling, axis, r, p = _FIGURE_PARAMS[figure]
     return [SweepSpec(_linked(ChannelSpec(kind, coupling), p), axis, r)
             for kind in channels.KINDS]
