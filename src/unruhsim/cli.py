@@ -181,12 +181,12 @@ def _apply_config(parser: _Parser, argv: list[str], args) -> argparse.Namespace:
     ``--key=value`` right after the subcommand: argparse converts and checks
     it, and the command-line flags, which come later, win."""
     path = args.config
-    if not path:
+    if path is None:
         return args
     try:
         with open(path, "r") as fh:
             text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # not UTF-8, or a NUL in the path
         raise UsageError(f"cannot read config file {path!r}: {exc}")
     overrides = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -264,6 +264,7 @@ def _cmd_negativity(args) -> int:
 def _cmd_sweep(args) -> int:
     spec = sweep.SweepSpec(_channel_spec(args), args.axis, r=parse_angle(args.r),
                            steps=args.steps)
+    sweep._require_directory(args.out)
     write, unit = ((sweep.write_plot_data, "block") if args.plot_data
                    else (sweep.write_csv, "row"))
     count = write([sweep.run_sweep(spec)], args.out)
@@ -290,24 +291,21 @@ def _cmd_verify(args) -> int:
     missing = [flag for flag in ("--channel", "--coupling") if one_report[flag] is None]
     if missing:  # argparse's wording, were the two flags required
         raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if args.csv is not None:
+        sweep._require_directory(args.csv)
     report = analytic.verify_against_numeric(
         _KIND_FLAGS[args.channel], _COUPLING_FLAGS[args.coupling],
         global_mode=args.global_mode or channels.PRODUCT, grid_points=args.grid
     )
-    sys.stdout.write(analytic.format_report(report))
     if args.csv is not None:
-        p1, p2, p, r = report.worst_point
-        lines = [
-            "channel,coupling,global_mode,grid,tolerance,"
-            "max_abs_deviation,worst_p1,worst_p2,worst_p,worst_r,verdict",
-            ",".join([
-                report.kind, report.coupling, report.global_mode,
-                report.grid_description.replace(",", ";"),
-                _fmt(report.tolerance), _fmt(report.max_abs_deviation),
-                _fmt(p1), _fmt(p2), _fmt(p), _fmt(r), report.verdict,
-            ]),
-        ]
-        sweep._atomic_write(args.csv, ["\n".join(lines) + "\n"])
+        numbers = (report.tolerance, report.max_abs_deviation, *report.worst_point)
+        row = [report.kind, report.coupling, report.global_mode,
+               report.grid_description.replace(",", ";"), *map(_fmt, numbers),
+               report.verdict]
+        sweep._atomic_write(args.csv, [
+            "channel,coupling,global_mode,grid,tolerance,max_abs_deviation,"
+            "worst_p1,worst_p2,worst_p,worst_r,verdict\n", ",".join(row) + "\n"])
+    sys.stdout.write(analytic.format_report(report))  # after the CSV: none on error
     return EXIT_OK
 
 
@@ -327,7 +325,7 @@ def _make_out_dir(out_dir: str) -> str:
     """``out_dir``, created if missing."""
     try:
         os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise IoFailure(f"cannot create {out_dir!r}: {exc}") from exc
     return out_dir
 

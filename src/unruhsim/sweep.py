@@ -126,7 +126,7 @@ def _axis(stop: float, count: int) -> np.ndarray:
     """``count`` evenly spaced points over [0, stop]."""
     try:
         return np.linspace(0.0, stop, count)
-    except (ValueError, MemoryError) as exc:  # numpy cannot allocate it
+    except (ValueError, MemoryError, IndexError) as exc:  # numpy cannot allocate it
         raise OutOfRange(f"a grid of {count} points is too large") from exc
 
 
@@ -179,11 +179,24 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _cannot_write(destination: str, exc: Exception) -> IoFailure:
+    reason = getattr(exc, "strerror", None) or exc  # strerror names no temp file
+    return IoFailure(f"cannot write {destination!r}: {reason}")
+
+
+def _require_directory(destination: str) -> None:
+    """``_atomic_write``'s IoFailure, raised early: the directory is missing."""
+    try:
+        os.stat(os.path.join(os.path.dirname(destination) or ".", ""))
+    except (OSError, ValueError) as exc:
+        raise _cannot_write(destination, exc) from exc
+
+
 def _atomic_write(destination: str, chunks) -> None:
     """Write the text chunks, in order, to a temp file (open()'s mode) beside
     ``destination`` and move it into place with one ``os.replace``: a reader
-    sees the old file or the whole new one, and a failure, while writing or
-    while a chunk is made, leaves no temp file.  OSError becomes IoFailure."""
+    sees the old file or the whole new one; a failure, while writing or while a
+    chunk is made, leaves no temp file.  OSError and ValueError become IoFailure."""
     tmp_path = os.path.join(os.path.dirname(destination) or ".",
                             f"tmp{os.urandom(8).hex()}.tmp")
     try:
@@ -195,8 +208,8 @@ def _atomic_write(destination: str, chunks) -> None:
         except BaseException:
             os.unlink(tmp_path)
             raise
-    except OSError as exc:
-        raise IoFailure(f"cannot write {destination!r}: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in a path
+        raise _cannot_write(destination, exc) from exc
 
 
 def _fixed(spec: ChannelSpec) -> list[str]:

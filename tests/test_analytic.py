@@ -52,6 +52,22 @@ def test_lambda_rejects_out_of_range():
         phase_flip_lambda("sideways", 0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("lam", [phase_flip_lambda, dephasing_lambda])
+@pytest.mark.parametrize("args, text", [
+    (("sideways", 0, 0, 0, 0), "unknown coupling 'sideways'"),
+    (("multilocal", -0.1, 0, 0, 0), "decoherence parameter p1=-0.1 outside [0, 1]"),
+    (("global", 0, 1.5, 0, 0), "decoherence parameter p2=1.5 outside [0, 1]"),
+    (("global", 0, 0, math.nan, 0), "decoherence parameter p=nan outside [0, 1]"),
+    (("multilocal", 0, 0, 0, 1.0), "acceleration parameter r=1.0 outside [0, pi/4]"),
+])
+def test_closed_forms_check_their_inputs_by_the_shared_rules(lam, args, text):
+    with pytest.raises(OutOfRange) as err:
+        lam(*args)
+    assert str(err.value) == text
+    # p enters only the global forms, so only they check it
+    assert lam("multilocal", 0, 0, math.nan, 0) == lam("multilocal", 0, 0, 0, 0)
+
+
 _unit = st.floats(0.0, 1.0, allow_nan=False)
 
 

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import math
 import os
 import shlex
@@ -7,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from unruhsim import channels, cli, sweep
 from unruhsim.cli import EXIT_INVARIANT, EXIT_IO, EXIT_OK, EXIT_USAGE, main
@@ -580,10 +584,10 @@ def test_verify_csv_to_an_empty_path_is_an_io_failure(tmp_path, monkeypatch,
     monkeypatch.chdir(tmp_path)
     argv = ["verify", "--channel", "phase-flip", "--coupling", "ml", "--grid", "3"]
     assert main(argv) == EXIT_OK
-    report = capsys.readouterr().out
+    capsys.readouterr()
     assert main([*argv, "--csv", ""]) == EXIT_IO
     captured = capsys.readouterr()
-    assert captured.out == report
+    assert captured.out == ""
     assert captured.err.startswith("i/o failure: cannot write ''")
     assert list(tmp_path.iterdir()) == []
 
@@ -619,3 +623,162 @@ def test_module_entry_points(module):
     )
     assert done.returncode == 0, done.stderr
     assert len(done.stdout.strip().splitlines()) == 6
+
+
+# --- checked where the input enters ---------------------------------------------
+
+_SWEEP_3 = ["sweep", "--channel", "phase-flip", "--coupling", "ml", "--steps", "3",
+            "--out", "s.out"]
+
+
+@pytest.mark.parametrize("axis, r, shown", [
+    ("r", "nan", "nan"), ("grid", "5", "5.0"), ("p", "-0.1", "-0.1"),
+])
+def test_the_fixed_r_is_checked_on_every_axis(tmp_path, monkeypatch, capsys,
+                                              axis, r, shown):
+    monkeypatch.chdir(tmp_path)
+    assert _run(capsys, _SWEEP_3 + ["--axis", axis, "--r", r]) == (
+        EXIT_USAGE, "", f"error: acceleration parameter r={shown} outside [0, pi/4]\n",
+        None)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_empty_config_path_is_read_and_refused(capsys):
+    assert main(["state", "--config", "", "--r", "0"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read config file '': ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--channel", "phase-flip", "--coupling", "ml", "--axis", "p", "--out"],
+    ["verify", "--channel", "phase-flip", "--coupling", "ml", "--grid", "3", "--csv"],
+], ids=["sweep", "verify"])
+@pytest.mark.parametrize("where, reason", [
+    ("missing/x.csv", "No such file or directory"), ("file/x.csv", "Not a directory"),
+], ids=["missing-dir", "file-as-dir"])
+def test_an_unwritable_destination_fails_before_any_work(tmp_path, monkeypatch, capsys,
+                                                         argv, where, reason):
+    (tmp_path / "file").write_text("")
+    monkeypatch.setattr(channels, "evolve", lambda *a, **k: pytest.fail("evolved"))
+    dest = str(tmp_path / where)
+    assert main(argv + [dest]) == EXIT_IO
+    # the destination the user gave, not a temp file, and the OS reason alone
+    assert capsys.readouterr() == ("", f"i/o failure: cannot write {dest!r}: {reason}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+@pytest.mark.parametrize("config, err", [
+    ("csv = a\0b.csv", "i/o failure: cannot write 'a\\x00b.csv': embedded null byte\n"),
+    ("out_dir = a\0b", "i/o failure: cannot create 'a\\x00b': embedded null byte\n"),
+], ids=["csv", "out-dir"])
+def test_a_nul_in_a_configured_path_is_an_io_failure(tmp_path, monkeypatch, capsys,
+                                                     config, err):
+    monkeypatch.chdir(tmp_path)
+    argv = ["verify"] + (["--channel", "phase-flip", "--coupling", "ml", "--grid", "3"]
+                         if config.startswith("csv") else [])
+    assert _run(capsys, argv, config) == (EXIT_IO, "", err, None)
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--channel", "phase-flip", "--coupling", "ml", "--axis", "p",
+     "--out", "s.out", "--steps"],
+    ["verify", "--channel", "dephasing", "--coupling", "ml", "--grid"],
+    ["check-channels", "--p"],
+], ids=["sweep-steps", "verify-grid", "check-channels-p"])
+@pytest.mark.parametrize("count", [2**63 - 1, 2**63], ids=["2**63-1", "2**63"])
+def test_counts_numpy_cannot_index_exit_one(tmp_path, monkeypatch, capsys, argv, count):
+    monkeypatch.chdir(tmp_path)
+    assert _run(capsys, argv + [str(count)]) == (
+        EXIT_USAGE, "", f"error: a grid of {count} points is too large\n", None)
+
+
+# --- the exit-code contract, drawn from the documented grammar -----------------
+
+_ANGLES = ["0", "0.3", "pi/6", "pi/4", "3*pi/10"]
+_PS = ["0", "0.25", "0.5", "1"]
+# "file" is a regular file and "sub" a directory in the working directory.
+_PATHS = ["s.out", "missing/s.out", "file/s.out", "sub", ".", "\udcff.out"]
+_CHANNEL_GRAMMAR = {"channel": _KINDS, "coupling": _COUPLINGS, "global-mode": _MODES}
+# Flag values by subcommand, None for a switch.  Counts stay small; repro
+# leaves out figures 3 and all, and verify leaves out --out-dir.
+_GRAMMAR = {
+    "state": {"r": _ANGLES},
+    "check-channels": {"variant": _VARIANTS, "p": ["2", "3", "0,0.5,1", "0.25"]},
+    "negativity": {**_CHANNEL_GRAMMAR, "variant": _VARIANTS, "p": _PS, "p1": _PS,
+                   "p2": _PS, "r": _ANGLES},
+    "sweep": {**_CHANNEL_GRAMMAR, "variant": _VARIANTS, "axis": ["p", "r", "grid"],
+              "r": _ANGLES, "p": _PS, "steps": ["1", "2", "5"], "out": _PATHS,
+              "plot-data": None},
+    "esd": {**_CHANNEL_GRAMMAR, "r": _ANGLES, "tol": ["1e-6", "1e-3"]},
+    "verify": {"channel": ["phase-flip", "dephasing"], "coupling": _COUPLINGS,
+               "global-mode": _MODES, "grid": ["2", "3"], "csv": _PATHS},
+    "repro": {"figure": ["1a", "1c", "2b", "2d"], "out-dir": _PATHS},
+}
+# Counts and values no grammar allows; "\udcff" is the byte 0xff, not UTF-8,
+# as Python decodes it from argv (and writes it back into a config file).
+_HOSTILE = ["nan", "inf", "-inf", "", "/", "-0.1", "1e400", "\udcff", "a\0b",
+            str(10**20), str(2**63), "-1", "0"]
+
+
+@st.composite
+def _invocations(draw):
+    """argv and the bytes of ``run.cfg`` (or None) of one call."""
+    command = draw(st.sampled_from(sorted(_GRAMMAR)))
+    grammar = _GRAMMAR[command]
+    # verify needs --channel and --coupling when --out-dir is not given.
+    required = {dest.replace("_", "-") for dest, (_, _, _, needed)
+                in _FLAGS[command].items() if needed} | {"channel", "coupling"}
+
+    def one_in(n):
+        return draw(st.integers(1, n)) == 1
+
+    def value(flag):
+        return draw(st.sampled_from(_HOSTILE if one_in(8) else grammar[flag]))
+
+    argv = [command]
+    for flag in draw(st.permutations(sorted(grammar))):
+        if not one_in(10) if flag in required else one_in(3):
+            argv += [f"--{flag}"] if grammar[flag] is None else [f"--{flag}", value(flag)]
+    lines = []
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        key = draw(st.sampled_from(sorted(grammar)))
+        text = "on" if grammar[key] is None else value(key)
+        line = f"{key} = {text}"
+        if one_in(8):  # a key no subcommand has, or no '='
+            line = draw(st.sampled_from([f"banana = {text}", f"config = {text}",
+                                         f"{key} {text}"]))
+        lines.append(line)
+    config = None
+    if lines:
+        config = "\n".join(lines).encode("utf-8", "surrogateescape")
+        argv += ["--config", "run.cfg"]
+    elif draw(st.integers(0, 9)) == 0:
+        argv += ["--config", draw(st.sampled_from(["", "/", "sub", "missing.cfg"]))]
+    return argv, config
+
+
+@settings(max_examples=150, deadline=None)
+@given(call=_invocations())
+def test_every_call_keeps_the_exit_code_contract(tmp_path_factory, call):
+    argv, config = call
+    workdir = tmp_path_factory.mktemp("cli")
+    (workdir / "file").write_text("")
+    (workdir / "sub").mkdir()
+    if config is not None:
+        (workdir / "run.cfg").write_bytes(config)
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    event(f"{argv[0]} exit {code}")
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_INVARIANT, EXIT_IO)
+    assert "Traceback" not in err.getvalue()
+    if code != EXIT_OK:
+        assert out.getvalue() == ""
+    assert list(workdir.rglob("*.tmp")) == []

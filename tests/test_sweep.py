@@ -68,6 +68,14 @@ def test_sweep_spec_validation():
         sweep.SweepSpec(channel=_spec(channels.PHASE_FLIP), steps=0)
 
 
+@pytest.mark.parametrize("axis", sweep.AXES)
+@pytest.mark.parametrize("r", [math.nan, 5.0, -0.1])
+def test_sweep_spec_checks_its_fixed_r_on_every_axis(axis, r):
+    with pytest.raises(OutOfRange) as err:
+        sweep.SweepSpec(channel=_spec(channels.PHASE_FLIP), axis=axis, r=r)
+    assert str(err.value) == f"acceleration parameter r={r!r} outside [0, pi/4]"
+
+
 def test_evaluate_rejects_an_empty_r_axis():
     with pytest.raises(OutOfRange):
         sweep.evaluate([_spec(channels.PHASE_FLIP)], [])
