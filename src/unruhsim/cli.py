@@ -310,11 +310,13 @@ def _cmd_verify(args) -> int:
 
 
 def _write_reports(out_dir: str) -> int:
-    for kind, coupling, mode in _REPORTS:
+    paths = [os.path.join(out_dir, "_".join(filter(None, ("verify", *names))) + ".txt")
+             for names in _REPORTS]
+    for path in paths:
+        sweep._require_directory(path)
+    for (kind, coupling, mode), path in zip(_REPORTS, paths):
         report = analytic.verify_against_numeric(
             kind, coupling, global_mode=mode or channels.PRODUCT)
-        name = "_".join(filter(None, ("verify", kind, coupling, mode))) + ".txt"
-        path = os.path.join(out_dir, name)
         sweep._atomic_write(path, [analytic.format_report(report)])
         print(f"wrote {path}: {report.verdict} "
               f"(max dev {report.max_abs_deviation:.3e})", file=sys.stderr)
@@ -333,12 +335,14 @@ def _make_out_dir(out_dir: str) -> str:
 def _cmd_repro(args) -> int:
     out_dir = _make_out_dir(args.out_dir)
     figures = sweep.FIGURES if args.figure == "all" else [args.figure]
-    for figure in figures:
+    bases = [os.path.join(out_dir, f"fig{figure}") for figure in figures]
+    for base in bases:
+        sweep._require_directory(base + ".csv")
+        sweep._require_directory(base + ".dat")
+    for figure, base in zip(figures, bases):
         results = [sweep.run_sweep(s) for s in sweep.figure_sweeps(figure)]
-        base = os.path.join(out_dir, f"fig{figure}")
-        rows = sweep.write_csv(results, base + ".csv")
-        blocks = sweep.write_plot_data(results, base + ".dat")
-        print(f"wrote {rows} row(s) to {base}.csv and {blocks} block(s) to "
+        rows = sweep.write_csv(results, base + ".csv", plot_data=base + ".dat")
+        print(f"wrote {rows} row(s) to {base}.csv and {len(results)} block(s) to "
               f"{base}.dat", file=sys.stderr)
     return EXIT_OK
 

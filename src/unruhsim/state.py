@@ -89,20 +89,22 @@ def validate_density(m) -> np.ndarray:
     return out
 
 
-def unruh_state(r: float) -> np.ndarray:
+def unruh_state(r) -> np.ndarray:
     """Qubit-qutrit state shared with a uniformly accelerated observer.
 
     Nonzero entries: cos^2(r)/2 at (1,1), (1,3), (3,1), (3,3) and
     sin^2(r)/2 at (2,2), (5,5).  At r = 0 this is the maximally entangled
     two-level Bell state embedded in the qubit-qutrit space.
-    """
-    require_parameter("r", r)
-    c2 = math.cos(r) ** 2
-    s2 = math.sin(r) ** 2
-    m = np.zeros((DIM, DIM), dtype=complex)
-    for i, j in [(1, 1), (1, 3), (3, 1), (3, 3)]:
-        m[i, j] = c2 / 2
-    m[2, 2] = s2 / 2
-    m[5, 5] = s2 / 2
-    return validate_density(m)
 
+    Takes one r, for one 6x6 state, or a 1-D r axis, for the (N, 6, 6)
+    stack of its states, checked by one ``validate_density`` call.
+    """
+    axis = np.asarray(r, dtype=float)
+    if axis.ndim > 1:
+        raise DimensionMismatch(f"expected one r or an r axis, got ndim={axis.ndim}")
+    rs = [require_parameter("r", x) for x in (axis.tolist() if axis.ndim else [r])]
+    m = np.zeros((len(rs), DIM, DIM), dtype=complex)
+    for rho, x in zip(m, rs):
+        rho[1, 1] = rho[1, 3] = rho[3, 1] = rho[3, 3] = math.cos(x) ** 2 / 2
+        rho[2, 2] = rho[5, 5] = math.sin(x) ** 2 / 2
+    return validate_density(m if axis.ndim else m[0])

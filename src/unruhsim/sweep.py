@@ -7,7 +7,8 @@ PT eigenvalue array over both.  Only the writers here lay those out as rows.
 
 from __future__ import annotations
 
-import itertools
+import contextlib
+import errno
 import math
 import os
 from dataclasses import dataclass, replace
@@ -95,16 +96,16 @@ def evaluate(specs, r_values, allow_incomplete: bool = False, out=None):
     into ``out`` (from ``_result_arrays``) when given.
 
     The specs must differ only in p1, p2 and p.  The r-axis states are
-    built once; each chunk of specs evolves the whole stack in one
-    ``channels.evolve`` call, which shares the Kraus sets the specs have
-    in common, and takes its PT spectra in one eigensolver call.  Only a
-    chunk with raw rows (``allow_incomplete``) has its partial transposes
-    checked for hermiticity; ``evolve`` has validated the rows of every
-    other chunk.
+    built and validated once, as one stack; each chunk of specs evolves
+    the whole stack in one ``channels.evolve`` call, which shares the Kraus
+    sets the specs have in common, and takes its PT spectra in one
+    eigensolver call.  Only a chunk with raw rows (``allow_incomplete``) has
+    its partial transposes checked for hermiticity; ``evolve`` has validated
+    the rows of every other chunk.
     """
     if len(r_values) == 0:
         raise OutOfRange("the r axis is empty")
-    states = np.stack([unruh_state(float(r)) for r in r_values])
+    states = unruh_state(r_values)
     min_eig, neg = _result_arrays(len(specs), len(states)) if out is None else out
     step = max(1, _CHUNK_MATRICES // len(states))
     for i in range(0, len(specs), step):
@@ -185,31 +186,54 @@ def _cannot_write(destination: str, exc: Exception) -> IoFailure:
 
 
 def _require_directory(destination: str) -> None:
-    """``_atomic_write``'s IoFailure, raised early: the directory is missing."""
+    """``_atomic_write``'s IoFailure, raised early: the directory is missing,
+    or the destination is itself a directory."""
     try:
         os.stat(os.path.join(os.path.dirname(destination) or ".", ""))
+        if os.path.isdir(destination) and not os.path.islink(destination):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
     except (OSError, ValueError) as exc:
         raise _cannot_write(destination, exc) from exc
 
 
-def _atomic_write(destination: str, chunks) -> None:
-    """Write the text chunks, in order, to a temp file (open()'s mode) beside
-    ``destination`` and move it into place with one ``os.replace``: a reader
-    sees the old file or the whole new one; a failure, while writing or while a
-    chunk is made, leaves no temp file.  OSError and ValueError become IoFailure."""
-    tmp_path = os.path.join(os.path.dirname(destination) or ".",
-                            f"tmp{os.urandom(8).hex()}.tmp")
+def _atomic_write_files(destinations, steps) -> None:
+    """Write each step's texts, one per destination, in order, to temp files
+    (open()'s mode) beside the destinations, and once every temp file is
+    complete move each into place with one ``os.replace``: a reader sees the
+    old file or the whole new one; a failure before the first move, while
+    writing or while a step is made, leaves every old file and no temp file.
+    OSError and ValueError become IoFailure naming the destination at fault."""
+    temps = [os.path.join(os.path.dirname(d) or ".", f"tmp{os.urandom(8).hex()}.tmp")
+             for d in destinations]
+    pending, files = [], []  # temp files not yet moved, files opened
+    at = destinations[0]  # each loop rebinds it: the destination at fault
     try:
-        fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            with os.fdopen(fd, "w", newline="\n") as fh:
-                fh.writelines(chunks)
-            os.replace(tmp_path, destination)
-        except BaseException:
-            os.unlink(tmp_path)
-            raise
+            for at, tmp in zip(destinations, temps):
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                pending.append(tmp)
+                files.append(os.fdopen(fd, "w", newline="\n"))
+            for texts in steps:
+                for at, fh, text in zip(destinations, files, texts):
+                    fh.write(text)
+            for at, fh in zip(destinations, files):
+                fh.close()
+            for at, tmp in zip(destinations, temps):
+                os.replace(tmp, at)
+                pending.remove(tmp)
+        finally:
+            for fh in files:
+                with contextlib.suppress(OSError):  # a failed flush, raised already
+                    fh.close()
+            for tmp in pending:
+                os.unlink(tmp)
     except (OSError, ValueError) as exc:  # ValueError: a NUL in a path
-        raise _cannot_write(destination, exc) from exc
+        raise _cannot_write(at, exc) from exc
+
+
+def _atomic_write(destination: str, chunks) -> None:
+    """``_atomic_write_files`` of the text chunks to one destination."""
+    _atomic_write_files([destination], ((chunk,) for chunk in chunks))
 
 
 def _fixed(spec: ChannelSpec) -> list[str]:
@@ -220,17 +244,31 @@ def _fixed(spec: ChannelSpec) -> list[str]:
             _fmt(spec.p1), _fmt(spec.p2), _fmt(spec.p if global_ else 0.0)]
 
 
-def _rows(res: SweepResult, sep: str, first: int):
-    """A result's rows, outer spec, inner r, as one text chunk per spec row
-    whose lines each end in LF: the fixed fields from index ``first`` on,
-    formatted once per spec, r once per result, then the two results by
-    one template ('%.12g' % x is _fmt(x) for every float)."""
-    r_text = [_fmt(r) for r in res.r.tolist()]
-    tail = f"{sep}%.12g{sep}%.12g\n"
-    for spec, negs, eigs in zip(res.specs, res.negativity, res.min_pt_eigenvalue):
-        head = sep.join(_fixed(spec)[first:]) + sep
-        yield "".join([head + r + tail % (n, e)
-                       for r, n, e in zip(r_text, negs.tolist(), eigs.tolist())])
+def _texts(results: list[SweepResult], csv: bool = True):
+    """The CSV and the .dat text of the results, as one (csv, dat) pair of
+    chunks per step: the CSV header, then per result its block label and
+    one chunk per spec row (outer spec, inner r) whose lines each end in LF.
+
+    Each .dat line is formatted once: the fixed fields from p1 on, formatted
+    once per spec, r once per result, then the two results by one template
+    ('%.12g' % x is _fmt(x) for every float).  Its CSV line is the same
+    line behind the kind, coupling and mode, its spaces made commas: no
+    field holds a space.  ``csv=False`` leaves the CSV chunks empty.
+    """
+    tail = " %.12g %.12g\n"
+    yield (CSV_HEADER + "\n" if csv else ""), ""
+    for i, res in enumerate(results):
+        label = " ".join(filter(None, _fixed(res.specs[0])[:3]))
+        yield "", ("\n" if i else "") + "# " + label + "\n"
+        r_text = [_fmt(r) for r in res.r.tolist()]
+        for spec, negs, eigs in zip(res.specs, res.negativity, res.min_pt_eigenvalue):
+            fixed = _fixed(spec)
+            head = " ".join(fixed[3:]) + " "
+            lines = [head + r + tail % ne
+                     for r, ne in zip(r_text, zip(negs.tolist(), eigs.tolist()))]
+            labels = ",".join(fixed[:3]) + ","
+            yield ("".join([labels + line for line in lines]).replace(" ", ",")
+                   if csv else ""), "".join(lines)
 
 
 def _nonempty(results: list[SweepResult]) -> list[SweepResult]:
@@ -239,15 +277,20 @@ def _nonempty(results: list[SweepResult]) -> list[SweepResult]:
     return results
 
 
-def write_csv(results: list[SweepResult], destination: str) -> int:
+def write_csv(results: list[SweepResult], destination: str,
+              plot_data: str | None = None) -> int:
     """Write results as CSV (12 significant digits, LF endings, atomic),
-    one spec row at a time.
+    one spec row at a time.  With ``plot_data``, the same pass writes
+    ``write_plot_data``'s file there from the same formatted values, and
+    neither file is replaced before both are complete.
 
     Returns the number of data rows written.
     """
-    results = _nonempty(results)
-    _atomic_write(destination, itertools.chain(
-        [CSV_HEADER + "\n"], *(_rows(res, ",", 0) for res in results)))
+    steps = _texts(_nonempty(results))
+    if plot_data is None:
+        _atomic_write(destination, (text for text, _ in steps))
+    else:
+        _atomic_write_files([destination, plot_data], steps)
     return sum(res.negativity.size for res in results)
 
 
@@ -259,15 +302,8 @@ def write_plot_data(results: list[SweepResult], destination: str) -> int:
 
     Returns the block count.
     """
-    results = _nonempty(results)
-
-    def blocks():
-        for i, res in enumerate(results):
-            label = "# " + " ".join(filter(None, _fixed(res.specs[0])[:3]))
-            yield ("\n" if i else "") + label + "\n"
-            yield from _rows(res, " ", 3)
-
-    _atomic_write(destination, blocks())
+    steps = _texts(_nonempty(results), csv=False)
+    _atomic_write(destination, (text for _, text in steps))
     return len(results)
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -397,16 +398,22 @@ def _collective_oracle(spec):
     return [np.kron(a, b) for a, b in zip(qubit, qutrit)]
 
 
-def _kraus_oracle(rho, spec):
-    """One state through the spec's Kraus sets, one operator at a time:
-    the local set (qutrit after qubit), then the collective set."""
+@functools.lru_cache(maxsize=None)
+def _oracle_sets(spec):
+    """The spec's Kraus sets, as the oracle applies them: the local set
+    (qutrit after qubit), then the collective set."""
     qubit = [np.kron(a, _I3) for a in ch.qubit_channel(spec.kind, spec.p1)]
     qutrit = [np.kron(_I2, b) for b in ch.qutrit_channel(
         spec.kind, spec.p2, spec.variant, spec.level_order)]
     sets = [[b @ a for a in qubit for b in qutrit]]
     if spec.coupling == ch.GLOBAL:
         sets.append(_collective_oracle(spec))
-    for ops in sets:
+    return sets
+
+
+def _kraus_oracle(rho, spec):
+    """One state through the spec's Kraus sets, one operator at a time."""
+    for ops in _oracle_sets(spec):
         out = np.zeros((6, 6), dtype=complex)
         for e in ops:
             out += e @ rho @ e.conj().T
@@ -488,6 +495,25 @@ def test_evaluate_across_chunks_equals_spec_by_spec():
         alone = [sweep.evaluate([s], rs, allow_incomplete=True) for s in specs]
         for got, want in zip(batched, zip(*alone)):
             assert got.tobytes() == np.concatenate(want).tobytes()
+
+
+@pytest.mark.parametrize("n", [101, sweep._CHUNK_MATRICES])
+@pytest.mark.parametrize("mode", ch.GLOBAL_MODES)
+@pytest.mark.parametrize("variant", ch.VARIANTS)
+@pytest.mark.parametrize("order", [ch.PRINTED, ch.REVERSED])
+def test_matmul_kernel_is_bit_equal_to_per_point_kraus_at_full_stack_size(
+    n, mode, variant, order
+):
+    # The matmul kernel puts E^dag on the right of all N*6 rows of a stack in
+    # one product; the hypothesis oracle above draws at most 8 states.
+    states = unruh_state(np.linspace(0.0, math.pi / 4, n))
+    for p1, p2, p in [(0.0, 0.0, 0.0), (0.37, 0.37, 0.37), (1.0, 1.0, 1.0),
+                      (0.3, 0.8, 0.45)]:
+        spec = ch.ChannelSpec(ch.BIT_TRIT_PHASE_FLIP, ch.GLOBAL, p1, p2, p, mode,
+                              variant, order)
+        evolved = ch.evolve(states, spec, allow_incomplete=True)
+        for got, m in zip(evolved, states):
+            _assert_same_bits(got, _kraus_oracle(m, spec))
 
 
 # --- the gather kernel against the matmul kernel ------------------------------

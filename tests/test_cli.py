@@ -656,16 +656,51 @@ def test_an_empty_config_path_is_read_and_refused(capsys):
 ], ids=["sweep", "verify"])
 @pytest.mark.parametrize("where, reason", [
     ("missing/x.csv", "No such file or directory"), ("file/x.csv", "Not a directory"),
-], ids=["missing-dir", "file-as-dir"])
+    ("dir", "Is a directory"),
+], ids=["missing-dir", "file-as-dir", "dir-as-file"])
 def test_an_unwritable_destination_fails_before_any_work(tmp_path, monkeypatch, capsys,
                                                          argv, where, reason):
     (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
     monkeypatch.setattr(channels, "evolve", lambda *a, **k: pytest.fail("evolved"))
     dest = str(tmp_path / where)
     assert main(argv + [dest]) == EXIT_IO
     # the destination the user gave, not a temp file, and the OS reason alone
     assert capsys.readouterr() == ("", f"i/o failure: cannot write {dest!r}: {reason}\n")
-    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+    assert list((tmp_path / "dir").iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, taken", [
+    (["repro", "--figure", "1a"], "fig1a.csv"),
+    (["repro", "--figure", "1a"], "fig1a.dat"),
+    (["repro", "--figure", "all"], "fig3.dat"),
+    (["verify"], "verify_dephasing_global_correlated.txt"),
+], ids=["repro-csv", "repro-dat", "repro-all", "verify"])
+def test_an_out_dir_file_that_is_a_directory_fails_before_any_work(
+        tmp_path, monkeypatch, capsys, argv, taken):
+    (tmp_path / taken).mkdir()
+    monkeypatch.setattr(channels, "evolve", lambda *a, **k: pytest.fail("evolved"))
+    assert main(argv + ["--out-dir", str(tmp_path)]) == EXIT_IO
+    dest = str(tmp_path / taken)
+    assert capsys.readouterr() == ("", f"i/o failure: cannot write {dest!r}: "
+                                       "Is a directory\n")
+    assert [p.name for p in tmp_path.iterdir()] == [taken]
+
+
+@pytest.mark.parametrize("figure", ["1a", "2c", "3"])
+def test_repro_writes_the_bytes_of_the_two_writers(tmp_path, capsys, figure):
+    # repro formats each value once for both files; the writers, called
+    # one at a time, give the same bytes (test_acceptance pins the figures').
+    assert main(["repro", "--figure", figure, "--out-dir", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    results = [sweep.run_sweep(s) for s in sweep.figure_sweeps(figure)]
+    assert sweep.write_csv(results, str(tmp_path / "alone.csv")) == 4 * 101 ** (
+        2 if figure == "3" else 1)
+    assert sweep.write_plot_data(results, str(tmp_path / "alone.dat")) == 4
+    for ext in ("csv", "dat"):
+        assert (tmp_path / f"fig{figure}.{ext}").read_bytes() == (
+            tmp_path / f"alone.{ext}").read_bytes()
 
 
 @pytest.mark.parametrize("config, err", [

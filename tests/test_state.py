@@ -5,6 +5,7 @@ import pytest
 
 from unruhsim import state
 from unruhsim.errors import (
+    DimensionMismatch,
     NegativeEigenvalue,
     NotHermitian,
     OutOfRange,
@@ -78,3 +79,18 @@ def test_validated_matrix_is_frozen():
 def test_validate_rejects_an_empty_stack():
     with pytest.raises(OutOfRange):
         state.validate_density(np.empty((0, 6, 6)))
+
+
+def test_an_r_axis_gives_the_stack_of_its_states_bit_for_bit():
+    stack = state.unruh_state(R_GRID)
+    assert stack.shape == (101, 6, 6) and not stack.flags.writeable
+    alone = np.stack([state.unruh_state(r) for r in R_GRID.tolist()])
+    assert stack.tobytes() == alone.tobytes()
+    assert state.unruh_state([0.3]).tobytes() == state.unruh_state(0.3).tobytes()
+
+
+def test_an_r_axis_checks_every_r_and_its_own_shape():
+    with pytest.raises(OutOfRange, match=r"^acceleration parameter r=nan outside"):
+        state.unruh_state(np.array([0.1, math.nan]))
+    with pytest.raises(DimensionMismatch):
+        state.unruh_state([[0.1, 0.2]])

@@ -87,11 +87,26 @@ def test_evaluate_checks_the_raw_rows_of_incomplete_specs(monkeypatch):
     raw = [_spec(channels.BIT_TRIT_PHASE_FLIP, p1=p, p2=p,
                  variant=channels.AS_PRINTED) for p in (0.3, 0.6)]
     assert sweep.evaluate(raw, [0.3], allow_incomplete=True)[1].shape == (2, 1)
-    bent = np.array(state.unruh_state(0.3))
-    bent[0, 4] += 2e-3
-    monkeypatch.setattr(sweep, "unruh_state", lambda r: bent)
+    bent = np.array(state.unruh_state([0.3]))  # the r axis's (1, 6, 6) stack
+    bent[0, 0, 4] += 2e-3
+    monkeypatch.setattr(sweep, "unruh_state", lambda rs: bent)
     with pytest.raises(NotHermitian):
         sweep.evaluate(raw, [0.3], allow_incomplete=True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 101, 300])
+def test_an_r_axis_is_built_and_validated_as_one_stack(monkeypatch, n):
+    built, validated = [], []
+    build, validate = sweep.unruh_state, state.validate_density
+    monkeypatch.setattr(sweep, "unruh_state",
+                        lambda rs: built.append(len(rs)) or build(rs))
+    # state's own binding: the states' validations, not channels' of the rows
+    monkeypatch.setattr(state, "validate_density",
+                        lambda m: validated.append(np.shape(m)) or validate(m))
+    specs = [_spec(channels.BIT_TRIT_PHASE_FLIP, channels.GLOBAL, p1=p, p2=p, p=p)
+             for p in (0.2, 0.4)]
+    sweep.evaluate(specs, np.linspace(0.0, R_MAX, n))
+    assert built == [n] and validated == [(n, 6, 6)]
 
 
 @pytest.mark.parametrize("coupling", [channels.MULTILOCAL, channels.GLOBAL])
@@ -455,13 +470,54 @@ def test_a_disk_full_mid_stream_exits_three(tmp_path, monkeypatch, capsys, flags
     assert list(tmp_path.iterdir()) == [dest]
 
 
+def _repro_1a(tmp_path):
+    return cli.main(["repro", "--figure", "1a", "--out-dir", str(tmp_path)])
+
+
+def test_a_full_disk_on_the_dat_half_of_repro_keeps_both_old_files(
+        tmp_path, monkeypatch, capsys):
+    old = {name: f"old {name}\n".encode() for name in ("fig1a.csv", "fig1a.dat")}
+    for name, data in old.items():
+        (tmp_path / name).write_bytes(data)
+    fdopen, opened = os.fdopen, []
+
+    def dat_fills(*args, **kwargs):  # repro opens the CSV, then the .dat
+        opened.append(fdopen(*args, **kwargs))
+        return _FullAfterOneChunk(opened[-1]) if len(opened) == 2 else opened[-1]
+
+    monkeypatch.setattr(os, "fdopen", dat_fills)
+    assert _repro_1a(tmp_path) == cli.EXIT_IO
+    dat = str(tmp_path / "fig1a.dat")
+    assert capsys.readouterr() == (
+        "", f"i/o failure: cannot write {dat!r}: No space left on device\n")
+    assert len(opened) == 2 and all(fh.closed for fh in opened)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
+
+
+def test_repro_completes_both_temp_files_before_either_replace(
+        tmp_path, monkeypatch, capsys):
+    replace, seen = os.replace, []
+
+    def recording_replace(src, dst):
+        if not seen:  # the temp files as the first move finds them
+            seen.extend(sorted(p.stat().st_size for p in tmp_path.glob("*.tmp")))
+        return replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    assert _repro_1a(tmp_path) == cli.EXIT_OK
+    capsys.readouterr()
+    assert seen == sorted(p.stat().st_size for p in tmp_path.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fig1a.csv", "fig1a.dat"]
+
+
 def test_writers_hold_one_spec_row_at_a_time(tmp_path):
     # Figure 3 is 4 x 101 spec rows of 101 points: 3.5 MB of CSV text.  Built
     # whole, the lines took 12.9 MB (CSV) and 7.1 MB (.dat) at the peak.
     results = [sweep.run_sweep(s) for s in sweep.figure_sweeps("3")]
     tracemalloc.start()
     try:
-        for write in (sweep.write_csv, sweep.write_plot_data):
+        both = lambda results, dest: sweep.write_csv(results, dest, dest + ".dat")
+        for write in (sweep.write_csv, sweep.write_plot_data, both):
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             write(results, str(tmp_path / "fig3"))
