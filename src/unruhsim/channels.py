@@ -312,7 +312,8 @@ def apply_unchecked(ops, matrix: np.ndarray) -> np.ndarray:
     gather = getattr(ops, "gather", None)
     if gather is not None:
         return _gather_apply(gather, m)
-    out, left = np.zeros_like(m), np.empty_like(m)
+    # C order whatever m's layout, so the row views below are views, not copies.
+    out, left = np.zeros(m.shape, complex), np.empty(m.shape, complex)
     rows, left_rows = out.reshape(-1, m.shape[-1]), left.reshape(-1, m.shape[-1])
     for e in ops:
         np.matmul(e, m, out=left)

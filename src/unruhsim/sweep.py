@@ -244,31 +244,37 @@ def _fixed(spec: ChannelSpec) -> list[str]:
             _fmt(spec.p1), _fmt(spec.p2), _fmt(spec.p if global_ else 0.0)]
 
 
-def _texts(results: list[SweepResult], csv: bool = True):
+def _texts(results: list[SweepResult], csv: bool = True, dat: bool = True):
     """The CSV and the .dat text of the results, as one (csv, dat) pair of
     chunks per step: the CSV header, then per result its block label and
     one chunk per spec row (outer spec, inner r) whose lines each end in LF.
+    ``csv=False`` or ``dat=False`` leaves that file's chunks empty.
 
-    Each .dat line is formatted once: the fixed fields from p1 on, formatted
-    once per spec, r once per result, then the two results by one template
-    ('%.12g' % x is _fmt(x) for every float).  Its CSV line is the same
-    line behind the kind, coupling and mode, its spaces made commas: no
-    field holds a space.  ``csv=False`` leaves the CSV chunks empty.
+    Each line is formatted once: the fixed fields, formatted once per spec,
+    r once per result, then the two results by one template ('%.12g' % x
+    is _fmt(x) for every float).  When both files are wanted, a CSV line is
+    its .dat line (the fields from p1 on) behind the kind, coupling and
+    mode, its spaces made commas: no field holds a space.
     """
-    tail = " %.12g %.12g\n"
+    sep, first = (" ", 3) if dat else (",", 0)
+    tail = f"{sep}%.12g{sep}%.12g\n"
     yield (CSV_HEADER + "\n" if csv else ""), ""
     for i, res in enumerate(results):
-        label = " ".join(filter(None, _fixed(res.specs[0])[:3]))
-        yield "", ("\n" if i else "") + "# " + label + "\n"
+        if dat:
+            label = " ".join(filter(None, _fixed(res.specs[0])[:3]))
+            yield "", ("\n" if i else "") + "# " + label + "\n"
         r_text = [_fmt(r) for r in res.r.tolist()]
         for spec, negs, eigs in zip(res.specs, res.negativity, res.min_pt_eigenvalue):
             fixed = _fixed(spec)
-            head = " ".join(fixed[3:]) + " "
+            head = sep.join(fixed[first:]) + sep
             lines = [head + r + tail % ne
                      for r, ne in zip(r_text, zip(negs.tolist(), eigs.tolist()))]
-            labels = ",".join(fixed[:3]) + ","
-            yield ("".join([labels + line for line in lines]).replace(" ", ",")
-                   if csv else ""), "".join(lines)
+            if not dat:  # CSV alone: the lines are CSV lines already
+                yield "".join(lines), ""
+            else:
+                labels = ",".join(fixed[:3]) + ","
+                yield ("".join([labels + line for line in lines]).replace(" ", ",")
+                       if csv else ""), "".join(lines)
 
 
 def _nonempty(results: list[SweepResult]) -> list[SweepResult]:
@@ -286,7 +292,7 @@ def write_csv(results: list[SweepResult], destination: str,
 
     Returns the number of data rows written.
     """
-    steps = _texts(_nonempty(results))
+    steps = _texts(_nonempty(results), dat=plot_data is not None)
     if plot_data is None:
         _atomic_write(destination, (text for text, _ in steps))
     else:

@@ -516,6 +516,32 @@ def test_matmul_kernel_is_bit_equal_to_per_point_kraus_at_full_stack_size(
             _assert_same_bits(got, _kraus_oracle(m, spec))
 
 
+_LAYOUTS = {
+    # Unruh states are real symmetric, so each view holds the same values.
+    "swapaxes": lambda s: np.swapaxes(s, 1, 2),
+    "conj-transposed": lambda s: s.conj().swapaxes(-1, -2),
+    "fortran": np.asfortranarray,
+    "strided": lambda s: np.repeat(s, 2, axis=0)[::2],
+}
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS)
+@pytest.mark.parametrize("kind", ch.KINDS)
+@pytest.mark.parametrize("coupling", ch.COUPLINGS)
+def test_evolve_gives_the_same_bits_for_any_memory_layout(layout, kind, coupling):
+    # Both kernels write into their own buffers, whatever the layout of the
+    # stack they are given.
+    states = unruh_state(np.linspace(0.0, math.pi / 4, 5))
+    view = _LAYOUTS[layout](states)
+    np.testing.assert_array_equal(view, states)
+    assert not view.flags.c_contiguous
+    for mode in ch.GLOBAL_MODES:
+        spec = ch.ChannelSpec(kind, coupling, 0.3, 0.8, 0.45, mode)
+        evolved = ch.evolve(view, spec, allow_incomplete=True)
+        for got, m in zip(evolved, states):
+            _assert_same_bits(got, _kraus_oracle(m, spec))
+
+
 # --- the gather kernel against the matmul kernel ------------------------------
 
 _GATHER_KINDS = (ch.PHASE_FLIP, ch.DEPHASING, ch.BIT_TRIT_FLIP)
