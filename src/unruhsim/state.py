@@ -29,6 +29,11 @@ PSD_TOL = 1e-10
 
 DIM = 6
 
+# validate_density's PSD certificate factorises rho + _PSD_SHIFT; half the
+# bound leaves room for Cholesky's rounding.
+_PSD_SHIFT = (PSD_TOL / 2) * np.eye(DIM)
+_PSD_SHIFT.flags.writeable = False
+
 
 def require_finite(m: np.ndarray) -> None:
     if not np.isfinite(m).all():
@@ -37,20 +42,27 @@ def require_finite(m: np.ndarray) -> None:
 
 def require_parameter(name: str, value: float) -> float:
     """The range rule: ``value`` as a float if it lies in [0, pi/4] for ``r``
-    or in [0, 1] for a decoherence parameter, else OutOfRange (nan too)."""
+    or in [0, 1] for a decoherence parameter, else OutOfRange (nan too),
+    whose text names the value as that float whatever its number type."""
     r = name == "r"
     if not 0.0 <= value <= (R_MAX if r else 1.0):
         what, hi = ("acceleration", "pi/4") if r else ("decoherence", "1")
-        raise OutOfRange(f"{what} parameter {name}={value!r} outside [0, {hi}]")
+        raise OutOfRange(f"{what} parameter {name}={float(value)!r} outside [0, {hi}]")
     return float(value)
 
 
 def validate_density(m) -> np.ndarray:
     """Check the density-matrix invariants and freeze the result.
 
-    Takes a 6x6 matrix or an (N, 6, 6) stack, checked matrix by matrix
-    with one eigensolver call for the whole stack, and returns a read-only
-    copy of the same shape.
+    Takes a 6x6 matrix or an (N, 6, 6) stack, checked matrix by matrix,
+    and returns a read-only copy of the same shape.
+
+    When every matrix is Hermitian and of unit trace within tolerance,
+    positive semidefiniteness is certified by one batched Cholesky
+    factorisation of ``m + PSD_TOL/2 * I``: it succeeds only if every
+    minimum eigenvalue lies above about -PSD_TOL/2, inside the -PSD_TOL
+    bound.  Only when a check or the factorisation fails does one
+    eigensolver call on the whole stack decide, by the rule below.
 
     Raises NotHermitian, TraceDeviation or NegativeEigenvalue with the
     measured defect when an invariant fails; in a stack, for the first
@@ -66,6 +78,27 @@ def validate_density(m) -> np.ndarray:
                          f"of them, got shape {m.shape}")
     h_defect = hermiticity_defect(ms)
     tr_defect = np.abs(ms.trace(axis1=1, axis2=2) - 1.0)
+    if (h_defect.max() > HERMITICITY_TOL or tr_defect.max() > TRACE_TOL
+            or not _psd_certified(ms)):
+        _raise_first_failure(ms, h_defect, tr_defect)
+    out = m.copy()
+    out.flags.writeable = False
+    return out
+
+
+def _psd_certified(ms) -> bool:
+    """Whether one batched Cholesky factorisation of ``ms + _PSD_SHIFT``
+    succeeds, which certifies every minimum eigenvalue above -PSD_TOL."""
+    try:
+        np.linalg.cholesky(ms + _PSD_SHIFT)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _raise_first_failure(ms, h_defect, tr_defect) -> None:
+    """The full rule: from one eigensolver call on the stack, raise for the
+    first matrix that fails an invariant; return if none does."""
     min_eig = np.linalg.eigvalsh(ms)[:, 0]
     if (h_defect.max() > HERMITICITY_TOL or tr_defect.max() > TRACE_TOL
             or min_eig.min() < -PSD_TOL):
@@ -84,9 +117,6 @@ def validate_density(m) -> np.ndarray:
         raise NegativeEigenvalue(
             f"minimum eigenvalue {min_eig[i]:.3e} below -{PSD_TOL:.3e}"
         )
-    out = m.copy()
-    out.flags.writeable = False
-    return out
 
 
 def unruh_state(r) -> np.ndarray:

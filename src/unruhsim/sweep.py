@@ -99,9 +99,12 @@ def evaluate(specs, r_values, allow_incomplete: bool = False, out=None):
     built and validated once, as one stack; each chunk of specs evolves
     the whole stack in one ``channels.evolve`` call, which shares the Kraus
     sets the specs have in common, and takes its PT spectra in one
-    eigensolver call.  Only a chunk with raw rows (``allow_incomplete``) has
-    its partial transposes checked for hermiticity; ``evolve`` has validated
-    the rows of every other chunk.
+    eigensolver call.  ``validate_density`` certifies the states and the
+    evolved rows PSD by one Cholesky factorisation per stack, so on valid
+    stacks that PT call is the only eigensolver call; validation calls the
+    eigensolver only for a stack that fails a check.  Only a chunk with raw
+    rows (``allow_incomplete``) has its partial transposes checked for
+    hermiticity; ``evolve`` has validated the rows of every other chunk.
     """
     if len(r_values) == 0:
         raise OutOfRange("the r axis is empty")

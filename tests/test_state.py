@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from unruhsim import state
+from unruhsim.channels import PHASE_FLIP, ChannelSpec
 from unruhsim.errors import (
     DimensionMismatch,
     NegativeEigenvalue,
@@ -94,3 +96,185 @@ def test_an_r_axis_checks_every_r_and_its_own_shape():
         state.unruh_state(np.array([0.1, math.nan]))
     with pytest.raises(DimensionMismatch):
         state.unruh_state([[0.1, 0.2]])
+
+
+# --- the PSD certificate against the eigensolver-only rule --------------------
+
+def _eigensolver_rule(m):
+    """validate_density's rule decided by the eigensolver alone: the
+    (exception type, text) for the first failing matrix, or None."""
+    ms = np.asarray(m, dtype=complex)
+    ms = ms[np.newaxis] if ms.ndim == 2 else ms
+    h_defect = np.abs(ms - np.swapaxes(ms, 1, 2).conj()).max(axis=(1, 2))
+    tr_defect = np.abs(ms.trace(axis1=1, axis2=2) - 1.0)
+    min_eig = np.linalg.eigvalsh(ms)[:, 0]
+    failing = (h_defect > 1e-12) | (tr_defect > 1e-12) | (min_eig < -1e-10)
+    if not failing.any():
+        return None
+    i = failing.argmax()
+    if h_defect[i] > 1e-12:
+        return NotHermitian, f"hermiticity defect {h_defect[i]:.3e} exceeds 1.000e-12"
+    if tr_defect[i] > 1e-12:
+        return TraceDeviation, (f"trace deviates from 1 by {tr_defect[i]:.3e} "
+                                "(tolerance 1.000e-12)")
+    return NegativeEigenvalue, f"minimum eigenvalue {min_eig[i]:.3e} below -1.000e-10"
+
+
+def _assert_same_verdict(m):
+    expected = _eigensolver_rule(m)
+    try:
+        out = state.validate_density(m)
+    except (NotHermitian, TraceDeviation, NegativeEigenvalue) as exc:
+        assert (type(exc), str(exc)) == expected
+    else:
+        assert expected is None
+        assert out.tobytes() == np.asarray(m, dtype=complex).tobytes()
+
+
+def _unitaries(count, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(count, 6, 6)) + 1j * rng.normal(size=(count, 6, 6))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, np.newaxis, :]
+
+
+def _with_min_eigenvalue(min_eig, u):
+    """U diag(lambda) U^H, made exactly Hermitian, of trace 1 up to
+    rounding, with lambda_min = ``min_eig`` and a second eigenvalue 0."""
+    lam = np.array([min_eig, 0.0, 0.1, 0.2, 0.3, 0.4 - min_eig])
+    a = (u * lam[np.newaxis, :]) @ np.swapaxes(u, -1, -2).conj()
+    return (a + np.swapaxes(a, -1, -2).conj()) / 2
+
+
+_TOL = state.PSD_TOL
+# Exactly -PSD_TOL, the rule's own edge, is decided by rounding: the
+# eigensolver puts about half of these matrices below the bound.
+_MIN_EIGENVALUES = {
+    "zero": 0.0,
+    "-1e-16": -1e-16,
+    "-tol": -_TOL,
+    "-tol*(1+1e-3)": -_TOL * (1 + 1e-3),
+    "-tol*(1-1e-3)": -_TOL * (1 - 1e-3),
+    # The certificate's shift, where the eigensolver must decide.
+    "-tol/2*(1+1e-3)": -_TOL / 2 * (1 + 1e-3),
+    "-tol/2*(1-1e-3)": -_TOL / 2 * (1 - 1e-3),
+}
+
+
+@pytest.mark.parametrize("min_eig", _MIN_EIGENVALUES.values(), ids=_MIN_EIGENVALUES)
+def test_certificate_gives_the_eigensolver_verdict_on_each_matrix(min_eig):
+    for m in _with_min_eigenvalue(min_eig, _unitaries(24, 1801)):
+        _assert_same_verdict(m)
+
+
+@pytest.mark.parametrize("min_eig", _MIN_EIGENVALUES.values(), ids=_MIN_EIGENVALUES)
+def test_certificate_gives_the_eigensolver_verdict_on_a_stack(min_eig):
+    stack = _with_min_eigenvalue(min_eig, _unitaries(24, 1802))
+    _assert_same_verdict(stack)
+    # The same matrix behind valid ones, and every value in one stack.
+    valid = _with_min_eigenvalue(0.0, _unitaries(5, 1803))
+    _assert_same_verdict(np.concatenate([valid, stack[:1]]))
+    mixed = [_with_min_eigenvalue(v, u)
+             for v, u in zip(_MIN_EIGENVALUES.values(), _unitaries(7, 1804))]
+    _assert_same_verdict(np.stack(mixed))
+
+
+def test_certificate_gives_the_eigensolver_verdict_on_rank_one_states():
+    rng = np.random.default_rng(1805)
+    psi = rng.normal(size=(16, 6)) + 1j * rng.normal(size=(16, 6))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    pure = psi[:, :, np.newaxis] * psi[:, np.newaxis, :].conj()
+    for m in pure:
+        _assert_same_verdict(m)
+    _assert_same_verdict(pure)
+    bell = np.array(state.unruh_state(0.0))
+    _assert_same_verdict(bell)
+    _assert_same_verdict(np.stack([bell] * 3))
+
+
+def _failing(kind):
+    m = np.eye(6, dtype=complex) / 6
+    if kind is NotHermitian:
+        m[0, 1] = 1e-3
+    elif kind is TraceDeviation:
+        m *= 2
+    else:
+        m[0, 0], m[5, 5] = -1e-3, 1 / 3 + 1e-3
+    return m
+
+
+@pytest.mark.parametrize("order", [
+    (NotHermitian, TraceDeviation, NegativeEigenvalue),
+    (TraceDeviation, NegativeEigenvalue, NotHermitian),
+    (NegativeEigenvalue, NotHermitian, TraceDeviation),
+])
+def test_a_stack_of_failures_names_the_first_as_the_eigensolver_does(order):
+    valid = np.array(state.unruh_state(np.linspace(0.0, state.R_MAX, 4)))
+    stack = np.concatenate([valid[:2], [_failing(order[0])], valid[2:3],
+                            [_failing(order[1])], [_failing(order[2])], valid[3:]])
+    _assert_same_verdict(stack)
+    with pytest.raises(order[0]):
+        state.validate_density(stack)
+    # One failure at a time, at each position.
+    for kind in order:
+        for i in (0, 3, len(valid)):
+            _assert_same_verdict(np.insert(valid, i, _failing(kind), axis=0))
+
+
+# --- how often the eigensolver runs --------------------------------------------
+
+def _count_calls(monkeypatch, *names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(np.linalg, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+def test_a_valid_stack_is_certified_without_the_eigensolver(monkeypatch):
+    stack = np.array(state.unruh_state(R_GRID))
+    counts = _count_calls(monkeypatch, "eigvalsh", "cholesky")
+    state.validate_density(stack)
+    assert counts == {"eigvalsh": 0, "cholesky": 1}
+
+
+def test_a_negative_eigenvalue_takes_one_eigensolver_call(monkeypatch):
+    stack = np.array(state.unruh_state(R_GRID))
+    stack[40] = _failing(NegativeEigenvalue)
+    counts = _count_calls(monkeypatch, "eigvalsh")
+    with pytest.raises(NegativeEigenvalue):
+        state.validate_density(stack)
+    assert counts == {"eigvalsh": 1}
+
+
+# --- the range rule's text ------------------------------------------------------
+
+@pytest.mark.parametrize("value", [math.nan, -0.1, 0.9])
+@pytest.mark.parametrize("as_type", [np.float64, np.array], ids=["float64", "0-d"])
+def test_an_out_of_range_r_reads_the_same_for_any_number_type(value, as_type):
+    with pytest.raises(OutOfRange) as plain:
+        state.unruh_state(value)
+    with pytest.raises(OutOfRange) as other:
+        state.unruh_state(as_type(value))
+    assert str(other.value) == str(plain.value)
+    assert str(plain.value) == f"acceleration parameter r={value!r} outside [0, pi/4]"
+
+
+@pytest.mark.parametrize("value", [math.nan, -0.1, 1.5])
+@pytest.mark.parametrize("as_type", [np.float64, np.array], ids=["float64", "0-d"])
+def test_an_out_of_range_p1_reads_the_same_for_any_number_type(value, as_type):
+    text = f"decoherence parameter p1={value!r} outside [0, 1]"
+    for p1 in (value, as_type(value)):
+        with pytest.raises(OutOfRange, match=f"^{re.escape(text)}$"):
+            ChannelSpec(PHASE_FLIP, "multilocal", p1=p1)
+
+
+def test_an_out_of_range_int_reads_as_a_float():
+    with pytest.raises(OutOfRange, match=r"^decoherence parameter p1=2\.0 outside"):
+        ChannelSpec(PHASE_FLIP, "multilocal", p1=2)

@@ -109,6 +109,22 @@ def test_an_r_axis_is_built_and_validated_as_one_stack(monkeypatch, n):
     assert built == [n] and validated == [(n, 6, 6)]
 
 
+@pytest.mark.parametrize("figure_sweep", sweep.figure_sweeps("3"),
+                         ids=lambda s: s.channel.kind)
+def test_a_figure_3_spec_takes_one_eigensolver_call_its_pt_spectra(
+    monkeypatch, figure_sweep
+):
+    # The states and the evolved rows are certified PSD by Cholesky.
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: shapes.append(np.shape(a)) or eigvalsh(a))
+    spec = sweep._linked(figure_sweep.channel, 0.37)
+    min_eig, _ = sweep.evaluate([spec], np.linspace(0.0, R_MAX, 101))
+    assert shapes == [(1, 101, 6, 6)]
+    assert min_eig.shape == (1, 101)
+
+
 @pytest.mark.parametrize("coupling", [channels.MULTILOCAL, channels.GLOBAL])
 @pytest.mark.parametrize("kind", channels.KINDS)
 def test_each_esd_probe_builds_one_set_and_checks_each_stack_once(
