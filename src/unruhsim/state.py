@@ -20,10 +20,10 @@ from .errors import (
     OutOfRange,
     TraceDeviation,
 )
-from .linalg import HERMITICITY_TOL, hermiticity_defect
 
 R_MAX = math.pi / 4
 
+HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 
@@ -38,6 +38,25 @@ _PSD_SHIFT.flags.writeable = False
 def require_finite(m: np.ndarray) -> None:
     if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
+
+
+def hermiticity_defect(h: np.ndarray):
+    """Max-norm of (h - h^dagger); one value per matrix of a stack (..., n, n)."""
+    h = np.asarray(h, dtype=complex)
+    if h.ndim < 2 or h.shape[-2] != h.shape[-1]:
+        raise DimensionMismatch(f"expected square matrices, got shape {h.shape}")
+    defect = np.abs(h - np.swapaxes(h, -1, -2).conj()).max(axis=(-2, -1))
+    return float(defect) if h.ndim == 2 else defect
+
+
+def _require_hermitian(defect) -> None:
+    """The hermiticity rule: NotHermitian, naming the defect of the first
+    matrix whose defect exceeds ``HERMITICITY_TOL`` or is nan."""
+    defect = np.ravel(defect)
+    bad = ~(defect <= HERMITICITY_TOL)
+    if bad.any():
+        raise NotHermitian(f"hermiticity defect {defect[bad.argmax()]:.3e} "
+                           f"exceeds {HERMITICITY_TOL:.3e}")
 
 
 def require_parameter(name: str, value: float) -> float:
@@ -57,12 +76,15 @@ def validate_density(m) -> np.ndarray:
     Takes a 6x6 matrix or an (N, 6, 6) stack, checked matrix by matrix,
     and returns a read-only copy of the same shape.
 
+    A stack of valid shape is scanned once, for its hermiticity defects:
+    finiteness is read off them, and the entries are checked for it
+    (ValueError) only when a defect is not finite.
     When every matrix is Hermitian and of unit trace within tolerance,
     positive semidefiniteness is certified by one batched Cholesky
     factorisation of ``m + PSD_TOL/2 * I``: it succeeds only if every
     minimum eigenvalue lies above about -PSD_TOL/2, inside the -PSD_TOL
     bound.  Only when a check or the factorisation fails does one
-    eigensolver call on the whole stack decide, by the rule below.
+    eigensolver call on the whole stack decide.
 
     Raises NotHermitian, TraceDeviation or NegativeEigenvalue with the
     measured defect when an invariant fails; in a stack, for the first
@@ -72,15 +94,30 @@ def validate_density(m) -> np.ndarray:
     ms = m[np.newaxis] if m.ndim == 2 else m
     if ms.ndim != 3:
         raise DimensionMismatch(f"expected a matrix or a stack, got ndim={m.ndim}")
-    require_finite(ms)
     if ms.shape[1:] != (DIM, DIM) or not len(ms):
+        require_finite(ms)
         raise OutOfRange(f"expected a {DIM}x{DIM} matrix or a nonempty stack "
                          f"of them, got shape {m.shape}")
-    h_defect = hermiticity_defect(ms)
-    tr_defect = np.abs(ms.trace(axis1=1, axis2=2) - 1.0)
-    if (h_defect.max() > HERMITICITY_TOL or tr_defect.max() > TRACE_TOL
-            or not _psd_certified(ms)):
-        _raise_first_failure(ms, h_defect, tr_defect)
+    with np.errstate(invalid="ignore", over="ignore"):  # quiet on non-finite entries
+        h_defect = hermiticity_defect(ms)
+        tr_defect = np.abs(ms.trace(axis1=1, axis2=2) - 1.0)
+    ok = (h_defect <= HERMITICITY_TOL) & (tr_defect <= TRACE_TOL)
+    if not (ok.all() and _psd_certified(ms)):
+        # A nan or inf entry makes its matrix's defect nan or inf, so passing
+        # defects show finite entries.  An inf defect may also come from
+        # finite entries that overflow; the rule below then names it.
+        if not h_defect.max() < math.inf:
+            require_finite(ms)
+        min_eig = np.linalg.eigvalsh(ms)[:, 0]
+        failing = ~ok | (min_eig < -PSD_TOL)
+        if failing.any():
+            i = failing.argmax()
+            _require_hermitian(h_defect[:i + 1])
+            if not ok[i]:
+                raise TraceDeviation(f"trace deviates from 1 by {tr_defect[i]:.3e} "
+                                     f"(tolerance {TRACE_TOL:.3e})")
+            raise NegativeEigenvalue(
+                f"minimum eigenvalue {min_eig[i]:.3e} below -{PSD_TOL:.3e}")
     out = m.copy()
     out.flags.writeable = False
     return out
@@ -94,29 +131,6 @@ def _psd_certified(ms) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
-
-
-def _raise_first_failure(ms, h_defect, tr_defect) -> None:
-    """The full rule: from one eigensolver call on the stack, raise for the
-    first matrix that fails an invariant; return if none does."""
-    min_eig = np.linalg.eigvalsh(ms)[:, 0]
-    if (h_defect.max() > HERMITICITY_TOL or tr_defect.max() > TRACE_TOL
-            or min_eig.min() < -PSD_TOL):
-        i = ((h_defect > HERMITICITY_TOL) | (tr_defect > TRACE_TOL)
-             | (min_eig < -PSD_TOL)).argmax()
-        if h_defect[i] > HERMITICITY_TOL:
-            raise NotHermitian(
-                f"hermiticity defect {h_defect[i]:.3e} exceeds "
-                f"{HERMITICITY_TOL:.3e}"
-            )
-        if tr_defect[i] > TRACE_TOL:
-            raise TraceDeviation(
-                f"trace deviates from 1 by {tr_defect[i]:.3e} "
-                f"(tolerance {TRACE_TOL:.3e})"
-            )
-        raise NegativeEigenvalue(
-            f"minimum eigenvalue {min_eig[i]:.3e} below -{PSD_TOL:.3e}"
-        )
 
 
 def unruh_state(r) -> np.ndarray:

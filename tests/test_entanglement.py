@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from unruhsim import linalg
 from unruhsim.entanglement import (
     PtSpectrum,
     negativity,
@@ -13,8 +14,7 @@ from unruhsim.entanglement import (
     pt_spectra,
 )
 from unruhsim.errors import DimensionMismatch, NotHermitian
-from unruhsim.linalg import hermiticity_defect
-from unruhsim.state import unruh_state, validate_density
+from unruhsim.state import hermiticity_defect, unruh_state, validate_density
 
 R_GRID = np.linspace(0.0, math.pi / 4, 101)
 
@@ -147,3 +147,23 @@ def test_accepts_raw_arrays():
 def test_bad_raw_input_raises_package_errors(evaluate, m, error, message):
     with pytest.raises(error, match=message):
         evaluate(m)
+
+
+def test_every_hermiticity_check_gives_one_text():
+    m = np.array(unruh_state(0.3))
+    m[0, 4] += 2e-3
+    texts = set()
+    for check in (validate_density, linalg.hermitian_eigenvalues, pt_spectra,
+                  negativity):
+        with pytest.raises(NotHermitian) as failure:
+            check(m)
+        texts.add(str(failure.value))
+    assert texts == {"hermiticity defect 2.000e-03 exceeds 1.000e-12"}
+
+
+def test_an_empty_stack_has_an_empty_spectrum():
+    empty = np.empty((0, 6, 6), dtype=complex)
+    assert linalg.hermitian_eigenvalues(empty).shape == (0, 6)
+    for validated in (False, True):
+        eig, neg = pt_spectra(empty, validated=validated)
+        assert eig.shape == (0, 6) and neg.shape == (0,)

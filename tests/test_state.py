@@ -98,13 +98,25 @@ def test_an_r_axis_checks_every_r_and_its_own_shape():
         state.unruh_state([[0.1, 0.2]])
 
 
+def test_hermiticity_defect_rejects_non_square_input():
+    for not_square in (np.ones(3), np.ones((2, 3)), np.ones((4, 2, 3))):
+        with pytest.raises(DimensionMismatch):
+            state.hermiticity_defect(not_square)
+
+
 # --- the PSD certificate against the eigensolver-only rule --------------------
 
 def _eigensolver_rule(m):
-    """validate_density's rule decided by the eigensolver alone: the
-    (exception type, text) for the first failing matrix, or None."""
+    """validate_density's rule decided by a finiteness scan of the whole
+    input, its shape, then the eigensolver alone: the (exception type,
+    text) for the first failing matrix, or None."""
     ms = np.asarray(m, dtype=complex)
     ms = ms[np.newaxis] if ms.ndim == 2 else ms
+    if not np.isfinite(ms).all():
+        return ValueError, "matrix contains non-finite entries"
+    if ms.shape[1:] != (6, 6) or not len(ms):
+        return OutOfRange, ("expected a 6x6 matrix or a nonempty stack of them, "
+                            f"got shape {np.shape(m)}")
     h_defect = np.abs(ms - np.swapaxes(ms, 1, 2).conj()).max(axis=(1, 2))
     tr_defect = np.abs(ms.trace(axis1=1, axis2=2) - 1.0)
     min_eig = np.linalg.eigvalsh(ms)[:, 0]
@@ -124,7 +136,8 @@ def _assert_same_verdict(m):
     expected = _eigensolver_rule(m)
     try:
         out = state.validate_density(m)
-    except (NotHermitian, TraceDeviation, NegativeEigenvalue) as exc:
+    except (NotHermitian, TraceDeviation, NegativeEigenvalue, OutOfRange,
+            ValueError) as exc:
         assert (type(exc), str(exc)) == expected
     else:
         assert expected is None
@@ -220,6 +233,44 @@ def test_a_stack_of_failures_names_the_first_as_the_eigensolver_does(order):
     for kind in order:
         for i in (0, 3, len(valid)):
             _assert_same_verdict(np.insert(valid, i, _failing(kind), axis=0))
+
+
+@pytest.mark.parametrize("where", [(2, 2), (1, 3)], ids=["diagonal", "off-diagonal"])
+@pytest.mark.parametrize("imag", [False, True], ids=["real", "imag"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "+inf", "-inf"])
+def test_a_non_finite_entry_gives_the_eigensolver_verdict(value, imag, where):
+    m = np.eye(6, dtype=complex) / 6
+    m[where] = complex(0.0, value) if imag else complex(value, 0.0)
+    assert _eigensolver_rule(m)[0] is ValueError
+    _assert_same_verdict(m)
+    # Behind a non-Hermitian matrix in a stack, the non-finite entry still wins.
+    stack = np.array(state.unruh_state(np.linspace(0.0, state.R_MAX, 5)))
+    stack[1], stack[3] = _failing(NotHermitian), m
+    _assert_same_verdict(stack)
+    with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+        state.validate_density(stack)
+
+
+@pytest.mark.parametrize("m, error", [
+    (np.full((4, 4), np.nan), ValueError),
+    (np.full((2, 3), np.inf), ValueError),
+    (np.ones((2, 3)), OutOfRange),
+    (np.empty((0, 6, 6)), OutOfRange),
+], ids=["nan-4x4", "inf-2x3", "finite-2x3", "empty-stack"])
+def test_a_wrong_shape_gives_the_eigensolver_verdict(m, error):
+    assert _eigensolver_rule(m)[0] is error
+    _assert_same_verdict(m)
+
+
+def test_finite_entries_whose_defect_overflows_are_not_hermitian():
+    m = np.eye(6, dtype=complex) / 6
+    m[0, 1], m[1, 0] = 1e308, -1e308
+    with np.errstate(over="ignore"):  # their difference rounds to inf
+        assert _eigensolver_rule(m)[0] is NotHermitian
+        _assert_same_verdict(m)
+        with pytest.raises(NotHermitian, match="^hermiticity defect inf exceeds"):
+            state.validate_density(m)
 
 
 # --- how often the eigensolver runs --------------------------------------------
