@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,6 +68,7 @@ _SET_CACHE_SIZE = 32
 _I2 = np.eye(2, dtype=complex)
 _I3 = np.eye(3, dtype=complex)
 _OMEGA = complex(np.exp(2j * np.pi / 3))
+_ZERO = np.zeros(1, complex)
 
 
 @dataclass(frozen=True)
@@ -229,13 +231,14 @@ def _tensor_set(a: np.ndarray, b: np.ndarray, global_mode: str = PRODUCT):
     return _kron(pad(a), pad(b))
 
 
-class _CachedSet(tuple):
-    """The read-only operators of a cached set.  ``gather`` is the plan of
-    ``apply_unchecked``'s gather kernel (the (K, 36) flat index into rho of
-    every output entry and the (K, 36) factors v_i and conj(v_j) of each),
-    or None where the set needs the matmul."""
+class _GatherSet(NamedTuple):
+    """A cached set that ``apply_unchecked`` applies by its gather kernel:
+    the (K, 36) flat index into rho of every output entry and the (K, 36)
+    factors v_i and conj(v_j) of each."""
 
-    gather = None
+    rho_index: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
 
 
 @functools.lru_cache(maxsize=32)  # kind x global mode x variant x level order
@@ -245,24 +248,48 @@ def _gather_pattern(kind, global_mode, variant, level_order):
     or column, or a nonzero that is neither real nor purely imaginary.
 
     Operator k holds the one nonzero of its row i, v_i, in column
-    pi_k(i).  For output entry (i, j) of each operator, the pattern holds
-    the flat index pi_k(i)*6 + pi_k(j) of its rho entry and the flat
-    indices of v_i and v_j in the (K, 6, 6) stack, each as a (K, 36)
-    array.  It is read off the set at p = 1/2, where every entry that is
-    nonzero at some p is nonzero.
+    pi_k(i): the product a[A, B] * b[x, y] of one entry of its qubit
+    operator a and one of its qutrit operator b, for i = 3A + x and
+    pi_k(i) = 3B + y.  The pattern holds five read-only arrays:
+
+    * ``rho_index`` (K, 36): for output entry (i, j), the flat index
+      pi_k(i)*6 + pi_k(j) of its rho entry;
+    * ``factor_at`` (2, K, 6): the flat index of v_i's qubit and qutrit
+      factor among the qubit set's entries, then the qutrit set's, then
+      one zero that stands for a correlated set's padding;
+    * ``left``, ``right`` (K, 36): for output entry (i, j), the flat
+      index of v_i and of v_j in the (K, 6) array of the v_i;
+    * ``column`` (K, 6): the flat index there of the nonzero of column j
+      of operator k, or of a zero row where column j is zero.
+
+    It is read off the set at p = 1/2, where every entry that is nonzero
+    at some p is nonzero.
     """
-    ops = _tensor_set(qubit_channel(kind, 0.5),
-                      qutrit_channel(kind, 0.5, variant, level_order),
-                      global_mode)
+    qubit = qubit_channel(kind, 0.5)
+    qutrit = qutrit_channel(kind, 0.5, variant, level_order)
+    ops = _tensor_set(qubit, qutrit, global_mode)
     nonzero = ops != 0
     if (nonzero.sum(axis=-1).max() > 1 or nonzero.sum(axis=-2).max() > 1
             or np.any((ops.real != 0) & (ops.imag != 0))):
         return None
     col = nonzero.argmax(axis=-1)  # 0 for a zero row, whose v_i is 0
-    k = len(ops)
-    value = np.arange(k)[:, None] * 36 + np.arange(6) * 6 + col
-    pattern = ((col[:, :, None] * 6 + col[:, None, :]).reshape(k, 36),
-               np.repeat(value, 6, axis=1), np.tile(value, 6))
+    k, ka, kb, row = len(ops), len(qubit), len(qutrit), np.arange(6)
+    if global_mode == PRODUCT:
+        on_qubit, on_qutrit = np.repeat(np.arange(ka), kb), np.tile(np.arange(kb), ka)
+    else:
+        on_qubit = on_qutrit = np.arange(k)
+    factor_at = np.stack((on_qubit[:, None] * 4 + row // 3 * 2 + col // 3,
+                          qubit.size + on_qutrit[:, None] * 9 + row % 3 * 3 + col % 3))
+    if global_mode == CORRELATED:  # operators ka (kb) and beyond are padding
+        factor_at[0, ka:] = factor_at[1, kb:] = qubit.size + qutrit.size
+    first = np.arange(k)[:, None] * 6  # the flat index of each operator's v_0
+    # An operator has as many zero columns as zero rows (one nonzero per
+    # row and per column), so a zero column always finds a zero row.
+    zero_row = (~nonzero.any(axis=-1)).argmax(axis=-1)[:, None]
+    holder = np.where(nonzero.any(axis=-2), nonzero.argmax(axis=-2), zero_row)
+    pattern = ((col[:, :, None] * 6 + col[:, None, :]).reshape(k, 36), factor_at,
+               np.repeat(first + row, 6, axis=1), np.tile(first + row, 6),
+               first + holder)
     for a in pattern:
         a.flags.writeable = False
     return pattern
@@ -270,33 +297,44 @@ def _gather_pattern(kind, global_mode, variant, level_order):
 
 @functools.lru_cache(maxsize=_SET_CACHE_SIZE)
 def _kraus_set(kind, qubit_p, qutrit_p, global_mode, variant, level_order):
-    """The read-only 6x6 set of ``kind``'s qubit set at ``qubit_p`` and
-    qutrit set at ``qutrit_p``, with its gather plan where it has one, and
-    its completeness defect, built once per key while it stays among the
-    most recently used."""
-    ops = _tensor_set(qubit_channel(kind, qubit_p),
-                      qutrit_channel(kind, qutrit_p, variant, level_order),
-                      global_mode)
-    ops.flags.writeable = False
-    cached = _CachedSet(ops)
+    """The set of ``kind``'s qubit set at ``qubit_p`` and qutrit set at
+    ``qutrit_p``, and its completeness defect, built once per key while it
+    stays among the most recently used.
+
+    A set with a gather pattern is built as a ``_GatherSet`` straight from
+    the qubit and qutrit entries: each v_i as the one multiply ``_kron``
+    makes, so every factor keeps its bits, and the defect as the largest
+    |s_j - 1| over the columns j, where s_j sums, in operator order, |v|^2
+    of the one nonzero of column j in each operator.  E^dag E of such a
+    set is diagonal, and the matmul of
+    ``completeness_defect`` only adds exact zeros to those terms, so the
+    defect keeps its bits too.  Any other set is a tuple of read-only 6x6
+    operators with the defect ``completeness_defect`` gives.
+    """
+    qubit = qubit_channel(kind, qubit_p)
+    qutrit = qutrit_channel(kind, qutrit_p, variant, level_order)
     pattern = _gather_pattern(kind, global_mode, variant, level_order)
-    if pattern is not None:
-        rho_index, left, right = pattern
-        flat = ops.reshape(-1)
-        v, w = flat[left], flat[right]
-        np.conjugate(w, out=w)
-        v.flags.writeable = w.flags.writeable = False
-        cached.gather = (rho_index, v, w)
-    return cached, completeness_defect(ops)
+    if pattern is None:
+        ops = _tensor_set(qubit, qutrit, global_mode)
+        ops.flags.writeable = False
+        return tuple(ops), completeness_defect(ops)
+    rho_index, factor_at, left, right, column = pattern
+    a, b = np.concatenate((qubit, qutrit, _ZERO), axis=None).take(factor_at)
+    v = a * b  # (K, 6)
+    # |v|^2 as BLAS rounds conj(v) * v: one part of v is zero.
+    defect = np.abs((np.abs(v) ** 2).take(column).sum(axis=0) - 1.0).max()
+    cached = _GatherSet(rho_index, v.take(left), v.conj().take(right))
+    cached.v.flags.writeable = cached.w.flags.writeable = False
+    return cached, float(defect)
 
 
 def apply_unchecked(ops, matrix: np.ndarray) -> np.ndarray:
     """sum E rho E^dag without any revalidation of the result.
 
     ``matrix`` may be one 6x6 matrix or a stack (..., 6, 6); each operator
-    is applied to the whole stack at once.  A set from the ``_kraus_set``
-    cache with a gather plan (phase flip, dephasing, bit-trit flip) takes
-    the gather kernel: entry (i, j) of E rho E^dag is
+    is applied to the whole stack at once.  A ``_GatherSet`` from the
+    ``_kraus_set`` cache (phase flip, dephasing, bit-trit flip) takes the
+    gather kernel: entry (i, j) of E rho E^dag is
     (rho[pi(i), pi(j)] * v_i) * conj(v_j), for all K operators in one
     vectorised step.  Any other set, a plain sequence of operators
     included, takes E @ rho @ E^dag per operator: E @ rho over the stack
@@ -309,9 +347,8 @@ def apply_unchecked(ops, matrix: np.ndarray) -> np.ndarray:
     order.
     """
     m = np.asarray(matrix, dtype=complex)
-    gather = getattr(ops, "gather", None)
-    if gather is not None:
-        return _gather_apply(gather, m)
+    if isinstance(ops, _GatherSet):
+        return _gather_apply(ops, m)
     # C order whatever m's layout, so the row views below are views, not copies.
     out, left = np.zeros(m.shape, complex), np.empty(m.shape, complex)
     rows, left_rows = out.reshape(-1, m.shape[-1]), left.reshape(-1, m.shape[-1])
@@ -374,9 +411,12 @@ def collective_set(
     and is the unique trace-preserving completion.  ``correlated`` pairs
     operators index by index, padding the shorter set with zeros; it
     generally violates completeness, which callers must check.  The
-    operators are the read-only ones ``evolve`` takes from its cache.
+    operators are read-only.
     """
-    return _kraus_set(kind, p, p, global_mode, variant, level_order)[0]
+    ops = _tensor_set(qubit_channel(kind, p),
+                      qutrit_channel(kind, p, variant, level_order), global_mode)
+    ops.flags.writeable = False
+    return tuple(ops)
 
 
 def evolve(rho, specs, allow_incomplete: bool = False) -> np.ndarray:

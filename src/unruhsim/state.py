@@ -41,10 +41,12 @@ def require_finite(m: np.ndarray) -> None:
 
 
 def hermiticity_defect(h: np.ndarray):
-    """Max-norm of (h - h^dagger); one value per matrix of a stack (..., n, n)."""
+    """Max-norm of (h - h^dagger); one value per matrix of a stack (..., n, n)
+    of n >= 1."""
     h = np.asarray(h, dtype=complex)
-    if h.ndim < 2 or h.shape[-2] != h.shape[-1]:
-        raise DimensionMismatch(f"expected square matrices, got shape {h.shape}")
+    if h.ndim < 2 or h.shape[-2] != h.shape[-1] or not h.shape[-1]:
+        raise DimensionMismatch(
+            f"expected nonempty square matrices, got shape {h.shape}")
     defect = np.abs(h - np.swapaxes(h, -1, -2).conj()).max(axis=(-2, -1))
     return float(defect) if h.ndim == 2 else defect
 

@@ -86,7 +86,9 @@ def _result_arrays(rows: int, columns: int):
     try:
         min_eig = np.empty((rows, columns))
         return min_eig, np.empty_like(min_eig)
-    except MemoryError as exc:  # the grid fits, its result arrays do not
+    # The grid fits, its result arrays do not: numpy cannot allocate them
+    # (MemoryError), or refuses their size before it tries (ValueError).
+    except (MemoryError, ValueError) as exc:
         raise OutOfRange(f"a grid of {rows * columns} points is too large") from exc
 
 

@@ -217,7 +217,9 @@ def test_table_sets_are_the_papers_matrices_bit_for_bit(kind, variant, order):
             _assert_same_bits(got, np.stack(want))
             assert ch.completeness_defect(got) == _paper_defect(want)
     for mode in ch.GLOBAL_MODES:
-        pattern = ch._gather_pattern(kind, mode, variant, order)
+        # Where each row's nonzero lies: at p = 1/2 every entry that is
+        # nonzero at some p is nonzero.
+        col = (_paper_set(kind, 0.5, 0.5, mode, variant, order) != 0).argmax(axis=-1)
         # A collective set (correlated or product) takes one p; a local
         # (product) set one p per system.
         pairs = [(p1, p2) for p1 in _TABLE_P for p2 in _TABLE_P
@@ -225,12 +227,18 @@ def test_table_sets_are_the_papers_matrices_bit_for_bit(kind, variant, order):
         for p1, p2 in pairs:
             want = _paper_set(kind, p1, p2, mode, variant, order)
             ops, defect = ch._kraus_set(kind, p1, p2, mode, variant, order)
-            _assert_same_bits(np.stack(ops), want)
             assert defect == _paper_defect(want)
-            if pattern is not None:
-                flat = want.reshape(-1)
-                _assert_same_bits(ops.gather[1], flat[pattern[1]])
-                _assert_same_bits(ops.gather[2], flat[pattern[2]].conj())
+            if kind not in _GATHER_KINDS:
+                _assert_same_bits(np.stack(ops), want)
+                continue
+            # v_i is row i's entry in column col(i); v holds v_i and w
+            # conj(v_j) for output entry (i, j).
+            v = np.take_along_axis(want, col[..., None], axis=-1)[..., 0]
+            k = len(want)
+            np.testing.assert_array_equal(
+                ops.rho_index, (col[:, :, None] * 6 + col[:, None, :]).reshape(k, 36))
+            _assert_same_bits(ops.v, np.repeat(v, 6, axis=1))
+            _assert_same_bits(ops.w, np.tile(v.conj(), 6))
 
 
 # --- lifting ----------------------------------------------------------------
@@ -569,7 +577,7 @@ def test_gather_kernel_is_chosen_exactly_for_real_or_imaginary_sets(
     kind, mode, variant, order, gather_calls
 ):
     ops, _ = ch._kraus_set(kind, 0.3, 0.6, mode, variant, order)
-    assert (ops.gather is not None) == (kind in _GATHER_KINDS)
+    assert isinstance(ops, ch._GatherSet) == (kind in _GATHER_KINDS)
     ch.apply_unchecked(ops, unruh_state(0.2))
     assert len(gather_calls) == (kind in _GATHER_KINDS)
     # evolve applies a local and a collective set, both from the cache.
@@ -580,12 +588,19 @@ def test_gather_kernel_is_chosen_exactly_for_real_or_imaginary_sets(
     assert len(gather_calls) == 2 * (kind in _GATHER_KINDS)
 
 
+def _operators(kind, p1, p2, mode, variant, order):
+    """The set as a plain tuple of 6x6 operators, built apart from the cache."""
+    return tuple(ch._tensor_set(ch.qubit_channel(kind, p1),
+                                ch.qutrit_channel(kind, p2, variant, order), mode))
+
+
 def test_plain_operator_tuples_take_the_matmul(gather_calls):
-    ops, _ = ch._kraus_set(ch.PHASE_FLIP, 0.3, 0.3, ch.PRODUCT, ch.CORRECTED,
-                           ch.REVERSED)
+    key = (ch.PHASE_FLIP, 0.3, 0.3, ch.PRODUCT, ch.CORRECTED, ch.REVERSED)
+    ops, _ = ch._kraus_set(*key)
     rho = unruh_state(0.4)
-    plain = ch.apply(tuple(ops), rho)
-    np.testing.assert_array_equal(ch.apply_unchecked(tuple(ops), rho), plain)
+    plain = ch.apply(_operators(*key), rho)
+    np.testing.assert_array_equal(ch.apply_unchecked(_operators(*key), rho),
+                                  plain)
     assert gather_calls == []
     np.testing.assert_array_equal(ch.apply_unchecked(ops, rho), plain)
     assert gather_calls == [(6, 6)]
@@ -613,10 +628,21 @@ def test_gather_kernel_is_bit_equal_to_the_matmul(kind, mode, variant, order):
     for p1 in _KERNEL_P:
         for p2 in _KERNEL_P:
             ops, _ = ch._kraus_set(kind, p1, p2, mode, variant, order)
+            plain = _operators(kind, p1, p2, mode, variant, order)
             for m in (states, noise):
                 for stack in (m, m[:1], m[0]):
                     _assert_same_bits(ch.apply_unchecked(ops, stack),
-                                      ch.apply_unchecked(tuple(ops), stack))
+                                      ch.apply_unchecked(plain, stack))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_STRUCTURES), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_cached_defect_is_the_matmul_defect_bit_for_bit(structure, p1, p2):
+    kind, mode, variant, order = structure
+    p2 = p2 if mode == ch.PRODUCT else p1  # a collective set takes one p
+    _, defect = ch._kraus_set(kind, p1, p2, mode, variant, order)
+    plain = _operators(kind, p1, p2, mode, variant, order)
+    assert defect == ch.completeness_defect(plain)
 
 
 # --- spec lists: the same checks as a spec-by-spec loop -----------------------
@@ -701,10 +727,15 @@ def test_cached_incomplete_set_still_raises_with_its_defect():
 
 
 def test_cached_operators_are_read_only():
-    ops, _ = ch._kraus_set(ch.PHASE_FLIP, 0.3, 0.3, ch.PRODUCT, ch.CORRECTED,
-                           ch.REVERSED)
+    ops, _ = ch._kraus_set(ch.BIT_TRIT_PHASE_FLIP, 0.3, 0.3, ch.PRODUCT,
+                           ch.CORRECTED, ch.REVERSED)
     with pytest.raises(ValueError):
         ops[0][0, 0] = 2.0
+    gather, _ = ch._kraus_set(ch.PHASE_FLIP, 0.3, 0.3, ch.PRODUCT, ch.CORRECTED,
+                              ch.REVERSED)
+    for array in gather:  # the rho index and both factors
+        with pytest.raises(ValueError):
+            array[0, 0] = 2
 
 
 def test_cache_eviction_keeps_results():
@@ -738,7 +769,7 @@ def test_choi_matrix_is_psd_and_traces_to_identity_iff_complete(
     # is complete (Choi 1975).
     for p in (0.0, 0.3, 0.7, 1.0):
         for ops in (ch.collective_set(kind, p, mode, variant, order),
-                    ch._kraus_set(kind, p, 1 - p, ch.PRODUCT, variant, order)[0]):
+                    _paper_set(kind, p, 1 - p, ch.PRODUCT, variant, order)):
             vecs = np.stack([e.reshape(-1) for e in ops])
             choi = vecs.T @ vecs.conj()
             assert np.linalg.eigvalsh(choi).min() >= -1e-12

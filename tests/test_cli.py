@@ -468,8 +468,14 @@ _NEGATIVITY = ["negativity", "--channel", "phase-flip", "--coupling", "ml",
     (["verify", "--channel", "dephasing", "--coupling", "ml",
       "--grid", str(10**20)], None),
     (["check-channels", "--p", str(10**20)], None),
+    # Axes numpy can build, whose result arrays it refuses before allocating.
+    (["verify", "--channel", "dephasing", "--coupling", "global",
+      "--grid", "50000"], None),
+    (["verify", "--channel", "dephasing", "--coupling", "multilocal",
+      "--grid", "3000000"], None),
 ], ids=["p1", "p", "config-p2", "sweep-p", "config-not-utf8", "sweep-steps-huge",
-        "verify-grid-huge", "check-channels-huge"])
+        "verify-grid-huge", "check-channels-huge", "verify-global-results-huge",
+        "verify-multilocal-results-huge"])
 def test_bad_input_exits_one_without_traceback(
     tmp_path, monkeypatch, capsys, argv, config
 ):
@@ -481,8 +487,10 @@ def test_bad_input_exits_one_without_traceback(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
-    if str(10**20) in argv:  # refused for its size, not by a value check
-        assert captured.err == f"error: a grid of {10**20} points is too large\n"
+    # Refused for its size, not by a value check.
+    points = {str(10**20): 10**20, "50000": 50000**4, "3000000": 3000000**3}
+    for size in set(argv) & points.keys():
+        assert captured.err == f"error: a grid of {points[size]} points is too large\n"
     assert not (tmp_path / "s.csv").exists()
 
 

@@ -134,6 +134,10 @@ def test_accepts_raw_arrays():
     )
 
 
+_INF_AT_2_2 = np.stack([np.eye(6, dtype=complex) / 6] * 2)
+_INF_AT_2_2[1, 2, 2] = np.inf
+
+
 @pytest.mark.parametrize("evaluate, m, error, message", [
     (negativity, np.full((6, 6), np.nan), ValueError, "non-finite"),
     (negativity, np.full((6, 6), np.inf), ValueError, "non-finite"),
@@ -143,7 +147,12 @@ def test_accepts_raw_arrays():
     # A NaN defect is not within tolerance.
     (pt_spectra, np.stack([np.eye(6) / 6, np.full((6, 6), np.nan)]), NotHermitian,
      "defect nan"),
-], ids=["nan", "inf", "4x4", "stack", "pt-spectra-nan"])
+    # An inf entry gives a nan defect, without a RuntimeWarning, which
+    # pytest would raise in its place.
+    (pt_spectra, _INF_AT_2_2, NotHermitian, "defect nan"),
+    (linalg.hermitian_eigenvalues, _INF_AT_2_2, NotHermitian, "defect nan"),
+], ids=["nan", "inf", "4x4", "stack", "pt-spectra-nan", "pt-spectra-inf",
+        "hermitian-eigenvalues-inf"])
 def test_bad_raw_input_raises_package_errors(evaluate, m, error, message):
     with pytest.raises(error, match=message):
         evaluate(m)

@@ -21,9 +21,10 @@ def _complex_matrices(n):
 
 
 def test_dimension_mismatch():
-    for not_square in (np.ones(3), np.ones((2, 3)), np.ones((4, 2, 3))):
+    for bad in (np.ones(3), np.ones((2, 3)), np.ones((4, 2, 3)), np.empty((0, 0)),
+                np.empty((2, 0, 0))):
         with pytest.raises(DimensionMismatch):
-            linalg.hermitian_eigenvalues(not_square)
+            linalg.hermitian_eigenvalues(bad)
 
 
 def test_hermitian_eigenvalues_examples():

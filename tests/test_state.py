@@ -99,9 +99,10 @@ def test_an_r_axis_checks_every_r_and_its_own_shape():
 
 
 def test_hermiticity_defect_rejects_non_square_input():
-    for not_square in (np.ones(3), np.ones((2, 3)), np.ones((4, 2, 3))):
+    for bad in (np.ones(3), np.ones((2, 3)), np.ones((4, 2, 3)), np.empty((0, 0)),
+                np.empty((3, 0, 0))):
         with pytest.raises(DimensionMismatch):
-            state.hermiticity_defect(not_square)
+            state.hermiticity_defect(bad)
 
 
 # --- the PSD certificate against the eigensolver-only rule --------------------
