@@ -232,9 +232,9 @@ def _tensor_set(a: np.ndarray, b: np.ndarray, global_mode: str = PRODUCT):
 
 
 class _GatherSet(NamedTuple):
-    """A cached set that ``apply_unchecked`` applies by its gather kernel:
-    the (K, 36) flat index into rho of every output entry and the (K, 36)
-    factors v_i and conj(v_j) of each."""
+    """A cached set that the gather kernel ``_gather`` applies: the (K, 36)
+    flat index into rho of every output entry and the (K, 36) factors v_i
+    and conj(v_j) of each, all C-contiguous."""
 
     rho_index: np.ndarray
     v: np.ndarray
@@ -334,21 +334,20 @@ def apply_unchecked(ops, matrix: np.ndarray) -> np.ndarray:
     ``matrix`` may be one 6x6 matrix or a stack (..., 6, 6); each operator
     is applied to the whole stack at once.  A ``_GatherSet`` from the
     ``_kraus_set`` cache (phase flip, dephasing, bit-trit flip) takes the
-    gather kernel: entry (i, j) of E rho E^dag is
-    (rho[pi(i), pi(j)] * v_i) * conj(v_j), for all K operators in one
-    vectorised step.  Any other set, a plain sequence of operators
-    included, takes E @ rho @ E^dag per operator: E @ rho over the stack
-    into one buffer, then E^dag on the right of all its rows in one
-    (N*6, 6) @ (6, 6) product (the oracle tests pin it, bit for bit, to the
-    matrix-by-matrix product; a batched left factor does not match).  On
-    finite input both kernels give the same bits: each matmul entry is that
-    one product plus exact zeros, the complex products round alike because
-    v_i is real or purely imaginary, and both add the operators' terms in
-    order.
+    gather kernel ``_gather`` as a stage of one set.  Any other set, a
+    plain sequence of operators included, takes E @ rho @ E^dag per
+    operator: E @ rho over the stack into one buffer, then E^dag on the
+    right of all its rows in one (N*6, 6) @ (6, 6) product (the oracle
+    tests pin it, bit for bit, to the matrix-by-matrix product; a batched
+    left factor does not match).  On finite input both kernels give the
+    same bits: each matmul entry is the gather's one product plus exact
+    zeros, the complex products round alike because v_i is real or purely
+    imaginary, and both add the operators' terms in order.
     """
     m = np.asarray(matrix, dtype=complex)
     if isinstance(ops, _GatherSet):
-        return _gather_apply(ops, m)
+        x = m.reshape(1, -1, 36)
+        return _gather((ops,), x, _support(x))[0].reshape(m.shape)
     # C order whatever m's layout, so the row views below are views, not copies.
     out, left = np.zeros(m.shape, complex), np.empty(m.shape, complex)
     rows, left_rows = out.reshape(-1, m.shape[-1]), left.reshape(-1, m.shape[-1])
@@ -358,16 +357,64 @@ def apply_unchecked(ops, matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gather_apply(gather, m: np.ndarray) -> np.ndarray:
-    rho_index, left, right = gather
-    t = m.reshape(m.shape[:-2] + (36,))[..., rho_index]  # (..., K, 36)
-    t *= left
-    t *= right
-    out = t.sum(axis=-2)
-    # -0 to +0: the matmul loop sums from +0, so never ends on -0; numpy's
-    # sum need not start from +0 (numpy 2.4 does; this is then a no-op).
-    out += 0.0
-    return out.reshape(m.shape)
+def _support(x: np.ndarray):
+    """The entries (36,) that are nonzero in some matrix of the flat stack
+    x, nan and inf included, +0 and -0 not; None, standing for all 36, when
+    x holds one matrix."""
+    return None if x.size == 36 else x.reshape(-1, 36).any(axis=0)
+
+
+def _gather(sets, x: np.ndarray, support):
+    """One stage: the S gather sets of one structure, each applied to its
+    flat matrices of x, (S, N, 36), or all to the (1, N, 36) of x, in one
+    call.  Returns the (S, N, 36) results and their reach.
+
+    Entry (i, j) of E rho E^dag is (rho[pi(i), pi(j)] * v_i) * conj(v_j).
+    With ``support`` None every column is formed; otherwise only the
+    columns c of the reach, where some rho_index[k, c] lies in the
+    support, and the rest stay the zeros they are scattered into.  On
+    (S, N, K, C) arrays: a gather, the two scalings, the sum over K in
+    operator order and a -0 to +0 fix-up (the matmul loop sums from +0, so
+    never ends on -0).  As v and w are finite, an entry outside the reach
+    is a sum of signed zeros, which the fix-up would make +0.  The
+    restricted arrays are C-contiguous and keep two columns or more, so
+    numpy adds the K terms one by one, as over all 36 columns; down a lone
+    column it would sum them pairwise.
+    """
+    rho_index = sets[0].rho_index
+    if len(sets) == 1:
+        v, w = sets[0].v[None], sets[0].w[None]
+    else:
+        v, w = np.stack([s.v for s in sets]), np.stack([s.w for s in sets])
+    reach = None
+    if support is not None:
+        reach = support[rho_index].any(axis=0)
+        cols = np.flatnonzero(reach)
+        if len(cols) == 1:
+            cols = np.union1d(cols, (0, 1))
+        rho_index, v, w = (a.take(cols, axis=-1) for a in (rho_index, v, w))
+    t = x.take(rho_index, axis=-1)  # (S or 1, N, K, C)
+    t = t * v[:, None]
+    t *= w[:, None]
+    kept = t.sum(axis=-2)
+    kept += 0.0
+    if reach is None:
+        return kept, None
+    out = np.zeros(kept.shape[:-1] + (36,), complex)
+    out[..., cols] = kept
+    return out, reach
+
+
+def _stage(sets, x: np.ndarray, support):
+    """``_gather`` for gather sets; otherwise each set through
+    ``apply_unchecked``'s matmul, with the reach unknown (None)."""
+    if isinstance(sets[0], _GatherSet):
+        return _gather(sets, x, support)
+    x = x.reshape(len(x), -1, 6, 6)
+    out = np.empty((len(sets),) + x.shape[1:], complex)
+    for i, ops in enumerate(sets):
+        out[i] = apply_unchecked(ops, x[i if len(x) > 1 else 0])
+    return out.reshape(len(sets), -1, 36), None
 
 
 _INCOMPLETE_SET = (
@@ -426,14 +473,17 @@ def evolve(rho, specs, allow_incomplete: bool = False) -> np.ndarray:
 
     The stack goes through each distinct local set at (p1, p2) once; for
     global coupling, each spec's local result then goes through its own
-    collective set.  Sets come from the bounded ``_kraus_set`` cache with
-    their completeness defects.  The result has the shape of ``rho``, with
-    a leading spec axis for a sequence.  Every matrix of a trace-preserving
-    spec is validated; the result is read-only exactly when every spec is
-    trace preserving, so every matrix in it was validated.  A spec that is
-    not raises CompletenessViolation, as the first failure of a
-    spec-by-spec loop would, unless ``allow_incomplete``; then its raw
-    evolved matrices are returned for diagnostics.
+    collective set.  Each of the two stages is one ``_stage`` call: one
+    gather over all its sets, restricted to the entries that the stage's
+    input can reach, or one matmul per set.  Sets come from the bounded
+    ``_kraus_set`` cache with their completeness defects.  The result has
+    the shape of ``rho``, with a leading spec axis for a sequence.  Every
+    matrix of a trace-preserving spec is validated; the result is read-only
+    exactly when every spec is trace preserving, so every matrix in it was
+    validated.  A spec that is not raises CompletenessViolation, as the
+    first failure of a spec-by-spec loop would, unless
+    ``allow_incomplete``; then its raw evolved matrices are returned for
+    diagnostics.
     """
     m = np.asarray(rho, complex)
     one = isinstance(specs, ChannelSpec)
@@ -451,13 +501,26 @@ def evolve(rho, specs, allow_incomplete: bool = False) -> np.ndarray:
     defects = [max(a[1], b[1]) for a, b in zip(local, coll)]
     tp = [d <= COMPLETENESS_TOL for d in defects]
     n = len(specs) if allow_incomplete or all(tp) else tp.index(False)
-    out = np.empty((n,) + m.shape, complex)
-    evolved = {}
-    for i, s in enumerate(specs[:n]):
-        if (s.p1, s.p2) not in evolved:
-            evolved[s.p1, s.p2] = apply_unchecked(local[i][0], m)
-        out[i] = (apply_unchecked(coll[i][0], evolved[s.p1, s.p2])
-                  if coupling == GLOBAL else evolved[s.p1, s.p2])
+    if n == 0:
+        out = np.empty((0,) + m.shape, complex)
+    else:
+        x = m.reshape(1, -1, 36)
+        sets, rows = [local[0][0]], [0]
+        if n > 1:  # row i of the local stage's result is local set rows[i]
+            sets, rows, row_of = [], [], {}
+            for s, (ops, _) in zip(specs[:n], local):
+                if (s.p1, s.p2) not in row_of:
+                    row_of[s.p1, s.p2] = len(sets)
+                    sets.append(ops)
+                rows.append(row_of[s.p1, s.p2])
+        y, reach = _stage(sets, x, _support(x))
+        if coupling == GLOBAL:
+            # A local result shared by every spec broadcasts over the stage.
+            y = _stage([c[0] for c in coll[:n]], y if len(y) in (1, n) else y[rows],
+                       reach)[0]
+        elif len(y) < n:
+            y = y[rows]
+        out = y.reshape((n,) + m.shape)
     if n and all(tp[:n]):
         out = validate_density(out.reshape(-1, 6, 6)).reshape(out.shape)
     elif any(tp[:n]):

@@ -11,7 +11,7 @@ import contextlib
 import errno
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,8 +124,9 @@ def evaluate(specs, r_values, allow_incomplete: bool = False, out=None):
 def _linked(channel: ChannelSpec, p: float) -> ChannelSpec:
     """The channel with p applied to p1, p2 and, for global coupling, the
     collective p."""
-    return replace(channel, p1=p, p2=p,
-                   p=p if channel.coupling == GLOBAL else channel.p)
+    return ChannelSpec(channel.kind, channel.coupling, p, p,
+                       p if channel.coupling == GLOBAL else channel.p,
+                       channel.global_mode, channel.variant, channel.level_order)
 
 
 def _axis(stop: float, count: int) -> np.ndarray:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from unruhsim import channels as ch
 from unruhsim import sweep
@@ -560,15 +561,16 @@ _STRUCTURES = [(kind, mode, variant, order)
 
 @pytest.fixture
 def gather_calls(monkeypatch):
-    """The stack shape of each gather-kernel call made so far."""
+    """The number of sets, the stack shape and the size of the support
+    (None for all 36 entries) of each gather-kernel call made so far."""
     calls = []
-    gather = ch._gather_apply
+    gather = ch._gather
 
-    def spy(plan, m):
-        calls.append(m.shape)
-        return gather(plan, m)
+    def spy(sets, x, support):
+        calls.append((len(sets), x.shape, None if support is None else support.sum()))
+        return gather(sets, x, support)
 
-    monkeypatch.setattr(ch, "_gather_apply", spy)
+    monkeypatch.setattr(ch, "_gather", spy)
     return calls
 
 
@@ -603,7 +605,7 @@ def test_plain_operator_tuples_take_the_matmul(gather_calls):
                                   plain)
     assert gather_calls == []
     np.testing.assert_array_equal(ch.apply_unchecked(ops, rho), plain)
-    assert gather_calls == [(6, 6)]
+    assert gather_calls == [(1, (1, 1, 36), None)]
 
 
 def _assert_same_bits(got, want):
@@ -643,6 +645,128 @@ def test_cached_defect_is_the_matmul_defect_bit_for_bit(structure, p1, p2):
     _, defect = ch._kraus_set(kind, p1, p2, mode, variant, order)
     plain = _operators(kind, p1, p2, mode, variant, order)
     assert defect == ch.completeness_defect(plain)
+
+
+def _gather_formula(gather, m):
+    """E rho E^dag of one gather set for every matrix of the flat (N, 36)
+    stack m, over all 36 entries: (rho[pi(i), pi(j)] * v_i) * conj(v_j),
+    summed over the operators in order from +0, as the matmul sums."""
+    terms = m[:, gather.rho_index] * gather.v * gather.w  # (N, K, 36)
+    out = np.zeros((len(m), 36), complex)
+    for k in range(terms.shape[1]):
+        out = out + terms[:, k]
+    return out
+
+
+_GATHER_STRUCTURES = [s for s in _STRUCTURES if s[0] in _GATHER_KINDS]
+_SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -0.5, 5e-324, math.nan, math.inf,
+                            -math.inf])
+_ENTRY = st.one_of(_SPECIAL, st.floats(-4.0, 4.0))
+
+
+@st.composite
+def _gather_inputs(draw):
+    """A stack of 6x6 matrices, or one matrix, in some memory layout: its
+    entries are nonzero only on a drawn support, some matrices are all
+    zero, and -0, nan and inf all occur."""
+    n = draw(st.integers(1, 4))
+    m = np.empty((n, 6, 6), complex)
+    m.real, m.imag = draw(arrays(float, (2, n, 6, 6), elements=_ENTRY))
+    off = ~draw(arrays(bool, (6, 6)))
+    for part in (m.real, m.imag):  # +-0 off the support, with the signs drawn
+        part[:, off] = np.copysign(0.0, part[:, off])
+    m[draw(arrays(bool, n))] = 0.0
+    layout = draw(st.sampled_from([None, *_LAYOUTS]))
+    m = _LAYOUTS[layout](m) if layout else m
+    return m[0] if n == 1 and draw(st.booleans()) else m
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    structure=st.sampled_from(_GATHER_STRUCTURES),
+    # S sets from a pool of three parameter pairs, so that a stage holds
+    # both repeated and distinct sets.
+    pool=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                  min_size=3, max_size=3),
+    picks=st.lists(st.integers(0, 2), min_size=1, max_size=5),
+    second=st.lists(st.integers(0, 2), min_size=1, max_size=5),
+    m=_gather_inputs(),
+)
+def test_stage_gather_is_bit_equal_to_the_full_formula_per_set(
+    structure, pool, picks, second, m
+):
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0, inf - inf
+        _check_two_gather_stages(structure, pool, picks, second, m)
+
+
+def _check_two_gather_stages(structure, pool, picks, second, m):
+    kind, mode, variant, order = structure
+    flat = m.reshape(-1, 36)
+    local = [ch._kraus_set(kind, *pool[i], ch.PRODUCT, variant, order)[0]
+             for i in picks]
+    # One input shared by every set, its support read off the data.
+    x = m.reshape(1, -1, 36)
+    support = ch._support(x)
+    assert (support is None) == (flat.shape[0] == 1)
+    y, reach = ch._gather(local, x, support)
+    assert y.shape == (len(local),) + flat.shape and y.flags.c_contiguous
+    for got, gather in zip(y, local):
+        _assert_same_bits(got, _gather_formula(gather, flat))
+    if reach is not None:
+        assert not y[..., ~reach].any()
+    # One input per set (rows of the first stage, some repeated), with the
+    # first stage's reach as the support, as evolve's collective stage.
+    rows = [i % len(local) for i in second]
+    coll = [ch._kraus_set(kind, pool[i][0], pool[i][0], mode, variant, order)[0]
+            for i in second]
+    z, _ = ch._gather(coll, y[rows], reach)
+    for got, gather, row in zip(z, coll, rows):
+        _assert_same_bits(got, _gather_formula(gather, y[row]))
+
+
+def test_stage_gather_sums_a_lone_reached_column_in_operator_order():
+    # Entry 23 reaches one column of this set; numpy sums the operators'
+    # terms of a lone column pairwise, which rounds these differently.
+    gather, _ = ch._kraus_set(ch.DEPHASING, 0.3, 0.6, ch.PRODUCT, ch.AS_PRINTED,
+                              ch.PRINTED)
+    m = np.zeros((2, 36), complex)
+    m[:, 23] = (0.1 + 0.7j, 1 / 3 - 0.2j)
+    y, reach = ch._gather([gather], m[None], ch._support(m[None]))
+    assert reach.sum() == 1
+    _assert_same_bits(y[0], _gather_formula(gather, m))
+
+
+@pytest.mark.parametrize("kind, reach", [(ch.PHASE_FLIP, 6), (ch.DEPHASING, 6),
+                                         (ch.BIT_TRIT_FLIP, 18)])
+def test_figure_3_stages_reach_six_or_eighteen_columns(kind, reach):
+    states = unruh_state(np.linspace(0.0, math.pi / 4, 101)).reshape(1, -1, 36)
+    # Figure 3's global product spec at p = 0.3 applies this set twice.
+    ops, _ = ch._kraus_set(kind, 0.3, 0.3, ch.PRODUCT, ch.CORRECTED, ch.REVERSED)
+    y, local_reach = ch._gather([ops], states, ch._support(states))
+    _, coll_reach = ch._gather([ops], y, local_reach)
+    assert local_reach.sum() == coll_reach.sum() == reach
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_global_chunk_makes_one_gather_call_per_stage(shared, gather_calls):
+    # A chunk of a global verify grid: 11 r values, 11 specs.
+    states = unruh_state(np.linspace(0.0, math.pi / 4, 11))
+    axis = np.linspace(0.0, 1.0, 11).tolist()
+    specs = [ch.ChannelSpec(ch.PHASE_FLIP, ch.GLOBAL, 0.2, 0.4 if shared else q, q)
+             for q in axis]
+    out = ch.evolve(states, specs)
+    # The states' 6 nonzero entries, then the 6 columns the first stage reaches.
+    assert gather_calls == [(1 if shared else 11, (1, 11, 36), 6),
+                            (11, (1 if shared else 11, 11, 36), 6)]
+    for got, spec in zip(out, specs):
+        np.testing.assert_array_equal(got, ch.evolve(states, spec))
+
+
+@pytest.mark.parametrize("kind, mode, variant, order", _GATHER_STRUCTURES)
+def test_cached_gather_arrays_are_c_contiguous(kind, mode, variant, order):
+    gather, _ = ch._kraus_set(kind, 0.3, 0.6, mode, variant, order)
+    for array in gather:  # the rho index and both factors
+        assert array.flags.c_contiguous
 
 
 # --- spec lists: the same checks as a spec-by-spec loop -----------------------
