@@ -59,16 +59,14 @@ CORRELATED = "correlated"
 GLOBAL_MODES = (PRODUCT, CORRELATED)
 
 COMPLETENESS_TOL = 1e-12
-# Sets kept by ``_kraus_set``.  One ``evolve`` call over a chunk of a
-# global verify grid (the 11 specs of one (p1, p2) pair) needs 12: its 11
-# collective sets and the local one.  256 raised the peak memory of the
-# six verify reports by 1.1 MiB.
-_SET_CACHE_SIZE = 32
+# Stages kept by ``_stage_sets``: a chunk of a global verify grid needs
+# two, its own local stage and the collective stage that every chunk of
+# the report shares.
+_STAGE_CACHE_SIZE = 2
 
 _I2 = np.eye(2, dtype=complex)
 _I3 = np.eye(3, dtype=complex)
 _OMEGA = complex(np.exp(2j * np.pi / 3))
-_ZERO = np.zeros(1, complex)
 
 
 @dataclass(frozen=True)
@@ -141,17 +139,16 @@ def _table(dim: int, kind: str, variant: str, level_order: str):
     return index, unit
 
 
-def _scalars(dim: int, kind: str, p: float, variant: str) -> np.ndarray:
+def _scalars(dim: int, kind: str, p: float, variant: str) -> tuple:
     """s = (1, x, y): 1 and the two scalars of p in ``kind``'s set on a
     qubit (dim 2) or qutrit (dim 3).  The trit phase flip as printed has
     sqrt(1-2p/3) where completeness needs sqrt(1-p)."""
     if dim == 2 and kind != DEPHASING:
-        return np.array((1.0, math.sqrt(1 - p / 2), math.sqrt(p / 2)))
+        return 1.0, math.sqrt(1 - p / 2), math.sqrt(p / 2)
     if dim == 2 or kind in (PHASE_FLIP, DEPHASING):
-        return np.array((1.0, math.sqrt(1 - p), math.sqrt(p)))
+        return 1.0, math.sqrt(1 - p), math.sqrt(p)
     tp = kind == BIT_TRIT_PHASE_FLIP and variant == CORRECTED
-    return np.array((1.0, math.sqrt(1 - p) if tp else math.sqrt(1 - 2 * p / 3),
-                     math.sqrt(p / 3)))
+    return 1.0, math.sqrt(1 - p) if tp else math.sqrt(1 - 2 * p / 3), math.sqrt(p / 3)
 
 
 def qubit_channel(kind: str, p: float) -> np.ndarray:
@@ -162,7 +159,7 @@ def qubit_channel(kind: str, p: float) -> np.ndarray:
     """
     p = require_parameter("p", p)
     index, unit = _table(2, kind, CORRECTED, PRINTED)
-    return _scalars(2, kind, p, CORRECTED)[index] * unit
+    return np.array(_scalars(2, kind, p, CORRECTED))[index] * unit
 
 
 def qutrit_channel(kind: str, p: float, variant: str = CORRECTED,
@@ -175,7 +172,7 @@ def qutrit_channel(kind: str, p: float, variant: str = CORRECTED,
     """
     p = require_parameter("p", p)
     index, unit = _table(3, kind, variant, level_order)
-    return _scalars(3, kind, p, variant)[index] * unit
+    return np.array(_scalars(3, kind, p, variant))[index] * unit
 
 
 def completeness_defect(ops) -> float:
@@ -232,9 +229,9 @@ def _tensor_set(a: np.ndarray, b: np.ndarray, global_mode: str = PRODUCT):
 
 
 class _GatherSet(NamedTuple):
-    """A cached set that the gather kernel ``_gather`` applies: the (K, 36)
-    flat index into rho of every output entry and the (K, 36) factors v_i
-    and conj(v_j) of each, all C-contiguous."""
+    """The S sets of a gather stage, which ``_gather`` applies: the (K, 36)
+    flat index into rho of every output entry, shared by the S sets, and
+    the (S, K, 36) factors v_i and conj(v_j) of each, all C-contiguous."""
 
     rho_index: np.ndarray
     v: np.ndarray
@@ -250,13 +247,15 @@ def _gather_pattern(kind, global_mode, variant, level_order):
     Operator k holds the one nonzero of its row i, v_i, in column
     pi_k(i): the product a[A, B] * b[x, y] of one entry of its qubit
     operator a and one of its qutrit operator b, for i = 3A + x and
-    pi_k(i) = 3B + y.  The pattern holds five read-only arrays:
+    pi_k(i) = 3B + y.  The pattern holds six read-only arrays:
 
     * ``rho_index`` (K, 36): for output entry (i, j), the flat index
       pi_k(i)*6 + pi_k(j) of its rho entry;
-    * ``factor_at`` (2, K, 6): the flat index of v_i's qubit and qutrit
-      factor among the qubit set's entries, then the qutrit set's, then
-      one zero that stands for a correlated set's padding;
+    * ``scalar_at`` (2, K, 6): the index of the scalar of v_i's qubit and
+      qutrit factor among seven: the qubit's (1, x, y) of ``_scalars``,
+      the qutrit's, and one zero that stands for a correlated set's
+      padding;
+    * ``unit_at`` (2, K, 6): the unit entry (``_table``) of each factor;
     * ``left``, ``right`` (K, 36): for output entry (i, j), the flat
       index of v_i and of v_j in the (K, 6) array of the v_i;
     * ``column`` (K, 6): the flat index there of the nonzero of column j
@@ -278,16 +277,21 @@ def _gather_pattern(kind, global_mode, variant, level_order):
         on_qubit, on_qutrit = np.repeat(np.arange(ka), kb), np.tile(np.arange(kb), ka)
     else:
         on_qubit = on_qutrit = np.arange(k)
-    factor_at = np.stack((on_qubit[:, None] * 4 + row // 3 * 2 + col // 3,
-                          qubit.size + on_qutrit[:, None] * 9 + row % 3 * 3 + col % 3))
+    # Each factor's flat index among the qubit entries, qutrit entries, padding.
+    entry = np.stack((on_qubit[:, None] * 4 + row // 3 * 2 + col // 3,
+                      qubit.size + on_qutrit[:, None] * 9 + row % 3 * 3 + col % 3))
     if global_mode == CORRELATED:  # operators ka (kb) and beyond are padding
-        factor_at[0, ka:] = factor_at[1, kb:] = qubit.size + qutrit.size
+        entry[0, ka:] = entry[1, kb:] = qubit.size + qutrit.size
+    index, unit = zip(_table(2, kind, CORRECTED, PRINTED),
+                      _table(3, kind, variant, level_order))
     first = np.arange(k)[:, None] * 6  # the flat index of each operator's v_0
     # An operator has as many zero columns as zero rows (one nonzero per
     # row and per column), so a zero column always finds a zero row.
     zero_row = (~nonzero.any(axis=-1)).argmax(axis=-1)[:, None]
     holder = np.where(nonzero.any(axis=-2), nonzero.argmax(axis=-2), zero_row)
-    pattern = ((col[:, :, None] * 6 + col[:, None, :]).reshape(k, 36), factor_at,
+    pattern = ((col[:, :, None] * 6 + col[:, None, :]).reshape(k, 36),
+               np.concatenate((index[0], index[1] + 3, 6), axis=None).take(entry),
+               np.concatenate(unit + (1,), axis=None).take(entry),
                np.repeat(first + row, 6, axis=1), np.tile(first + row, 6),
                first + holder)
     for a in pattern:
@@ -295,46 +299,50 @@ def _gather_pattern(kind, global_mode, variant, level_order):
     return pattern
 
 
-@functools.lru_cache(maxsize=_SET_CACHE_SIZE)
-def _kraus_set(kind, qubit_p, qutrit_p, global_mode, variant, level_order):
-    """The set of ``kind``'s qubit set at ``qubit_p`` and qutrit set at
-    ``qutrit_p``, and its completeness defect, built once per key while it
-    stays among the most recently used.
+@functools.lru_cache(maxsize=_STAGE_CACHE_SIZE)
+def _stage_sets(kind, pairs, global_mode, variant, level_order):
+    """The sets of one ``evolve`` stage, ``kind``'s qubit set at qubit_p
+    (x) its qutrit set at qutrit_p for each (qubit_p, qutrit_p) of
+    ``pairs``, and the list of their completeness defects, built once per
+    key while it stays among the most recently used.
 
-    A set with a gather pattern is built as a ``_GatherSet`` straight from
-    the qubit and qutrit entries: each v_i as the one multiply ``_kron``
-    makes, so every factor keeps its bits, and the defect as the largest
-    |s_j - 1| over the columns j, where s_j sums, in operator order, |v|^2
-    of the one nonzero of column j in each operator.  E^dag E of such a
-    set is diagonal, and the matmul of
-    ``completeness_defect`` only adds exact zeros to those terms, so the
-    defect keeps its bits too.  Any other set is a tuple of read-only 6x6
-    operators with the defect ``completeness_defect`` gives.
-    """
-    qubit = qubit_channel(kind, qubit_p)
-    qutrit = qutrit_channel(kind, qutrit_p, variant, level_order)
+    A gather stage is one ``_GatherSet`` built in one pass from the
+    pattern's scalar map: each factor is its scalar times its unit entry,
+    and v_i the qubit factor times the qutrit factor, the multiplies that
+    ``qubit_channel``, ``qutrit_channel`` and ``_kron`` make, so every
+    factor keeps its bits.  A defect is the largest |s_j - 1| over the
+    columns j, where s_j sums, in operator order, |v|^2 of column j's
+    one nonzero in each operator: E^dag E is diagonal, and the matmul of
+    ``completeness_defect`` only adds exact zeros to it.  Any other stage
+    is a tuple of sets of read-only 6x6 operators, with the defects
+    ``completeness_defect`` gives."""
     pattern = _gather_pattern(kind, global_mode, variant, level_order)
     if pattern is None:
-        ops = _tensor_set(qubit, qutrit, global_mode)
-        ops.flags.writeable = False
-        return tuple(ops), completeness_defect(ops)
-    rho_index, factor_at, left, right, column = pattern
-    a, b = np.concatenate((qubit, qutrit, _ZERO), axis=None).take(factor_at)
-    v = a * b  # (K, 6)
+        sets = [_tensor_set(qubit_channel(kind, a),
+                            qutrit_channel(kind, b, variant, level_order), global_mode)
+                for a, b in pairs]
+        for ops in sets:
+            ops.flags.writeable = False
+        return tuple(map(tuple, sets)), [completeness_defect(ops) for ops in sets]
+    rho_index, scalar_at, unit_at, left, right, column = pattern
+    scalars = np.array([(*_scalars(2, kind, float(a), CORRECTED),
+                         *_scalars(3, kind, float(b), variant), 0.0) for a, b in pairs])
+    factors = scalars.take(scalar_at, axis=1) * unit_at  # (S, 2, K, 6)
+    v = (factors[:, 0] * factors[:, 1]).reshape(len(pairs), -1)  # (S, K*6)
     # |v|^2 as BLAS rounds conj(v) * v: one part of v is zero.
-    defect = np.abs((np.abs(v) ** 2).take(column).sum(axis=0) - 1.0).max()
-    cached = _GatherSet(rho_index, v.take(left), v.conj().take(right))
-    cached.v.flags.writeable = cached.w.flags.writeable = False
-    return cached, float(defect)
+    sums = (np.abs(v) ** 2).take(column, axis=1).sum(axis=1)
+    stage = _GatherSet(rho_index, v.take(left, axis=1), v.conj().take(right, axis=1))
+    stage.v.flags.writeable = stage.w.flags.writeable = False
+    return stage, np.abs(sums - 1.0).max(axis=1).tolist()
 
 
 def apply_unchecked(ops, matrix: np.ndarray) -> np.ndarray:
     """sum E rho E^dag without any revalidation of the result.
 
     ``matrix`` may be one 6x6 matrix or a stack (..., 6, 6); each operator
-    is applied to the whole stack at once.  A ``_GatherSet`` from the
-    ``_kraus_set`` cache (phase flip, dephasing, bit-trit flip) takes the
-    gather kernel ``_gather`` as a stage of one set.  Any other set, a
+    is applied to the whole stack at once.  A one-set ``_GatherSet`` stage
+    of ``_stage_sets`` (phase flip, dephasing, bit-trit flip) takes the
+    gather kernel ``_gather``.  Any other set, a
     plain sequence of operators included, takes E @ rho @ E^dag per
     operator: E @ rho over the stack into one buffer, then E^dag on the
     right of all its rows in one (N*6, 6) @ (6, 6) product (the oracle
@@ -347,7 +355,7 @@ def apply_unchecked(ops, matrix: np.ndarray) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if isinstance(ops, _GatherSet):
         x = m.reshape(1, -1, 36)
-        return _gather((ops,), x, _support(x))[0].reshape(m.shape)
+        return _gather(ops, x, _support(x))[0].reshape(m.shape)
     # C order whatever m's layout, so the row views below are views, not copies.
     out, left = np.zeros(m.shape, complex), np.empty(m.shape, complex)
     rows, left_rows = out.reshape(-1, m.shape[-1]), left.reshape(-1, m.shape[-1])
@@ -364,10 +372,10 @@ def _support(x: np.ndarray):
     return None if x.size == 36 else x.reshape(-1, 36).any(axis=0)
 
 
-def _gather(sets, x: np.ndarray, support):
-    """One stage: the S gather sets of one structure, each applied to its
-    flat matrices of x, (S, N, 36), or all to the (1, N, 36) of x, in one
-    call.  Returns the (S, N, 36) results and their reach.
+def _gather(sets: _GatherSet, x: np.ndarray, support):
+    """One stage: the S gather sets of ``sets``, each applied to its flat
+    matrices of x, (S, N, 36), or all to the (1, N, 36) of x, in one call.
+    Returns the (S, N, 36) results and their reach.
 
     Entry (i, j) of E rho E^dag is (rho[pi(i), pi(j)] * v_i) * conj(v_j).
     With ``support`` None every column is formed; otherwise only the
@@ -381,11 +389,7 @@ def _gather(sets, x: np.ndarray, support):
     numpy adds the K terms one by one, as over all 36 columns; down a lone
     column it would sum them pairwise.
     """
-    rho_index = sets[0].rho_index
-    if len(sets) == 1:
-        v, w = sets[0].v[None], sets[0].w[None]
-    else:
-        v, w = np.stack([s.v for s in sets]), np.stack([s.w for s in sets])
+    rho_index, v, w = sets
     reach = None
     if support is not None:
         reach = support[rho_index].any(axis=0)
@@ -406,9 +410,9 @@ def _gather(sets, x: np.ndarray, support):
 
 
 def _stage(sets, x: np.ndarray, support):
-    """``_gather`` for gather sets; otherwise each set through
+    """``_gather`` for a gather stage; otherwise each set through
     ``apply_unchecked``'s matmul, with the reach unknown (None)."""
-    if isinstance(sets[0], _GatherSet):
+    if isinstance(sets, _GatherSet):
         return _gather(sets, x, support)
     x = x.reshape(len(x), -1, 6, 6)
     out = np.empty((len(sets),) + x.shape[1:], complex)
@@ -473,17 +477,18 @@ def evolve(rho, specs, allow_incomplete: bool = False) -> np.ndarray:
 
     The stack goes through each distinct local set at (p1, p2) once; for
     global coupling, each spec's local result then goes through its own
-    collective set.  Each of the two stages is one ``_stage`` call: one
+    collective set.  Each stage comes whole, with its sets' completeness
+    defects, from the bounded ``_stage_sets`` cache: the local stage holds
+    the distinct (p1, p2) in order of first appearance, the collective
+    stage each spec's (p, p).  Each stage is one ``_stage`` call: one
     gather over all its sets, restricted to the entries that the stage's
-    input can reach, or one matmul per set.  Sets come from the bounded
-    ``_kraus_set`` cache with their completeness defects.  The result has
-    the shape of ``rho``, with a leading spec axis for a sequence.  Every
-    matrix of a trace-preserving spec is validated; the result is read-only
-    exactly when every spec is trace preserving, so every matrix in it was
+    input can reach, or one matmul per set.  The result has the shape of
+    ``rho``, with a leading spec axis for a sequence.  Every matrix of a
+    trace-preserving spec is validated; the result is read-only exactly
+    when every spec is trace preserving, so every matrix in it was
     validated.  A spec that is not raises CompletenessViolation, as the
-    first failure of a spec-by-spec loop would, unless
-    ``allow_incomplete``; then its raw evolved matrices are returned for
-    diagnostics.
+    first failure of a spec-by-spec loop would, unless ``allow_incomplete``;
+    then its raw evolved matrices are returned for diagnostics.
     """
     m = np.asarray(rho, complex)
     one = isinstance(specs, ChannelSpec)
@@ -494,33 +499,27 @@ def evolve(rho, specs, allow_incomplete: bool = False) -> np.ndarray:
         raise OutOfRange("evolve takes one or more specs that differ only in "
                          "p1, p2 and p")
     kind, coupling, global_mode, variant, level_order = shared.pop()
-    local = [_kraus_set(kind, s.p1, s.p2, PRODUCT, variant, level_order)
-             for s in specs]
-    coll = ([_kraus_set(kind, s.p, s.p, global_mode, variant, level_order)
-             for s in specs] if coupling == GLOBAL else local)
-    defects = [max(a[1], b[1]) for a, b in zip(local, coll)]
+    distinct = {}  # the local stage's row of each distinct (p1, p2)
+    rows = [distinct.setdefault((s.p1, s.p2), len(distinct)) for s in specs]
+    local, defects = _stage_sets(kind, tuple(distinct), PRODUCT, variant, level_order)
+    defects = [defects[i] for i in rows]
+    if coupling == GLOBAL:
+        coll, coll_defects = _stage_sets(kind, tuple([(s.p, s.p) for s in specs]),
+                                         global_mode, variant, level_order)
+        defects = list(map(max, defects, coll_defects))
     tp = [d <= COMPLETENESS_TOL for d in defects]
     n = len(specs) if allow_incomplete or all(tp) else tp.index(False)
     if n == 0:
         out = np.empty((0,) + m.shape, complex)
     else:
         x = m.reshape(1, -1, 36)
-        sets, rows = [local[0][0]], [0]
-        if n > 1:  # row i of the local stage's result is local set rows[i]
-            sets, rows, row_of = [], [], {}
-            for s, (ops, _) in zip(specs[:n], local):
-                if (s.p1, s.p2) not in row_of:
-                    row_of[s.p1, s.p2] = len(sets)
-                    sets.append(ops)
-                rows.append(row_of[s.p1, s.p2])
-        y, reach = _stage(sets, x, _support(x))
+        y, reach = _stage(local, x, _support(x))
         if coupling == GLOBAL:
             # A local result shared by every spec broadcasts over the stage.
-            y = _stage([c[0] for c in coll[:n]], y if len(y) in (1, n) else y[rows],
-                       reach)[0]
-        elif len(y) < n:
+            y = _stage(coll, y if len(y) in (1, len(rows)) else y[rows], reach)[0]
+        elif len(y) < len(rows):
             y = y[rows]
-        out = y.reshape((n,) + m.shape)
+        out = y[:n].reshape((n,) + m.shape)
     if n and all(tp[:n]):
         out = validate_density(out.reshape(-1, 6, 6)).reshape(out.shape)
     elif any(tp[:n]):

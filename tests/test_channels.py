@@ -207,6 +207,18 @@ def _paper_set(kind, p1, p2, mode, variant, order):
 _TABLE_P = (0.0, 5e-324, 1e-300, 0.3, 0.5, 1.0)
 
 
+def _one_set(kind, p1, p2, mode, variant, order):
+    """The set at (p1, p2) as a one-pair stage, and its defect: the
+    ``_GatherSet`` stage of one set, or the set's tuple of operators."""
+    stage, (defect,) = ch._stage_sets(kind, ((p1, p2),), mode, variant, order)
+    return (stage if isinstance(stage, ch._GatherSet) else stage[0]), defect
+
+
+def _each_set(stage):
+    """The sets of a gather stage, one by one, with (K, 36) factors."""
+    return [stage._replace(v=v, w=w) for v, w in zip(stage.v, stage.w)]
+
+
 @pytest.mark.parametrize("kind", ch.KINDS)
 @pytest.mark.parametrize("variant", ch.VARIANTS)
 @pytest.mark.parametrize("order", [ch.PRINTED, ch.REVERSED])
@@ -227,7 +239,7 @@ def test_table_sets_are_the_papers_matrices_bit_for_bit(kind, variant, order):
                  if mode == ch.PRODUCT or p1 == p2]
         for p1, p2 in pairs:
             want = _paper_set(kind, p1, p2, mode, variant, order)
-            ops, defect = ch._kraus_set(kind, p1, p2, mode, variant, order)
+            ops, defect = _one_set(kind, p1, p2, mode, variant, order)
             assert defect == _paper_defect(want)
             if kind not in _GATHER_KINDS:
                 _assert_same_bits(np.stack(ops), want)
@@ -238,8 +250,8 @@ def test_table_sets_are_the_papers_matrices_bit_for_bit(kind, variant, order):
             k = len(want)
             np.testing.assert_array_equal(
                 ops.rho_index, (col[:, :, None] * 6 + col[:, None, :]).reshape(k, 36))
-            _assert_same_bits(ops.v, np.repeat(v, 6, axis=1))
-            _assert_same_bits(ops.w, np.tile(v.conj(), 6))
+            _assert_same_bits(ops.v, np.repeat(v, 6, axis=1)[None])
+            _assert_same_bits(ops.w, np.tile(v.conj(), 6)[None])
 
 
 # --- lifting ----------------------------------------------------------------
@@ -567,7 +579,7 @@ def gather_calls(monkeypatch):
     gather = ch._gather
 
     def spy(sets, x, support):
-        calls.append((len(sets), x.shape, None if support is None else support.sum()))
+        calls.append((len(sets.v), x.shape, None if support is None else support.sum()))
         return gather(sets, x, support)
 
     monkeypatch.setattr(ch, "_gather", spy)
@@ -578,7 +590,7 @@ def gather_calls(monkeypatch):
 def test_gather_kernel_is_chosen_exactly_for_real_or_imaginary_sets(
     kind, mode, variant, order, gather_calls
 ):
-    ops, _ = ch._kraus_set(kind, 0.3, 0.6, mode, variant, order)
+    ops, _ = _one_set(kind, 0.3, 0.6, mode, variant, order)
     assert isinstance(ops, ch._GatherSet) == (kind in _GATHER_KINDS)
     ch.apply_unchecked(ops, unruh_state(0.2))
     assert len(gather_calls) == (kind in _GATHER_KINDS)
@@ -598,7 +610,7 @@ def _operators(kind, p1, p2, mode, variant, order):
 
 def test_plain_operator_tuples_take_the_matmul(gather_calls):
     key = (ch.PHASE_FLIP, 0.3, 0.3, ch.PRODUCT, ch.CORRECTED, ch.REVERSED)
-    ops, _ = ch._kraus_set(*key)
+    ops, _ = _one_set(*key)
     rho = unruh_state(0.4)
     plain = ch.apply(_operators(*key), rho)
     np.testing.assert_array_equal(ch.apply_unchecked(_operators(*key), rho),
@@ -608,11 +620,17 @@ def test_plain_operator_tuples_take_the_matmul(gather_calls):
     assert gather_calls == [(1, (1, 1, 36), None)]
 
 
+def _sign_bits(part):
+    """The sign bits of a real array, False at nan: IEEE 754 gives a nan's
+    sign no meaning, and numpy's SIMD and scalar loops set it differently."""
+    return np.signbit(part) & ~np.isnan(part)
+
+
 def _assert_same_bits(got, want):
     np.testing.assert_array_equal(got, want)
     for part in ("real", "imag"):
-        np.testing.assert_array_equal(np.signbit(getattr(got, part)),
-                                      np.signbit(getattr(want, part)))
+        np.testing.assert_array_equal(_sign_bits(getattr(got, part)),
+                                      _sign_bits(getattr(want, part)))
 
 
 _KERNEL_P = (0.0, 5e-324, 0.3, 1.0)
@@ -629,7 +647,7 @@ def test_gather_kernel_is_bit_equal_to_the_matmul(kind, mode, variant, order):
     noise.imag[rng.random(noise.shape) < 0.3] = -0.0
     for p1 in _KERNEL_P:
         for p2 in _KERNEL_P:
-            ops, _ = ch._kraus_set(kind, p1, p2, mode, variant, order)
+            ops, _ = _one_set(kind, p1, p2, mode, variant, order)
             plain = _operators(kind, p1, p2, mode, variant, order)
             for m in (states, noise):
                 for stack in (m, m[:1], m[0]):
@@ -642,7 +660,7 @@ def test_gather_kernel_is_bit_equal_to_the_matmul(kind, mode, variant, order):
 def test_cached_defect_is_the_matmul_defect_bit_for_bit(structure, p1, p2):
     kind, mode, variant, order = structure
     p2 = p2 if mode == ch.PRODUCT else p1  # a collective set takes one p
-    _, defect = ch._kraus_set(kind, p1, p2, mode, variant, order)
+    _, defect = _one_set(kind, p1, p2, mode, variant, order)
     plain = _operators(kind, p1, p2, mode, variant, order)
     assert defect == ch.completeness_defect(plain)
 
@@ -702,38 +720,38 @@ def test_stage_gather_is_bit_equal_to_the_full_formula_per_set(
 def _check_two_gather_stages(structure, pool, picks, second, m):
     kind, mode, variant, order = structure
     flat = m.reshape(-1, 36)
-    local = [ch._kraus_set(kind, *pool[i], ch.PRODUCT, variant, order)[0]
-             for i in picks]
+    local = ch._stage_sets(kind, tuple(pool[i] for i in picks), ch.PRODUCT,
+                           variant, order)[0]
     # One input shared by every set, its support read off the data.
     x = m.reshape(1, -1, 36)
     support = ch._support(x)
     assert (support is None) == (flat.shape[0] == 1)
     y, reach = ch._gather(local, x, support)
-    assert y.shape == (len(local),) + flat.shape and y.flags.c_contiguous
-    for got, gather in zip(y, local):
+    assert y.shape == (len(picks),) + flat.shape and y.flags.c_contiguous
+    for got, gather in zip(y, _each_set(local)):
         _assert_same_bits(got, _gather_formula(gather, flat))
     if reach is not None:
         assert not y[..., ~reach].any()
     # One input per set (rows of the first stage, some repeated), with the
     # first stage's reach as the support, as evolve's collective stage.
-    rows = [i % len(local) for i in second]
-    coll = [ch._kraus_set(kind, pool[i][0], pool[i][0], mode, variant, order)[0]
-            for i in second]
+    rows = [i % len(picks) for i in second]
+    coll = ch._stage_sets(kind, tuple((pool[i][0], pool[i][0]) for i in second), mode,
+                          variant, order)[0]
     z, _ = ch._gather(coll, y[rows], reach)
-    for got, gather, row in zip(z, coll, rows):
+    for got, gather, row in zip(z, _each_set(coll), rows):
         _assert_same_bits(got, _gather_formula(gather, y[row]))
 
 
 def test_stage_gather_sums_a_lone_reached_column_in_operator_order():
     # Entry 23 reaches one column of this set; numpy sums the operators'
     # terms of a lone column pairwise, which rounds these differently.
-    gather, _ = ch._kraus_set(ch.DEPHASING, 0.3, 0.6, ch.PRODUCT, ch.AS_PRINTED,
-                              ch.PRINTED)
+    gather, _ = _one_set(ch.DEPHASING, 0.3, 0.6, ch.PRODUCT, ch.AS_PRINTED,
+                         ch.PRINTED)
     m = np.zeros((2, 36), complex)
     m[:, 23] = (0.1 + 0.7j, 1 / 3 - 0.2j)
-    y, reach = ch._gather([gather], m[None], ch._support(m[None]))
+    y, reach = ch._gather(gather, m[None], ch._support(m[None]))
     assert reach.sum() == 1
-    _assert_same_bits(y[0], _gather_formula(gather, m))
+    _assert_same_bits(y[0], _gather_formula(_each_set(gather)[0], m))
 
 
 @pytest.mark.parametrize("kind, reach", [(ch.PHASE_FLIP, 6), (ch.DEPHASING, 6),
@@ -741,9 +759,9 @@ def test_stage_gather_sums_a_lone_reached_column_in_operator_order():
 def test_figure_3_stages_reach_six_or_eighteen_columns(kind, reach):
     states = unruh_state(np.linspace(0.0, math.pi / 4, 101)).reshape(1, -1, 36)
     # Figure 3's global product spec at p = 0.3 applies this set twice.
-    ops, _ = ch._kraus_set(kind, 0.3, 0.3, ch.PRODUCT, ch.CORRECTED, ch.REVERSED)
-    y, local_reach = ch._gather([ops], states, ch._support(states))
-    _, coll_reach = ch._gather([ops], y, local_reach)
+    ops, _ = _one_set(kind, 0.3, 0.3, ch.PRODUCT, ch.CORRECTED, ch.REVERSED)
+    y, local_reach = ch._gather(ops, states, ch._support(states))
+    _, coll_reach = ch._gather(ops, y, local_reach)
     assert local_reach.sum() == coll_reach.sum() == reach
 
 
@@ -764,7 +782,7 @@ def test_global_chunk_makes_one_gather_call_per_stage(shared, gather_calls):
 
 @pytest.mark.parametrize("kind, mode, variant, order", _GATHER_STRUCTURES)
 def test_cached_gather_arrays_are_c_contiguous(kind, mode, variant, order):
-    gather, _ = ch._kraus_set(kind, 0.3, 0.6, mode, variant, order)
+    gather, _ = _one_set(kind, 0.3, 0.6, mode, variant, order)
     for array in gather:  # the rho index and both factors
         assert array.flags.c_contiguous
 
@@ -835,7 +853,48 @@ def test_stack_validation_names_first_failing_matrix():
         ch.evolve(states, noiseless)
 
 
-# --- the bounded Kraus-set cache ----------------------------------------------
+# --- stages: built in one pass, cached whole ----------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_GATHER_STRUCTURES),
+       st.lists(st.tuples(st.sampled_from(_TABLE_P) | st.floats(0.0, 1.0),
+                          st.sampled_from(_TABLE_P) | st.floats(0.0, 1.0)),
+                min_size=1, max_size=6),
+       st.lists(st.integers(0, 5), min_size=1, max_size=12))
+def test_stage_rows_are_the_one_pair_stages_bit_for_bit(structure, pool, picks):
+    kind, mode, variant, order = structure
+    # Pairs drawn from a pool, so that a stage holds repeats; a collective
+    # set takes one p.
+    pairs = tuple(pool[i % len(pool)] for i in picks)
+    pairs = pairs if mode == ch.PRODUCT else tuple((a, a) for a, _ in pairs)
+    stage, defects = ch._stage_sets.__wrapped__(kind, pairs, mode, variant, order)
+    assert stage.v.shape == stage.w.shape == (len(pairs),) + stage.rho_index.shape
+    for s, pair in enumerate(pairs):
+        one, (defect,) = ch._stage_sets.__wrapped__(kind, (pair,), mode, variant, order)
+        np.testing.assert_array_equal(stage.rho_index, one.rho_index)
+        _assert_same_bits(stage.v[s], one.v[0])
+        _assert_same_bits(stage.w[s], one.w[0])
+        assert type(defects[s]) is float and defects[s] == defect
+
+
+def test_global_chunks_build_their_shared_collective_stage_once():
+    states = unruh_state(np.linspace(0.0, math.pi / 4, 11))
+    axis = np.linspace(0.0, 1.0, 11).tolist()
+    ch._stage_sets.cache_clear()
+    for p1 in (0.2, 0.3):  # two chunks of a global verify grid
+        ch.evolve(states, [ch.ChannelSpec(ch.PHASE_FLIP, ch.GLOBAL, p1, 0.4, q)
+                           for q in axis])
+    # Each chunk's local stage misses; the collective stage misses, then hits.
+    info = ch._stage_sets.cache_info()
+    assert (info.misses, info.hits) == (3, 1)
+    ch._stage_sets.cache_clear()
+    ch.evolve(states, ch.ChannelSpec(ch.DEPHASING, ch.GLOBAL, 0.3, 0.3, 0.3))
+    # A linked global product spec finds both stages under one key.
+    info = ch._stage_sets.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+# --- the bounded stage cache --------------------------------------------------
 
 def test_cached_incomplete_set_still_raises_with_its_defect():
     spec = ch.ChannelSpec(ch.DEPHASING, ch.MULTILOCAL, 0.3, 0.4,
@@ -847,16 +906,16 @@ def test_cached_incomplete_set_still_raises_with_its_defect():
             ch.evolve(rho, spec)
         defects.append(err.value.defect)
     assert defects[0] == defects[1] == pytest.approx(2.0, abs=1e-12)
-    assert ch._kraus_set.cache_info().hits >= 1
+    assert ch._stage_sets.cache_info().hits >= 1
 
 
 def test_cached_operators_are_read_only():
-    ops, _ = ch._kraus_set(ch.BIT_TRIT_PHASE_FLIP, 0.3, 0.3, ch.PRODUCT,
-                           ch.CORRECTED, ch.REVERSED)
+    ops, _ = _one_set(ch.BIT_TRIT_PHASE_FLIP, 0.3, 0.3, ch.PRODUCT, ch.CORRECTED,
+                      ch.REVERSED)
     with pytest.raises(ValueError):
         ops[0][0, 0] = 2.0
-    gather, _ = ch._kraus_set(ch.PHASE_FLIP, 0.3, 0.3, ch.PRODUCT, ch.CORRECTED,
-                              ch.REVERSED)
+    gather, _ = _one_set(ch.PHASE_FLIP, 0.3, 0.3, ch.PRODUCT, ch.CORRECTED,
+                         ch.REVERSED)
     for array in gather:  # the rho index and both factors
         with pytest.raises(ValueError):
             array[0, 0] = 2
@@ -866,17 +925,17 @@ def test_cache_eviction_keeps_results():
     kinds_modes = [(k, m) for k in ch.KINDS for m in ch.GLOBAL_MODES]
     specs = [ch.ChannelSpec(kind, ch.GLOBAL, 0.05 * i, 0.5, 0.03 * i, mode)
              for i in range(6) for kind, mode in kinds_modes]
-    assert len(specs) > ch._SET_CACHE_SIZE
+    assert len(specs) > ch._STAGE_CACHE_SIZE
     states = np.stack([unruh_state(r) for r in (0.0, 0.4, math.pi / 4)])
     alone = []
     for spec in specs:
-        ch._kraus_set.cache_clear()
+        ch._stage_sets.cache_clear()
         alone.append(ch.evolve(states, spec, allow_incomplete=True))
     for _ in range(2):  # the second round meets only evicted entries
         for spec, expected in zip(specs, alone):
             np.testing.assert_array_equal(
                 ch.evolve(states, spec, allow_incomplete=True), expected)
-    assert ch._kraus_set.cache_info().currsize <= ch._SET_CACHE_SIZE
+            assert ch._stage_sets.cache_info().currsize <= ch._STAGE_CACHE_SIZE
 
 
 # --- the Choi matrix of every 6x6 set ----------------------------------------

@@ -144,7 +144,7 @@ def test_each_esd_probe_builds_one_set_and_checks_each_stack_once(
     # Each structure's gather pattern is read off one set on first use.
     channels._gather_pattern(kind, channels.PRODUCT, channels.CORRECTED,
                              channels.DEFAULT_LEVEL_ORDER)
-    channels._kraus_set.cache_clear()
+    channels._stage_sets.cache_clear()
     count(sweep, "evaluate", "probes")
     count(channels, "completeness_defect", "matmul defects")
     for module in (state, channels):
@@ -152,12 +152,12 @@ def test_each_esd_probe_builds_one_set_and_checks_each_stack_once(
     for module in (state, linalg):
         count(module, "hermiticity_defect", "hermiticity defects")
     sweep.esd_threshold(_spec(kind, coupling), math.pi / 4, p_tol=1e-2)
-    # One set built (a cache miss), one initial state and one evolved row
+    # One stage built (a cache miss), one initial state and one evolved row
     # per probe, each validated.  A gather set takes its defect from its
     # factors, without the matmul.
     probes = counts["probes"]
     gather = kind != channels.BIT_TRIT_PHASE_FLIP
-    assert probes >= 2 and channels._kraus_set.cache_info().misses == probes
+    assert probes >= 2 and channels._stage_sets.cache_info().misses == probes
     assert counts == collections.Counter({
         "probes": probes, "matmul defects": 0 if gather else probes,
         "stacks validated": 2 * probes, "hermiticity defects": 2 * probes})
