@@ -409,16 +409,16 @@ def _gather(sets: _GatherSet, x: np.ndarray, support):
     return out, reach
 
 
-def _stage(sets, x: np.ndarray, support):
-    """``_gather`` for a gather stage; otherwise each set through
-    ``apply_unchecked``'s matmul, with the reach unknown (None)."""
+def _stage(sets, x: np.ndarray, support, s):
+    """``_gather`` for the first s sets of a gather stage, or each of the
+    first s sets through ``apply_unchecked``'s matmul, reach None."""
     if isinstance(sets, _GatherSet):
-        return _gather(sets, x, support)
+        return _gather(sets._replace(v=sets.v[:s], w=sets.w[:s]), x, support)
     x = x.reshape(len(x), -1, 6, 6)
-    out = np.empty((len(sets),) + x.shape[1:], complex)
-    for i, ops in enumerate(sets):
+    out = np.empty((s,) + x.shape[1:], complex)
+    for i, ops in enumerate(sets[:s]):
         out[i] = apply_unchecked(ops, x[i if len(x) > 1 else 0])
-    return out.reshape(len(sets), -1, 36), None
+    return out.reshape(s, -1, 36), None
 
 
 _INCOMPLETE_SET = (
@@ -487,8 +487,9 @@ def evolve(rho, specs, allow_incomplete: bool = False) -> np.ndarray:
     trace-preserving spec is validated; the result is read-only exactly
     when every spec is trace preserving, so every matrix in it was
     validated.  A spec that is not raises CompletenessViolation, as the
-    first failure of a spec-by-spec loop would, unless ``allow_incomplete``;
-    then its raw evolved matrices are returned for diagnostics.
+    first failure of a spec-by-spec loop would, with only the specs before
+    it evolved, unless ``allow_incomplete``; then its raw evolved matrices
+    are returned for diagnostics.
     """
     m = np.asarray(rho, complex)
     one = isinstance(specs, ChannelSpec)
@@ -512,14 +513,14 @@ def evolve(rho, specs, allow_incomplete: bool = False) -> np.ndarray:
     if n == 0:
         out = np.empty((0,) + m.shape, complex)
     else:
-        x = m.reshape(1, -1, 36)
-        y, reach = _stage(local, x, _support(x))
+        rows, x = rows[:n], m.reshape(1, -1, 36)
+        y, reach = _stage(local, x, _support(x), max(rows) + 1)
         if coupling == GLOBAL:
             # A local result shared by every spec broadcasts over the stage.
-            y = _stage(coll, y if len(y) in (1, len(rows)) else y[rows], reach)[0]
-        elif len(y) < len(rows):
+            y = _stage(coll, y if len(y) in (1, n) else y[rows], reach, n)[0]
+        elif len(y) < n:
             y = y[rows]
-        out = y[:n].reshape((n,) + m.shape)
+        out = y.reshape((n,) + m.shape)
     if n and all(tp[:n]):
         out = validate_density(out.reshape(-1, 6, 6)).reshape(out.shape)
     elif any(tp[:n]):

@@ -620,17 +620,11 @@ def test_plain_operator_tuples_take_the_matmul(gather_calls):
     assert gather_calls == [(1, (1, 1, 36), None)]
 
 
-def _sign_bits(part):
-    """The sign bits of a real array, False at nan: IEEE 754 gives a nan's
-    sign no meaning, and numpy's SIMD and scalar loops set it differently."""
-    return np.signbit(part) & ~np.isnan(part)
-
-
 def _assert_same_bits(got, want):
     np.testing.assert_array_equal(got, want)
     for part in ("real", "imag"):
-        np.testing.assert_array_equal(_sign_bits(getattr(got, part)),
-                                      _sign_bits(getattr(want, part)))
+        np.testing.assert_array_equal(np.signbit(getattr(got, part)),
+                                      np.signbit(getattr(want, part)))
 
 
 _KERNEL_P = (0.0, 5e-324, 0.3, 1.0)
@@ -803,6 +797,33 @@ def test_spec_list_raises_the_first_incomplete_specs_defect():
     with pytest.raises(CompletenessViolation) as alone:
         ch.evolve(states, specs[1])
     assert str(err.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("kind", [ch.PHASE_FLIP, ch.BIT_TRIT_PHASE_FLIP])
+def test_spec_list_evolves_only_the_specs_before_the_first_failure(kind, monkeypatch):
+    # Correlated collective sets are complete at p = 0 only.
+    specs = [ch.ChannelSpec(kind, ch.GLOBAL, q, 0.4, p, ch.CORRELATED)
+             for q, p in ((0.1, 0.0), (0.2, 0.3), (0.3, 0.0))]
+    stages, stage = [], ch._stage
+
+    def spy(sets, x, support, s):
+        stages.append(s)
+        y, reach = stage(sets, x, support, s)
+        assert len(y) == s
+        return y, reach
+
+    monkeypatch.setattr(ch, "_stage", spy)
+    with pytest.raises(CompletenessViolation) as err:
+        ch.evolve(unruh_state(0.2), specs)
+    assert stages == [1, 1]  # the local and the collective set of specs[0]
+    with pytest.raises(CompletenessViolation) as alone:
+        ch.evolve(unruh_state(0.2), specs[1])
+    assert str(err.value) == str(alone.value)
+    raw = ch.evolve(unruh_state(0.2), specs, allow_incomplete=True)
+    assert stages[-2:] == [3, 3]
+    for got, spec in zip(raw, specs):
+        np.testing.assert_array_equal(
+            got, ch.evolve(unruh_state(0.2), spec, allow_incomplete=True))
 
 
 def test_spec_list_with_incomplete_specs_still_validates_the_rest():
