@@ -257,7 +257,8 @@ def _gather_pattern(kind, global_mode, variant, level_order):
       padding;
     * ``unit_at`` (2, K, 6): the unit entry (``_table``) of each factor;
     * ``left``, ``right`` (K, 36): for output entry (i, j), the flat
-      index of v_i and of v_j in the (K, 6) array of the v_i;
+      index of v_i and of v_j in the (K, 6) array of the v_i, worked out
+      once here, as one ``take`` per stage build beats repeat and tile;
     * ``column`` (K, 6): the flat index there of the nonzero of column j
       of operator k, or of a zero row where column j is zero.
 
@@ -314,8 +315,9 @@ def _stage_sets(kind, pairs, global_mode, variant, level_order):
     columns j, where s_j sums, in operator order, |v|^2 of column j's
     one nonzero in each operator: E^dag E is diagonal, and the matmul of
     ``completeness_defect`` only adds exact zeros to it.  Any other stage
-    is a tuple of sets of read-only 6x6 operators, with the defects
-    ``completeness_defect`` gives."""
+    is a tuple of sets, each a tuple of read-only 6x6 operator views, made
+    once here rather than on each ``apply_unchecked`` pass over a stacked
+    array, with the defects ``completeness_defect`` gives."""
     pattern = _gather_pattern(kind, global_mode, variant, level_order)
     if pattern is None:
         sets = [_tensor_set(qubit_channel(kind, a),
@@ -337,25 +339,17 @@ def _stage_sets(kind, pairs, global_mode, variant, level_order):
 
 
 def apply_unchecked(ops, matrix: np.ndarray) -> np.ndarray:
-    """sum E rho E^dag without any revalidation of the result.
+    """sum E rho E^dag over the operators of ``ops``, without any
+    revalidation of the result: the matmul kernel, which ``_stage`` takes
+    for the sets of a matmul stage, and the tests' oracle for ``_gather``.
 
     ``matrix`` may be one 6x6 matrix or a stack (..., 6, 6); each operator
-    is applied to the whole stack at once.  A one-set ``_GatherSet`` stage
-    of ``_stage_sets`` (phase flip, dephasing, bit-trit flip) takes the
-    gather kernel ``_gather``.  Any other set, a
-    plain sequence of operators included, takes E @ rho @ E^dag per
-    operator: E @ rho over the stack into one buffer, then E^dag on the
-    right of all its rows in one (N*6, 6) @ (6, 6) product (the oracle
-    tests pin it, bit for bit, to the matrix-by-matrix product; a batched
-    left factor does not match).  On finite input both kernels give the
-    same bits: each matmul entry is the gather's one product plus exact
-    zeros, the complex products round alike because v_i is real or purely
-    imaginary, and both add the operators' terms in order.
+    is applied to the whole stack at once: E @ rho over the stack into one
+    buffer, then E^dag on the right of all its rows in one (N*6, 6) @ (6, 6)
+    product (the oracle tests pin it, bit for bit, to the matrix-by-matrix
+    product; a batched left factor does not match).
     """
     m = np.asarray(matrix, dtype=complex)
-    if isinstance(ops, _GatherSet):
-        x = m.reshape(1, -1, 36)
-        return _gather(ops, x, _support(x))[0].reshape(m.shape)
     # C order whatever m's layout, so the row views below are views, not copies.
     out, left = np.zeros(m.shape, complex), np.empty(m.shape, complex)
     rows, left_rows = out.reshape(-1, m.shape[-1]), left.reshape(-1, m.shape[-1])
@@ -368,7 +362,7 @@ def apply_unchecked(ops, matrix: np.ndarray) -> np.ndarray:
 def _support(x: np.ndarray):
     """The entries (36,) that are nonzero in some matrix of the flat stack
     x, nan and inf included, +0 and -0 not; None, standing for all 36, when
-    x holds one matrix."""
+    x holds one matrix, for which the pass costs more than it saves."""
     return None if x.size == 36 else x.reshape(-1, 36).any(axis=0)
 
 
@@ -380,14 +374,18 @@ def _gather(sets: _GatherSet, x: np.ndarray, support):
     Entry (i, j) of E rho E^dag is (rho[pi(i), pi(j)] * v_i) * conj(v_j).
     With ``support`` None every column is formed; otherwise only the
     columns c of the reach, where some rho_index[k, c] lies in the
-    support, and the rest stay the zeros they are scattered into.  On
+    support, and the rest stay the zeros they are scattered into: on
+    sparse stacks that forms fewer columns (figure 3: 6 or 18).  On
     (S, N, K, C) arrays: a gather, the two scalings, the sum over K in
     operator order and a -0 to +0 fix-up (the matmul loop sums from +0, so
     never ends on -0).  As v and w are finite, an entry outside the reach
     is a sum of signed zeros, which the fix-up would make +0.  The
     restricted arrays are C-contiguous and keep two columns or more, so
     numpy adds the K terms one by one, as over all 36 columns; down a lone
-    column it would sum them pairwise.
+    column it would sum them pairwise.  On finite input this gives the bits
+    of ``apply_unchecked``: each matmul entry is the one product plus exact
+    zeros, the complex products round alike as v_i is real or purely
+    imaginary, and both add the operators' terms in order.
     """
     rho_index, v, w = sets
     reach = None
@@ -410,8 +408,9 @@ def _gather(sets: _GatherSet, x: np.ndarray, support):
 
 
 def _stage(sets, x: np.ndarray, support, s):
-    """``_gather`` for the first s sets of a gather stage, or each of the
-    first s sets through ``apply_unchecked``'s matmul, reach None."""
+    """The one place a kernel is chosen: ``_gather`` for the first s sets
+    of a gather stage, or each of the first s sets of a matmul stage
+    through ``apply_unchecked``, reach None."""
     if isinstance(sets, _GatherSet):
         return _gather(sets._replace(v=sets.v[:s], w=sets.w[:s]), x, support)
     x = x.reshape(len(x), -1, 6, 6)
@@ -480,16 +479,15 @@ def evolve(rho, specs, allow_incomplete: bool = False) -> np.ndarray:
     collective set.  Each stage comes whole, with its sets' completeness
     defects, from the bounded ``_stage_sets`` cache: the local stage holds
     the distinct (p1, p2) in order of first appearance, the collective
-    stage each spec's (p, p).  Each stage is one ``_stage`` call: one
-    gather over all its sets, restricted to the entries that the stage's
-    input can reach, or one matmul per set.  The result has the shape of
-    ``rho``, with a leading spec axis for a sequence.  Every matrix of a
-    trace-preserving spec is validated; the result is read-only exactly
-    when every spec is trace preserving, so every matrix in it was
-    validated.  A spec that is not raises CompletenessViolation, as the
-    first failure of a spec-by-spec loop would, with only the specs before
-    it evolved, unless ``allow_incomplete``; then its raw evolved matrices
-    are returned for diagnostics.
+    stage each spec's (p, p).  Each stage is one ``_stage`` call, which
+    picks its kernel.  The result has the shape of ``rho``, with a leading
+    spec axis for a sequence.  Every matrix of a trace-preserving spec is
+    validated; the result is read-only exactly when every spec is trace
+    preserving, so every matrix in it was validated.  A spec that is not
+    raises CompletenessViolation, as the first failure of a spec-by-spec
+    loop would, with only the specs before it evolved, unless
+    ``allow_incomplete``; then its raw evolved matrices are returned for
+    diagnostics.
     """
     m = np.asarray(rho, complex)
     one = isinstance(specs, ChannelSpec)
@@ -510,9 +508,7 @@ def evolve(rho, specs, allow_incomplete: bool = False) -> np.ndarray:
         defects = list(map(max, defects, coll_defects))
     tp = [d <= COMPLETENESS_TOL for d in defects]
     n = len(specs) if allow_incomplete or all(tp) else tp.index(False)
-    if n == 0:
-        out = np.empty((0,) + m.shape, complex)
-    else:
+    if n:
         rows, x = rows[:n], m.reshape(1, -1, 36)
         y, reach = _stage(local, x, _support(x), max(rows) + 1)
         if coupling == GLOBAL:
@@ -521,10 +517,10 @@ def evolve(rho, specs, allow_incomplete: bool = False) -> np.ndarray:
         elif len(y) < n:
             y = y[rows]
         out = y.reshape((n,) + m.shape)
-    if n and all(tp[:n]):
-        out = validate_density(out.reshape(-1, 6, 6)).reshape(out.shape)
-    elif any(tp[:n]):
-        validate_density(out[np.array(tp[:n])].reshape(-1, 6, 6))
+        if all(tp[:n]):
+            out = validate_density(out.reshape(-1, 6, 6)).reshape(out.shape)
+        elif any(tp[:n]):
+            validate_density(out[np.array(tp[:n])].reshape(-1, 6, 6))
     if n < len(specs):
         failure = _INCOMPLETE_GLOBAL if coupling == GLOBAL else _INCOMPLETE_SET
         raise CompletenessViolation(

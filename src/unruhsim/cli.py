@@ -63,17 +63,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_angle(text: str) -> float:
-    """Accept decimal radians or ``[head*]pi[/tail]``, like 'pi/4', '3*pi/10'."""
+    """Accept decimal radians or ``[head*]pi[/tail]``, like 'pi/4', '3*pi/10';
+    as every p and r the CLI reads, -0 reads as 0, so it writes 0's bytes."""
     s = text.strip().lower().replace(" ", "")
     try:
-        return float(s)
+        return float(s) + 0.0
     except ValueError:
         pass
     match = re.fullmatch(r"(?:(.*?)\*)?pi(?:/(.*))?", s, re.DOTALL)
     if match:
         try:
             head, tail = (float(group) for group in match.groups("1"))
-            return head * math.pi / tail
+            return head * math.pi / tail + 0.0
         except (ValueError, ZeroDivisionError):
             pass
     raise UsageError(f"cannot parse angle {text!r}")
@@ -86,7 +87,7 @@ def _parse_p_grid(text: str):
         n = int(s)
     except ValueError:
         try:
-            return [float(x) for x in s.split(",")]
+            return [float(x) + 0.0 for x in s.split(",")]
         except ValueError:
             raise UsageError(f"cannot parse p grid {text!r}")
     if n < 2:
@@ -220,12 +221,12 @@ def _apply_config(parser: _Parser, argv: list[str], args) -> argparse.Namespace:
 
 def _channel_spec(args) -> ChannelSpec:
     coupling = _COUPLING_FLAGS[args.coupling]
-    p = getattr(args, "p", 0.0)
+    p = getattr(args, "p", 0.0) + 0.0  # a -0 flag reads as 0, like parse_angle's
     return ChannelSpec(
         kind=_KIND_FLAGS[args.channel],
         coupling=coupling,
-        p1=p if getattr(args, "p1", None) is None else args.p1,
-        p2=p if getattr(args, "p2", None) is None else args.p2,
+        p1=p if getattr(args, "p1", None) is None else args.p1 + 0.0,
+        p2=p if getattr(args, "p2", None) is None else args.p2 + 0.0,
         p=p if coupling == channels.GLOBAL else 0.0,
         global_mode=args.global_mode,
         variant=_VARIANT_FLAGS[getattr(args, "variant", "corrected")],

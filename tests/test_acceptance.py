@@ -9,13 +9,17 @@ See notes in the project ledger for the analysis.
 """
 
 import hashlib
+import importlib
 import math
 import os
+import pkgutil
+import re
 import time
 
 import numpy as np
 import pytest
 
+import unruhsim
 from unruhsim import analytic, channels, cli, sweep
 from unruhsim.channels import ChannelSpec
 from unruhsim.entanglement import negativity
@@ -166,6 +170,30 @@ def test_readme_python_example_runs(capsys):
     example = text.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(example, readme, "exec"), {})
     assert float(capsys.readouterr().out) > 0
+
+
+def test_readme_names_of_the_package_exist():
+    # Each backticked `module.name` whose module is one of unruhsim's, with
+    # or without the `unruhsim.` prefix, must name an attribute: a rename
+    # that misses the README fails here.
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    modules = {m.name for m in pkgutil.iter_modules(unruhsim.__path__)}
+    names = set()
+    for ref in re.findall(r"`([A-Za-z_][\w.]*\.\w+)`", text):
+        parts = ref.split(".")
+        if parts[0] == "unruhsim":
+            parts = parts[1:]
+            assert parts[0] in modules, f"README names missing {ref}"
+        elif parts[0] not in modules:
+            continue
+        names.add(ref)
+        obj = importlib.import_module(f"unruhsim.{parts[0]}")
+        for part in parts[1:]:
+            assert hasattr(obj, part), f"README names missing {ref}"
+            obj = getattr(obj, part)
+    assert len(names) >= 9
 
 
 def test_sudden_death_absent_for_dephasing():

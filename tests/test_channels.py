@@ -586,13 +586,22 @@ def gather_calls(monkeypatch):
     return calls
 
 
+def _stage_apply(ops, m):
+    """The set ``ops`` of ``_one_set`` applied to m, one matrix or a stack,
+    as a one-set stage through ``_stage``, the way ``evolve`` calls it."""
+    m = np.asarray(m, complex)
+    stage = ops if isinstance(ops, ch._GatherSet) else (ops,)
+    x = m.reshape(1, -1, 36)
+    return ch._stage(stage, x, ch._support(x), 1)[0][0].reshape(m.shape)
+
+
 @pytest.mark.parametrize("kind, mode, variant, order", _STRUCTURES)
 def test_gather_kernel_is_chosen_exactly_for_real_or_imaginary_sets(
     kind, mode, variant, order, gather_calls
 ):
     ops, _ = _one_set(kind, 0.3, 0.6, mode, variant, order)
     assert isinstance(ops, ch._GatherSet) == (kind in _GATHER_KINDS)
-    ch.apply_unchecked(ops, unruh_state(0.2))
+    _stage_apply(ops, unruh_state(0.2))
     assert len(gather_calls) == (kind in _GATHER_KINDS)
     # evolve applies a local and a collective set, both from the cache.
     gather_calls.clear()
@@ -615,8 +624,9 @@ def test_plain_operator_tuples_take_the_matmul(gather_calls):
     plain = ch.apply(_operators(*key), rho)
     np.testing.assert_array_equal(ch.apply_unchecked(_operators(*key), rho),
                                   plain)
+    np.testing.assert_array_equal(_stage_apply(_operators(*key), rho), plain)
     assert gather_calls == []
-    np.testing.assert_array_equal(ch.apply_unchecked(ops, rho), plain)
+    np.testing.assert_array_equal(_stage_apply(ops, rho), plain)
     assert gather_calls == [(1, (1, 1, 36), None)]
 
 
@@ -645,7 +655,7 @@ def test_gather_kernel_is_bit_equal_to_the_matmul(kind, mode, variant, order):
             plain = _operators(kind, p1, p2, mode, variant, order)
             for m in (states, noise):
                 for stack in (m, m[:1], m[0]):
-                    _assert_same_bits(ch.apply_unchecked(ops, stack),
+                    _assert_same_bits(_stage_apply(ops, stack),
                                       ch.apply_unchecked(plain, stack))
 
 
@@ -824,6 +834,12 @@ def test_spec_list_evolves_only_the_specs_before_the_first_failure(kind, monkeyp
     for got, spec in zip(raw, specs):
         np.testing.assert_array_equal(
             got, ch.evolve(unruh_state(0.2), spec, allow_incomplete=True))
+    # A list that fails at its first spec applies no set at all.
+    stages.clear()
+    with pytest.raises(CompletenessViolation) as err:
+        ch.evolve(unruh_state(0.2), specs[1:])
+    assert stages == []
+    assert str(err.value) == str(alone.value)
 
 
 def test_spec_list_with_incomplete_specs_still_validates_the_rest():

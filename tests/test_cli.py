@@ -651,6 +651,41 @@ def test_the_fixed_r_is_checked_on_every_axis(tmp_path, monkeypatch, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+_GLOBAL_3 = ["sweep", "--channel", "phase-flip", "--coupling", "global", "--steps", "3",
+             "--out", "s.out"]
+
+
+# -0 is 0: read from a flag or a config line, it writes the bytes 0 writes.
+@pytest.mark.parametrize("config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("argv, key, tail", [
+    pytest.param(_GLOBAL_3 + ["--axis", "r"], "p", "", id="sweep-p-csv"),
+    pytest.param(_GLOBAL_3 + ["--axis", "r", "--plot-data"], "p", "", id="sweep-p-dat"),
+    pytest.param(_GLOBAL_3 + ["--axis", "p"], "r", "", id="sweep-r-csv"),
+    pytest.param(_GLOBAL_3 + ["--axis", "p", "--plot-data"], "r", "", id="sweep-r-dat"),
+    pytest.param(["state"], "r", "", id="state-r"),
+    pytest.param(["check-channels"], "p", ",1", id="check-channels-p"),
+])
+def test_minus_zero_writes_the_bytes_of_zero(tmp_path, monkeypatch, capsys,
+                                             argv, key, tail, config):
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    for value in ("-0" + tail, "0" + tail):
+        runs.append(_run(capsys, argv, f"{key} = {value}") if config
+                    else _run(capsys, argv + [f"--{key}={value}"]))
+    assert runs[0][0] == EXIT_OK
+    assert runs[0] == runs[1]
+
+
+def test_every_minus_zero_parameter_reads_as_zero():
+    args = cli._build_parser().parse_args([
+        "negativity", "--channel", "phase-flip", "--coupling", "global", "--r", "0",
+        "--p", "-0", "--p1", "-0", "--p2", "-0"])
+    spec = cli._channel_spec(args)
+    angles = [cli.parse_angle(text) for text in ("-0", "-0.0", "-0*pi", "pi/-inf")]
+    for x in (spec.p1, spec.p2, spec.p, *angles, *cli._parse_p_grid("-0,-0.0")):
+        assert math.copysign(1.0, x) == 1.0
+
+
 def test_an_empty_config_path_is_read_and_refused(capsys):
     assert main(["state", "--config", "", "--r", "0"]) == EXIT_USAGE
     captured = capsys.readouterr()
