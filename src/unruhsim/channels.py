@@ -375,7 +375,9 @@ def _gather(sets: _GatherSet, x: np.ndarray, support):
     With ``support`` None every column is formed; otherwise only the
     columns c of the reach, where some rho_index[k, c] lies in the
     support, and the rest stay the zeros they are scattered into: on
-    sparse stacks that forms fewer columns (figure 3: 6 or 18).  On
+    sparse stacks that forms fewer columns (figure 3: 6 or 18).  Forming
+    all 36 made figure 3 43 % and the verify reports 21 % slower
+    (BENCH_25.json).  On
     (S, N, K, C) arrays: a gather, the two scalings, the sum over K in
     operator order and a -0 to +0 fix-up (the matmul loop sums from +0, so
     never ends on -0).  As v and w are finite, an entry outside the reach

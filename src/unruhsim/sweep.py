@@ -73,10 +73,9 @@ class SweepResult:
 # Matrices one ``channels.evolve`` call takes at most.  Larger stacks made
 # fresh processes page-fault on their temporaries (10,000-52,000 extra minor
 # faults in the six verify reports at 132-512 matrices).  Re-measured with
-# the gather kernel (BENCH_11.json, three runs each): against 128, the six
-# verify reports took 11 % longer at 256, 14 % at 512 and 11 % at 64, and
-# figure 3, one spec per call below 202 matrices, moved by under 3 % at 256
-# and 512, less than its run-to-run spread.
+# the per-stage set cache (BENCH_23.json, six rounds each): against 128, the
+# six verify reports took 44 % longer at 64 and 6 % longer at 256, with 0 of
+# 6 rounds faster than 128 either way, and 256 raised peak memory by 0.5 MiB.
 _CHUNK_MATRICES = 128
 
 
@@ -256,14 +255,13 @@ def _texts(results: list[SweepResult], csv: bool = True, dat: bool = True):
     one chunk per spec row (outer spec, inner r) whose lines each end in LF.
     ``csv=False`` or ``dat=False`` leaves that file's chunks empty.
 
-    Each line is formatted once: the fixed fields, formatted once per spec,
-    r once per result, then the two results by one template ('%.12g' % x
-    is _fmt(x) for every float).  When both files are wanted, a CSV line is
-    its .dat line (the fields from p1 on) behind the kind, coupling and
-    mode, its spaces made commas: no field holds a space.
+    Each line is formatted once, by one template: the fields from p1 on,
+    comma-separated, with p1, p2 and p formatted once per spec, r once per
+    result and the two results per point ('%.12g' % x is _fmt(x) for every
+    float).  A CSV line is that line behind the kind, coupling and mode; a
+    .dat line is that line with its commas made spaces: no field holds a
+    comma.
     """
-    sep, first = (" ", 3) if dat else (",", 0)
-    tail = f"{sep}%.12g{sep}%.12g\n"
     yield (CSV_HEADER + "\n" if csv else ""), ""
     for i, res in enumerate(results):
         if dat:
@@ -272,15 +270,12 @@ def _texts(results: list[SweepResult], csv: bool = True, dat: bool = True):
         r_text = [_fmt(r) for r in res.r.tolist()]
         for spec, negs, eigs in zip(res.specs, res.negativity, res.min_pt_eigenvalue):
             fixed = _fixed(spec)
-            head = sep.join(fixed[first:]) + sep
-            lines = [head + r + tail % ne
+            head = ",".join(fixed[3:]) + ","
+            lines = [head + r + ",%.12g,%.12g\n" % ne
                      for r, ne in zip(r_text, zip(negs.tolist(), eigs.tolist()))]
-            if not dat:  # CSV alone: the lines are CSV lines already
-                yield "".join(lines), ""
-            else:
-                labels = ",".join(fixed[:3]) + ","
-                yield ("".join([labels + line for line in lines]).replace(" ", ",")
-                       if csv else ""), "".join(lines)
+            labels = ",".join(fixed[:3]) + ","
+            yield ("".join([labels + line for line in lines]) if csv else "",
+                   "".join(lines).replace(",", " ") if dat else "")
 
 
 def _nonempty(results: list[SweepResult]) -> list[SweepResult]:

@@ -703,7 +703,9 @@ def _gather_inputs(draw):
     return m[0] if n == 1 and draw(st.booleans()) else m
 
 
-@settings(max_examples=200, deadline=None)
+# print_blob: a rare failure on the sign bit of a nan prints the
+# @reproduce_failure blob that replays it.
+@settings(max_examples=200, deadline=None, print_blob=True)
 @given(
     structure=st.sampled_from(_GATHER_STRUCTURES),
     # S sets from a pool of three parameter pairs, so that a stage holds

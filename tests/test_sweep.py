@@ -368,7 +368,8 @@ def test_writers_format_each_field_as_twelve_significant_digits(tmp_path):
     values = [-0.0, 5e-324, 1e-13, 0.1 + 0.2, math.pi / 4]
     v = lambda k: values[k % 5]
     groups = [(channels.PHASE_FLIP, channels.MULTILOCAL, ""),
-              (channels.DEPHASING, channels.GLOBAL, channels.PRODUCT)]
+              (channels.DEPHASING, channels.GLOBAL, channels.PRODUCT),
+              (channels.BIT_TRIT_FLIP, channels.GLOBAL, channels.CORRELATED)]
     # Spec row i has p1, p2, p = v(i), v(i + 1), v(i + 2); point (i, j) has
     # r = v(j), negativity v(i + j + 1) and eigenvalue v(i + j + 2).
     r = np.array(values)
@@ -396,11 +397,14 @@ def test_writers_format_each_field_as_twelve_significant_digits(tmp_path):
         + "\n"
         for g, (kind, coupling, gmode) in enumerate(groups)
     ]
-    assert sweep.write_csv(results, str(tmp_path / "a.csv")) == 50
-    assert sweep.write_plot_data(results, str(tmp_path / "a.dat")) == 2
-    assert (tmp_path / "a.csv").read_bytes().decode() == (
-        "\n".join([sweep.CSV_HEADER, *csv_rows]) + "\n")
-    assert (tmp_path / "a.dat").read_bytes().decode() == "\n".join(blocks)
+    assert sweep.write_csv(results, str(tmp_path / "a.csv")) == 75
+    assert sweep.write_plot_data(results, str(tmp_path / "a.dat")) == 3
+    assert sweep.write_csv(results, str(tmp_path / "b.csv"),
+                           str(tmp_path / "b.dat")) == 75
+    for name in ("a", "b"):
+        assert (tmp_path / f"{name}.csv").read_bytes().decode() == (
+            "\n".join([sweep.CSV_HEADER, *csv_rows]) + "\n")
+        assert (tmp_path / f"{name}.dat").read_bytes().decode() == "\n".join(blocks)
     assert "-0 4.94065645841e-324 1e-13 0.3 0.785398163397" in blocks[1]
     # The multilocal block prints p as 0 whatever the spec holds.
     assert "-0 4.94065645841e-324 0 0.3 0.785398163397" in blocks[0]
