@@ -45,19 +45,19 @@ def _require_inputs(coupling: str, p1: float, p2: float, p: float, r: float) -> 
 
 
 def _phase_flip_factor(coupling: str, p1: float, p2: float, p: float) -> float:
-    """``phase_flip_lambda`` without its cos^2 r, on checked inputs."""
+    """``phase_flip_lambda`` without its cos^2 r, on checked floats or arrays."""
     if coupling == MULTILOCAL:
         return -0.5 * (1 - p1) * (1 - p2)
     return -0.5 * abs(1 - p) * (1 - p1) ** 2 * abs(1 - p2)
 
 
 def _dephasing_factor(coupling: str, p1: float, p2: float, p: float) -> float:
-    """``dephasing_lambda`` without its cos^2 r, on checked inputs."""
-    f2 = 2 * math.sqrt((1 - p2) * p2) + 1
+    """``dephasing_lambda`` without its cos^2 r, on checked floats or arrays."""
+    f2 = 2 * np.sqrt((1 - p2) * p2) + 1
     if coupling == MULTILOCAL:
-        return -0.5 * math.sqrt((1 - p1) * f2)
-    f = 2 * math.sqrt((1 - p) * p) + 1
-    return -0.5 * math.sqrt(f * (1 - p1) ** 2 * f2)
+        return -0.5 * np.sqrt((1 - p1) * f2)
+    f = 2 * np.sqrt((1 - p) * p) + 1
+    return -0.5 * np.sqrt(f * (1 - p1) ** 2 * f2)
 
 
 def phase_flip_lambda(
@@ -91,10 +91,10 @@ def dephasing_lambda(
     to verification to judge.
     """
     _require_inputs(coupling, p1, p2, p, r)
-    return _dephasing_factor(coupling, p1, p2, p) * math.cos(r) ** 2
+    return float(_dephasing_factor(coupling, p1, p2, p) * math.cos(r) ** 2)
 
 
-# The closed forms; ``verify_against_numeric`` evaluates each factor once per spec.
+# The closed forms; ``verify_against_numeric`` evaluates each factor on arrays.
 _LAMBDAS = {PHASE_FLIP: phase_flip_lambda, DEPHASING: dephasing_lambda}
 _FACTORS = {PHASE_FLIP: _phase_flip_factor, DEPHASING: _dephasing_factor}
 ANALYTIC_KINDS = tuple(_LAMBDAS)
@@ -137,39 +137,29 @@ def verify_against_numeric(
         grid_points = 21 if coupling == MULTILOCAL else 11
     if grid_points < 2:
         raise OutOfRange("grid_points must be at least 2")
-    factor = _FACTORS[kind]
     axis = _axis(1.0, grid_points)
     r_axis = _axis(R_MAX, grid_points)
     p_axis = axis if coupling == GLOBAL else np.array([0.0])
     # Sized from the axes, so a grid too large is refused before any spec exists.
     out = _result_arrays(len(axis) ** 2 * len(p_axis), len(r_axis))
 
-    specs = [
-        channels.ChannelSpec(kind, coupling, float(p1), float(p2), float(p),
-                             global_mode, variant, level_order)
-        for p1 in axis for p2 in axis for p in p_axis
-    ]
-    min_eig, neg = evaluate(specs, r_axis, allow_incomplete=True, out=out)
+    spec = channels.ChannelSpec(kind, coupling, global_mode=global_mode,
+                                variant=variant, level_order=level_order)
+    # (p1, p2, p) rows, p1 outermost.
+    params = np.stack(np.meshgrid(axis, axis, p_axis, indexing="ij"), -1).reshape(-1, 3)
+    min_eig, neg = evaluate(spec, params, r_axis, allow_incomplete=True, out=out)
     # factor * cos^2 r: the same float operations as the public closed forms.
     cos2 = np.array([math.cos(float(r)) ** 2 for r in r_axis])
-    analytic = np.array([[factor(coupling, s.p1, s.p2, s.p)] for s in specs]) * cos2
+    analytic = _FACTORS[kind](coupling, *params.T)[:, None] * cos2
     dev = np.maximum(np.abs(analytic - min_eig),
                      np.abs(np.maximum(0.0, -analytic) - neg))
-    # Reorder to the (r, p1, p2, p) order of a nested loop, so argmax picks
-    # the first worst point in that order.
-    dev = dev.reshape(len(axis), len(axis), len(p_axis), len(r_axis))
-    dev = dev.transpose(3, 0, 1, 2)
-    worst_index = np.unravel_index(dev.argmax(), dev.shape)
-    worst = float(dev[worst_index])
-    r_i, p1_i, p2_i, p_i = worst_index
-    worst_point = (float(axis[p1_i]), float(axis[p2_i]), float(p_axis[p_i]),
-                   float(r_axis[r_i]))
-    n = grid_points
-    grid_desc = (
-        f"{n}x{n}x{n}x{n} (p1, p2, p, r)"
-        if coupling == GLOBAL
-        else f"{n}x{n}x{n} (p1, p2, r)"
-    )
+    # argmax in (r, row) order picks the first worst point of the nested
+    # loop r, p1, p2, p.
+    r_i, row = divmod(int(dev.T.argmax()), len(params))
+    worst = float(dev[row, r_i])
+    worst_point = (*params[row].tolist(), float(r_axis[r_i]))
+    axes = ("p1", "p2", "p", "r") if coupling == GLOBAL else ("p1", "p2", "r")
+    grid_desc = "x".join([str(grid_points)] * len(axes)) + f" ({', '.join(axes)})"
     return VerificationReport(
         kind=kind,
         coupling=coupling,

@@ -471,50 +471,60 @@ def collective_set(
     return tuple(ops)
 
 
-def evolve(rho, specs, allow_incomplete: bool = False) -> np.ndarray:
-    """Evolve a 6x6 state, or an (N, 6, 6) stack of them, through a
-    ChannelSpec, or through each of a sequence of specs that differ only in
-    p1, p2 and p: the one evaluation path.
+def _parameters(spec: ChannelSpec, params):
+    """The (p1, p2) pairs and the p values of ``spec``, or of its n >= 1
+    (p1, p2, p) rows ``params``, checked as n specs would be: the first
+    value out of range in row order raises its spec's text."""
+    if params is None:
+        return [(spec.p1, spec.p2)], [spec.p]
+    rows = np.asarray(params, float)
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise DimensionMismatch(f"params must have shape (n, 3), got {rows.shape}")
+    if not len(rows):
+        raise OutOfRange("evolve takes one or more parameter rows")
+    flat = rows.ravel().tolist()
+    for i, value in enumerate(flat):
+        if not 0.0 <= value <= 1.0:  # nan too
+            require_parameter(("p1", "p2", "p")[i % 3], value)
+    return zip(flat[::3], flat[1::3]), flat[2::3]
+
+
+def evolve(rho, spec, params=None, allow_incomplete: bool = False) -> np.ndarray:
+    """Evolve a 6x6 state, or an (N, 6, 6) stack of them, through ``spec``
+    or, with a leading row axis, through the spec at each (p1, p2, p) row of
+    the (n, 3) array ``params``: the one evaluation path.
 
     The stack goes through each distinct local set at (p1, p2) once; for
-    global coupling, each spec's local result then goes through its own
+    global coupling, each row's local result then goes through its own
     collective set.  Each stage comes whole, with its sets' completeness
     defects, from the bounded ``_stage_sets`` cache: the local stage holds
     the distinct (p1, p2) in order of first appearance, the collective
-    stage each spec's (p, p).  Each stage is one ``_stage`` call, which
-    picks its kernel.  The result has the shape of ``rho``, with a leading
-    spec axis for a sequence.  Every matrix of a trace-preserving spec is
-    validated; the result is read-only exactly when every spec is trace
-    preserving, so every matrix in it was validated.  A spec that is not
-    raises CompletenessViolation, as the first failure of a spec-by-spec
-    loop would, with only the specs before it evolved, unless
-    ``allow_incomplete``; then its raw evolved matrices are returned for
-    diagnostics.
+    stage each row's (p, p).  Each stage is one ``_stage`` call, which
+    picks its kernel.  Every matrix of a trace-preserving row is
+    validated, and the result is read-only exactly when every row is trace
+    preserving.  A row that is not raises CompletenessViolation, as the
+    first failure of a row-by-row loop would, with only the rows before it
+    evolved, unless ``allow_incomplete``; then its raw evolved matrices
+    are returned for diagnostics.
     """
     m = np.asarray(rho, complex)
-    one = isinstance(specs, ChannelSpec)
-    specs = [specs] if one else list(specs)
-    shared = {(s.kind, s.coupling, s.global_mode, s.variant, s.level_order)
-              for s in specs}
-    if len(shared) != 1:
-        raise OutOfRange("evolve takes one or more specs that differ only in "
-                         "p1, p2 and p")
-    kind, coupling, global_mode, variant, level_order = shared.pop()
+    kind, variant, level_order = spec.kind, spec.variant, spec.level_order
+    pairs, ps = _parameters(spec, params)
     distinct = {}  # the local stage's row of each distinct (p1, p2)
-    rows = [distinct.setdefault((s.p1, s.p2), len(distinct)) for s in specs]
+    rows = [distinct.setdefault(pair, len(distinct)) for pair in pairs]
     local, defects = _stage_sets(kind, tuple(distinct), PRODUCT, variant, level_order)
     defects = [defects[i] for i in rows]
-    if coupling == GLOBAL:
-        coll, coll_defects = _stage_sets(kind, tuple([(s.p, s.p) for s in specs]),
-                                         global_mode, variant, level_order)
+    if spec.coupling == GLOBAL:
+        coll, coll_defects = _stage_sets(kind, tuple(zip(ps, ps)), spec.global_mode,
+                                         variant, level_order)
         defects = list(map(max, defects, coll_defects))
     tp = [d <= COMPLETENESS_TOL for d in defects]
-    n = len(specs) if allow_incomplete or all(tp) else tp.index(False)
+    n = len(tp) if allow_incomplete or all(tp) else tp.index(False)
     if n:
         rows, x = rows[:n], m.reshape(1, -1, 36)
         y, reach = _stage(local, x, _support(x), max(rows) + 1)
-        if coupling == GLOBAL:
-            # A local result shared by every spec broadcasts over the stage.
+        if spec.coupling == GLOBAL:
+            # A local result shared by every row broadcasts over the stage.
             y = _stage(coll, y if len(y) in (1, n) else y[rows], reach, n)[0]
         elif len(y) < n:
             y = y[rows]
@@ -523,12 +533,12 @@ def evolve(rho, specs, allow_incomplete: bool = False) -> np.ndarray:
             out = validate_density(out.reshape(-1, 6, 6)).reshape(out.shape)
         elif any(tp[:n]):
             validate_density(out[np.array(tp[:n])].reshape(-1, 6, 6))
-    if n < len(specs):
-        failure = _INCOMPLETE_GLOBAL if coupling == GLOBAL else _INCOMPLETE_SET
+    if n < len(tp):
+        failure = _INCOMPLETE_GLOBAL if spec.coupling == GLOBAL else _INCOMPLETE_SET
         raise CompletenessViolation(
-            failure.format(kind=kind, variant=variant, global_mode=global_mode,
+            failure.format(kind=kind, variant=variant, global_mode=spec.global_mode,
                            defect=defects[n]), defect=defects[n])
-    return out[0] if one else out
+    return out[0] if params is None else out
 
 
 # Nothing in src/ calls this; kept only for perfbench/spans.py TARGETS (ROADMAP 1-2).
@@ -545,7 +555,7 @@ def multilocal_evolve(
     qutrit at p2."""
     spec = ChannelSpec(kind, MULTILOCAL, p1, p2, variant=variant,
                        level_order=level_order)
-    return evolve(rho, spec, allow_incomplete)
+    return evolve(rho, spec, allow_incomplete=allow_incomplete)
 
 
 # Nothing in src/ calls this; kept only for perfbench/spans.py TARGETS (ROADMAP 1-2).
@@ -563,4 +573,4 @@ def global_evolve(
     """``evolve`` under local environments followed by a collective one at
     parameter p."""
     spec = ChannelSpec(kind, GLOBAL, p1, p2, p, global_mode, variant, level_order)
-    return evolve(rho, spec, allow_incomplete)
+    return evolve(rho, spec, allow_incomplete=allow_incomplete)

@@ -91,29 +91,29 @@ def _result_arrays(rows: int, columns: int):
         raise OutOfRange(f"a grid of {rows * columns} points is too large") from exc
 
 
-def evaluate(specs, r_values, allow_incomplete: bool = False, out=None):
-    """Minimum PT eigenvalues and negativities, each of shape
-    (len(specs), len(r_values)), of every spec over one r-axis, written
-    into ``out`` (from ``_result_arrays``) when given.
+def evaluate(spec, params, r_values, allow_incomplete: bool = False, out=None):
+    """Minimum PT eigenvalues and negativities, each (n, len(r_values)), of
+    ``spec`` at each (p1, p2, p) row of the (n, 3) array ``params``, or at
+    its own values (n = 1) for None, over one r-axis; written into ``out``
+    (from ``_result_arrays``) when given.
 
-    The specs must differ only in p1, p2 and p.  The r-axis states are
-    built and validated once, as one stack; each chunk of specs evolves
-    the whole stack in one ``channels.evolve`` call, which shares the Kraus
-    sets the specs have in common, and takes its PT spectra in one
-    eigensolver call.  ``validate_density`` certifies the states and the
-    evolved rows PSD by one Cholesky factorisation per stack, so on valid
-    stacks that PT call is the only eigensolver call; validation calls the
-    eigensolver only for a stack that fails a check.  Only a chunk with raw
-    rows (``allow_incomplete``) has its partial transposes checked for
+    The r-axis states are built and validated once, as one stack.  Each
+    chunk of rows evolves the whole stack in one ``channels.evolve`` call
+    and takes its PT spectra in one eigensolver call: validation certifies
+    PSD by one Cholesky factorisation per stack and calls the eigensolver
+    only for a stack that fails a check.  Only a chunk with raw rows
+    (``allow_incomplete``) has its partial transposes checked for
     hermiticity; ``evolve`` has validated the rows of every other chunk.
     """
     if len(r_values) == 0:
         raise OutOfRange("the r axis is empty")
     states = unruh_state(r_values)
-    min_eig, neg = _result_arrays(len(specs), len(states)) if out is None else out
+    n = 1 if params is None else len(params)
+    min_eig, neg = _result_arrays(n, len(states)) if out is None else out
     step = max(1, _CHUNK_MATRICES // len(states))
-    for i in range(0, len(specs), step):
-        rows = channels.evolve(states, specs[i:i + step], allow_incomplete)
+    for i in range(0, n, step):
+        chunk = None if params is None else params[i:i + step]
+        rows = channels.evolve(states, spec, chunk, allow_incomplete)
         # evolve returns a read-only array exactly when it validated every row.
         eig, neg[i:i + step] = pt_spectra(rows, validated=not rows.flags.writeable)
         min_eig[i:i + step] = eig[..., 0]
@@ -142,12 +142,13 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
              tuple(_linked(spec.channel, p) for p in _axis(1.0, spec.steps).tolist()))
     r = (np.array([spec.r], float) if spec.axis == AXIS_P
          else _axis(R_MAX, spec.steps))
-    min_eig, neg = evaluate(specs, r)
+    params = np.array([(s.p1, s.p2, s.p) for s in specs])
+    min_eig, neg = evaluate(spec.channel, params, r)
     return SweepResult(specs, r, neg, min_eig)
 
 
 def _linked_negativity(channel: ChannelSpec, p: float, r: float) -> float:
-    return float(evaluate([_linked(channel, p)], [r])[1][0, 0])
+    return float(evaluate(_linked(channel, p), None, [r])[1][0, 0])
 
 
 def esd_threshold(channel: ChannelSpec, r: float, p_tol: float = 1e-6):

@@ -1,11 +1,13 @@
+import collections
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unruhsim import analytic, channels
+from unruhsim import analytic, channels, sweep
 from unruhsim.analytic import (
     MATCH,
     MISMATCH,
@@ -14,7 +16,7 @@ from unruhsim.analytic import (
     phase_flip_lambda,
     verify_against_numeric,
 )
-from unruhsim.entanglement import negativity
+from unruhsim.entanglement import negativity, pt_spectra
 from unruhsim.errors import OutOfRange
 from unruhsim.state import unruh_state
 
@@ -211,3 +213,67 @@ def test_report_grid_description():
     assert r2.grid_description == "3x3x3x3 (p1, p2, p, r)"
     assert r2.global_mode == channels.PRODUCT
     assert r1.global_mode == "-"
+
+
+# --- verify grids as parameter arrays -----------------------------------------
+
+# The six default reports of ``verify --out-dir``, then one non-default grid.
+_GRIDS = [(kind, coupling, mode, None) for kind in analytic.ANALYTIC_KINDS
+          for coupling, mode in [(channels.MULTILOCAL, channels.PRODUCT),
+                                 (channels.GLOBAL, channels.PRODUCT),
+                                 (channels.GLOBAL, channels.CORRELATED)]]
+_GRIDS.append((channels.DEPHASING, channels.GLOBAL, channels.CORRELATED, 4))
+
+
+@pytest.mark.parametrize("kind, coupling, mode, grid_points", _GRIDS)
+def test_verify_arrays_are_a_per_spec_loop_bit_for_bit(
+    monkeypatch, kind, coupling, mode, grid_points
+):
+    # The grid goes in as one template and (p1, p2, p) rows; a loop that
+    # builds each row's ChannelSpec and evolves it alone must give the same
+    # bits, and so must the closed form evaluated one spec at a time.
+    calls, factors = [], []
+    evaluate, factor = analytic.evaluate, analytic._FACTORS[kind]
+    monkeypatch.setattr(analytic, "evaluate", lambda *args, **kwargs: calls.append(
+        (args, evaluate(*args, **kwargs))) or calls[-1][1])
+    monkeypatch.setitem(analytic._FACTORS, kind, lambda *args: factors.append(
+        (args, factor(*args))) or factors[-1][1])
+    verify_against_numeric(kind, coupling, mode, grid_points)
+    [((template, params, r_axis), (min_eig, neg))] = calls
+    # The rows of the nested loop p1, p2, p over the grid's axis.
+    axis = np.linspace(0.0, 1.0, len(r_axis)).tolist()
+    p_axis = axis if coupling == channels.GLOBAL else [0.0]
+    assert params.tolist() == [[a, b, c] for a in axis for b in axis for c in p_axis]
+    states = unruh_state(r_axis)
+    for row, eig_row, neg_row in zip(params.tolist(), min_eig, neg):
+        spec = channels.ChannelSpec(kind, coupling, *row, global_mode=mode)
+        assert spec == replace(template, p1=row[0], p2=row[1], p=row[2])
+        rows = channels.evolve(states, spec, allow_incomplete=True)
+        eig, want_neg = pt_spectra(rows, validated=not rows.flags.writeable)
+        assert eig_row.tobytes() == eig[:, 0].tobytes()
+        assert neg_row.tobytes() == want_neg.tobytes()
+    [((_, *columns), closed)] = factors
+    np.testing.assert_array_equal(np.stack(columns, axis=1), params)
+    per_spec = [factor(coupling, *row) for row in params.tolist()]
+    assert closed.tobytes() == np.array(per_spec).tobytes()
+
+
+def test_a_verify_report_builds_one_spec_and_one_evolve_call_per_chunk(monkeypatch):
+    counts = collections.Counter()
+    post_init = channels.ChannelSpec.__post_init__
+    evolve, eigvalsh = channels.evolve, np.linalg.eigvalsh
+
+    def count(key, fn):
+        return lambda *args, **kwargs: counts.update([key]) or fn(*args, **kwargs)
+
+    monkeypatch.setattr(channels.ChannelSpec, "__post_init__",
+                        count("specs", post_init))
+    monkeypatch.setattr(channels, "evolve", count("evolve", evolve))
+    monkeypatch.setattr(np.linalg, "eigvalsh", count("eigvalsh", eigvalsh))
+    for kind, coupling, mode, grid_points in _GRIDS:
+        counts.clear()
+        verify_against_numeric(kind, coupling, mode, grid_points)
+        n = grid_points or (21 if coupling == channels.MULTILOCAL else 11)
+        rows = n ** (3 if coupling == channels.GLOBAL else 2)
+        chunks = -(-rows // (sweep._CHUNK_MATRICES // n))
+        assert counts == {"specs": 1, "evolve": chunks, "eigvalsh": chunks}

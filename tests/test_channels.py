@@ -19,6 +19,8 @@ from unruhsim.errors import (
 )
 from unruhsim.state import unruh_state, validate_density
 
+from spec_rows import spec_rows
+
 P_GRID = [round(0.1 * k, 10) for k in range(11)]
 OMEGA = np.exp(2j * np.pi / 3)
 
@@ -494,12 +496,12 @@ def test_stacked_evolution_is_bit_equal_to_per_point_kraus(
     expected_list = np.stack([[_kraus_oracle(m, s) for m in states]
                               for s in specs])
     np.testing.assert_array_equal(
-        ch.evolve(states, specs, allow_incomplete=True), expected_list)
+        ch.evolve(states, *spec_rows(specs), allow_incomplete=True), expected_list)
 
     # The evaluator behind sweep, esd, verify and the CLI gives the same
     # numbers, as (len(specs), len(rs)) arrays.
     oracle_eig = np.stack([[_pt_oracle(m) for m in row] for row in expected_list])
-    min_eig, neg_grid = sweep.evaluate(specs, rs, allow_incomplete=True)
+    min_eig, neg_grid = sweep.evaluate(*spec_rows(specs), rs, allow_incomplete=True)
     np.testing.assert_array_equal(min_eig, oracle_eig[..., 0])
     np.testing.assert_array_equal(
         neg_grid, [[-e[e < -1e-12].sum() for e in row] for row in oracle_eig])
@@ -512,8 +514,8 @@ def test_evaluate_across_chunks_equals_spec_by_spec():
         specs = [ch.ChannelSpec(ch.BIT_TRIT_PHASE_FLIP, ch.GLOBAL, p1, p2, p, mode)
                  for p1 in axis for p2 in axis for p in axis]
         assert len(specs) * len(rs) > 2 * sweep._CHUNK_MATRICES
-        batched = sweep.evaluate(specs, rs, allow_incomplete=True)
-        alone = [sweep.evaluate([s], rs, allow_incomplete=True) for s in specs]
+        batched = sweep.evaluate(*spec_rows(specs), rs, allow_incomplete=True)
+        alone = [sweep.evaluate(s, None, rs, allow_incomplete=True) for s in specs]
         for got, want in zip(batched, zip(*alone)):
             assert got.tobytes() == np.concatenate(want).tobytes()
 
@@ -778,7 +780,7 @@ def test_global_chunk_makes_one_gather_call_per_stage(shared, gather_calls):
     axis = np.linspace(0.0, 1.0, 11).tolist()
     specs = [ch.ChannelSpec(ch.PHASE_FLIP, ch.GLOBAL, 0.2, 0.4 if shared else q, q)
              for q in axis]
-    out = ch.evolve(states, specs)
+    out = ch.evolve(states, *spec_rows(specs))
     # The states' 6 nonzero entries, then the 6 columns the first stage reaches.
     assert gather_calls == [(1 if shared else 11, (1, 11, 36), 6),
                             (11, (1 if shared else 11, 11, 36), 6)]
@@ -804,7 +806,7 @@ def test_spec_list_raises_the_first_incomplete_specs_defect():
     states = np.stack([unruh_state(r) for r in (0.0, 0.4)])
     specs = _trit_phase_flip_specs([0.0, 0.3, 0.6])
     with pytest.raises(CompletenessViolation) as err:
-        ch.evolve(states, specs)
+        ch.evolve(states, *spec_rows(specs))
     assert err.value.defect == pytest.approx(0.1, abs=1e-12)
     with pytest.raises(CompletenessViolation) as alone:
         ch.evolve(states, specs[1])
@@ -826,12 +828,13 @@ def test_spec_list_evolves_only_the_specs_before_the_first_failure(kind, monkeyp
 
     monkeypatch.setattr(ch, "_stage", spy)
     with pytest.raises(CompletenessViolation) as err:
-        ch.evolve(unruh_state(0.2), specs)
+        ch.evolve(unruh_state(0.2), *spec_rows(specs))
     assert stages == [1, 1]  # the local and the collective set of specs[0]
     with pytest.raises(CompletenessViolation) as alone:
         ch.evolve(unruh_state(0.2), specs[1])
     assert str(err.value) == str(alone.value)
-    raw = ch.evolve(unruh_state(0.2), specs, allow_incomplete=True)
+    raw = ch.evolve(unruh_state(0.2), *spec_rows(specs),
+                    allow_incomplete=True)
     assert stages[-2:] == [3, 3]
     for got, spec in zip(raw, specs):
         np.testing.assert_array_equal(
@@ -839,7 +842,7 @@ def test_spec_list_evolves_only_the_specs_before_the_first_failure(kind, monkeyp
     # A list that fails at its first spec applies no set at all.
     stages.clear()
     with pytest.raises(CompletenessViolation) as err:
-        ch.evolve(unruh_state(0.2), specs[1:])
+        ch.evolve(unruh_state(0.2), *spec_rows(specs[1:]))
     assert stages == []
     assert str(err.value) == str(alone.value)
 
@@ -847,40 +850,64 @@ def test_spec_list_evolves_only_the_specs_before_the_first_failure(kind, monkeyp
 def test_spec_list_with_incomplete_specs_still_validates_the_rest():
     states = np.stack([unruh_state(r) for r in (0.0, 0.4)])
     specs = _trit_phase_flip_specs([0.0, 0.3, 0.6])
-    raw = ch.evolve(states, specs, allow_incomplete=True)
+    raw = ch.evolve(states, *spec_rows(specs), allow_incomplete=True)
     assert raw.shape == (3, 2, 6, 6) and raw.flags.writeable
     np.testing.assert_array_equal(raw[0], ch.evolve(states, specs[0]))
     # The p = 0 rows go through validation: a defect there is reported.
     states[1, 0, 1] += 3e-3
     with pytest.raises(NotHermitian, match="defect 3.000e-03"):
-        ch.evolve(states, specs, allow_incomplete=True)
+        ch.evolve(states, *spec_rows(specs), allow_incomplete=True)
 
 
 def test_spec_list_raises_whichever_failure_comes_first():
     states = np.stack([unruh_state(r) for r in (0.0, 0.4)])
     states[1, 0, 1] += 3e-3
     with pytest.raises(NotHermitian):  # the p = 0 spec fails validation
-        ch.evolve(states, _trit_phase_flip_specs([0.0, 0.3]))
+        ch.evolve(states, *spec_rows(_trit_phase_flip_specs([0.0, 0.3])))
     with pytest.raises(CompletenessViolation):  # the p = 0.3 spec fails first
-        ch.evolve(states, _trit_phase_flip_specs([0.3, 0.0]))
+        ch.evolve(states, *spec_rows(_trit_phase_flip_specs([0.3, 0.0])))
 
 
 def test_spec_list_of_trace_preserving_specs_is_read_only():
     specs = [ch.ChannelSpec(ch.DEPHASING, ch.GLOBAL, p, 0.2, 0.5) for p in (0.1, 0.9)]
-    out = ch.evolve(unruh_state(0.3), specs)
+    out = ch.evolve(unruh_state(0.3), *spec_rows(specs))
     assert out.shape == (2, 6, 6) and not out.flags.writeable
 
 
-@pytest.mark.parametrize("specs", [
-    [],
-    [ch.ChannelSpec(ch.PHASE_FLIP, ch.MULTILOCAL),
-     ch.ChannelSpec(ch.DEPHASING, ch.MULTILOCAL)],
-    [ch.ChannelSpec(ch.PHASE_FLIP, ch.MULTILOCAL),
-     ch.ChannelSpec(ch.PHASE_FLIP, ch.GLOBAL)],
+@pytest.mark.parametrize("params, failing", [
+    (np.empty((0, 3)), None),
+    ([[0.2, 0.3, 0.4], [0.5, 1.5, -0.1]], (1, 1)),
+    ([[0.2, 0.3, 0.4], [-0.1, math.nan, 0.4], [2.0, 0.3, 0.4]], (1, 0)),
+    ([[0.2, math.nan, 0.4]], (0, 1)),
+    ([[0.2, 0.3, math.inf], [0.2, -math.inf, 0.4]], (0, 2)),
+    ([[0.0, 0.0, 0.0], [1.0, 1.0, math.nextafter(1.0, 2.0)]], (1, 2)),
+    ([[-5e-324, 0.3, 0.4]], (0, 0)),
 ])
-def test_spec_list_must_be_nonempty_and_share_all_but_the_parameters(specs):
-    with pytest.raises(OutOfRange):
-        ch.evolve(unruh_state(0.1), specs)
+def test_parameter_rows_raise_the_range_rule_text_of_their_first_failing_value(
+    params, failing
+):
+    # An empty array raises as an empty spec list did; otherwise the first
+    # failing (row, field), p1, p2, p within a row, raises what the spec of
+    # that row would.
+    spec = ch.ChannelSpec(ch.PHASE_FLIP, ch.MULTILOCAL)
+    with pytest.raises(OutOfRange) as err:
+        ch.evolve(unruh_state(0.1), spec, params)
+    if failing is None:
+        assert str(err.value) == "evolve takes one or more parameter rows"
+        return
+    row, field = failing
+    with pytest.raises(OutOfRange) as want:
+        ch.ChannelSpec(ch.PHASE_FLIP, ch.MULTILOCAL, *params[row])
+    assert str(err.value) == str(want.value)
+    assert f" {('p1', 'p2', 'p')[field]}=" in str(err.value)
+
+
+@pytest.mark.parametrize("params", [[0.1, 0.2, 0.3], [[0.1, 0.2]],
+                                    np.zeros((1, 3, 1))])
+def test_parameter_rows_must_be_an_n_by_3_array(params):
+    with pytest.raises(DimensionMismatch):
+        ch.evolve(unruh_state(0.1), ch.ChannelSpec(ch.PHASE_FLIP, ch.MULTILOCAL),
+                  params)
 
 
 def test_stack_validation_names_first_failing_matrix():
@@ -921,8 +948,8 @@ def test_global_chunks_build_their_shared_collective_stage_once():
     axis = np.linspace(0.0, 1.0, 11).tolist()
     ch._stage_sets.cache_clear()
     for p1 in (0.2, 0.3):  # two chunks of a global verify grid
-        ch.evolve(states, [ch.ChannelSpec(ch.PHASE_FLIP, ch.GLOBAL, p1, 0.4, q)
-                           for q in axis])
+        ch.evolve(states, *spec_rows([ch.ChannelSpec(ch.PHASE_FLIP, ch.GLOBAL, p1,
+                                                     0.4, q) for q in axis]))
     # Each chunk's local stage misses; the collective stage misses, then hits.
     info = ch._stage_sets.cache_info()
     assert (info.misses, info.hits) == (3, 1)

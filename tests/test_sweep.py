@@ -12,6 +12,8 @@ from unruhsim import channels, cli, linalg, state, sweep
 from unruhsim.channels import ChannelSpec
 from unruhsim.errors import DimensionMismatch, IoFailure, NotHermitian, OutOfRange
 
+from spec_rows import spec_rows
+
 R_MAX = math.pi / 4
 
 
@@ -78,7 +80,7 @@ def test_sweep_spec_checks_its_fixed_r_on_every_axis(axis, r):
 
 def test_evaluate_rejects_an_empty_r_axis():
     with pytest.raises(OutOfRange):
-        sweep.evaluate([_spec(channels.PHASE_FLIP)], [])
+        sweep.evaluate(*spec_rows([_spec(channels.PHASE_FLIP)]), [])
 
 
 def test_evaluate_checks_the_raw_rows_of_incomplete_specs(monkeypatch):
@@ -86,12 +88,13 @@ def test_evaluate_checks_the_raw_rows_of_incomplete_specs(monkeypatch):
     # so its rows come back raw, never validated.
     raw = [_spec(channels.BIT_TRIT_PHASE_FLIP, p1=p, p2=p,
                  variant=channels.AS_PRINTED) for p in (0.3, 0.6)]
-    assert sweep.evaluate(raw, [0.3], allow_incomplete=True)[1].shape == (2, 1)
+    _, neg = sweep.evaluate(*spec_rows(raw), [0.3], allow_incomplete=True)
+    assert neg.shape == (2, 1)
     bent = np.array(state.unruh_state([0.3]))  # the r axis's (1, 6, 6) stack
     bent[0, 0, 4] += 2e-3
     monkeypatch.setattr(sweep, "unruh_state", lambda rs: bent)
     with pytest.raises(NotHermitian):
-        sweep.evaluate(raw, [0.3], allow_incomplete=True)
+        sweep.evaluate(*spec_rows(raw), [0.3], allow_incomplete=True)
 
 
 @pytest.mark.parametrize("n", [1, 2, 101, 300])
@@ -105,7 +108,7 @@ def test_an_r_axis_is_built_and_validated_as_one_stack(monkeypatch, n):
                         lambda m: validated.append(np.shape(m)) or validate(m))
     specs = [_spec(channels.BIT_TRIT_PHASE_FLIP, channels.GLOBAL, p1=p, p2=p, p=p)
              for p in (0.2, 0.4)]
-    sweep.evaluate(specs, np.linspace(0.0, R_MAX, n))
+    sweep.evaluate(*spec_rows(specs), np.linspace(0.0, R_MAX, n))
     assert built == [n] and validated == [(n, 6, 6)]
 
 
@@ -120,7 +123,7 @@ def test_a_figure_3_spec_takes_one_eigensolver_call_its_pt_spectra(
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         lambda a: shapes.append(np.shape(a)) or eigvalsh(a))
     spec = sweep._linked(figure_sweep.channel, 0.37)
-    min_eig, _ = sweep.evaluate([spec], np.linspace(0.0, R_MAX, 101))
+    min_eig, _ = sweep.evaluate(*spec_rows([spec]), np.linspace(0.0, R_MAX, 101))
     assert shapes == [(1, 101, 6, 6)]
     assert min_eig.shape == (1, 101)
 
