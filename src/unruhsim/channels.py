@@ -315,9 +315,10 @@ def _stage_sets(kind, pairs, global_mode, variant, level_order):
     columns j, where s_j sums, in operator order, |v|^2 of column j's
     one nonzero in each operator: E^dag E is diagonal, and the matmul of
     ``completeness_defect`` only adds exact zeros to it.  Any other stage
-    is a tuple of sets, each a tuple of read-only 6x6 operator views, made
-    once here rather than on each ``apply_unchecked`` pass over a stacked
-    array, with the defects ``completeness_defect`` gives."""
+    is a tuple of sets, each one read-only (K, 6, 6) array, so that
+    ``apply_unchecked`` stacks its operators as the rows of one (K*6, 6)
+    left factor by a reshape, a view, with the defects
+    ``completeness_defect`` gives."""
     pattern = _gather_pattern(kind, global_mode, variant, level_order)
     if pattern is None:
         sets = [_tensor_set(qubit_channel(kind, a),
@@ -325,7 +326,7 @@ def _stage_sets(kind, pairs, global_mode, variant, level_order):
                 for a, b in pairs]
         for ops in sets:
             ops.flags.writeable = False
-        return tuple(map(tuple, sets)), [completeness_defect(ops) for ops in sets]
+        return tuple(sets), [completeness_defect(ops) for ops in sets]
     rho_index, scalar_at, unit_at, left, right, column = pattern
     scalars = np.array([(*_scalars(2, kind, float(a), CORRECTED),
                          *_scalars(3, kind, float(b), variant), 0.0) for a, b in pairs])
@@ -338,24 +339,32 @@ def _stage_sets(kind, pairs, global_mode, variant, level_order):
     return stage, np.abs(sums - 1.0).max(axis=1).tolist()
 
 
-def apply_unchecked(ops, matrix: np.ndarray) -> np.ndarray:
+def apply_unchecked(ops, matrix: np.ndarray, out=None) -> np.ndarray:
     """sum E rho E^dag over the operators of ``ops``, without any
     revalidation of the result: the matmul kernel, which ``_stage`` takes
     for the sets of a matmul stage, and the tests' oracle for ``_gather``.
+    Written into ``out``, a C-contiguous array of +0 of rho's shape, when
+    given.
 
-    ``matrix`` may be one 6x6 matrix or a stack (..., 6, 6); each operator
-    is applied to the whole stack at once: E @ rho over the stack into one
-    buffer, then E^dag on the right of all its rows in one (N*6, 6) @ (6, 6)
-    product (the oracle tests pin it, bit for bit, to the matrix-by-matrix
-    product; a batched left factor does not match).
+    ``matrix`` may be one 6x6 matrix or a stack (..., 6, 6).  The K
+    operators, stacked as the rows of one (K*6, 6) left factor, take
+    E @ rho in one product per matrix; then E^dag goes on the right of
+    each operator's N*6 rows of the stack in one (N*6, 6) @ (6, 6)
+    product, summed in operator order from +0.  BLAS forms each row of a
+    product apart from the others, so stacking rows of the left factor
+    keeps the bits of the matrix-by-matrix loop (the tests pin it);
+    stacking columns of the right factor, as (6, 6) @ (6, N*6), does not
+    (600 of figure 3's 1,616 operator stacks differ under the Haswell and
+    SkylakeX kernels).
     """
     m = np.asarray(matrix, dtype=complex)
-    # C order whatever m's layout, so the row views below are views, not copies.
-    out, left = np.zeros(m.shape, complex), np.empty(m.shape, complex)
-    rows, left_rows = out.reshape(-1, m.shape[-1]), left.reshape(-1, m.shape[-1])
-    for e in ops:
-        np.matmul(e, m, out=left)
-        rows += left_rows @ e.conj().T
+    e = np.asarray(ops)
+    d = m.shape[-1]
+    left = np.matmul(e.reshape(-1, d), m).reshape(m.shape[:-2] + e.shape)
+    out = np.zeros(m.shape, complex) if out is None else out
+    rows = out.reshape(-1, d)
+    for k, ek in enumerate(e):
+        rows += left[..., k, :, :].reshape(-1, d) @ ek.conj().T
     return out
 
 
@@ -416,9 +425,9 @@ def _stage(sets, x: np.ndarray, support, s):
     if isinstance(sets, _GatherSet):
         return _gather(sets._replace(v=sets.v[:s], w=sets.w[:s]), x, support)
     x = x.reshape(len(x), -1, 6, 6)
-    out = np.empty((s,) + x.shape[1:], complex)
+    out = np.zeros((s,) + x.shape[1:], complex)
     for i, ops in enumerate(sets[:s]):
-        out[i] = apply_unchecked(ops, x[i if len(x) > 1 else 0])
+        apply_unchecked(ops, x[i if len(x) > 1 else 0], out[i])
     return out.reshape(s, -1, 36), None
 
 

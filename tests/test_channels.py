@@ -1,5 +1,9 @@
 import functools
 import math
+import os
+import platform
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -211,7 +215,7 @@ _TABLE_P = (0.0, 5e-324, 1e-300, 0.3, 0.5, 1.0)
 
 def _one_set(kind, p1, p2, mode, variant, order):
     """The set at (p1, p2) as a one-pair stage, and its defect: the
-    ``_GatherSet`` stage of one set, or the set's tuple of operators."""
+    ``_GatherSet`` stage of one set, or the set's (K, 6, 6) array."""
     stage, (defect,) = ch._stage_sets(kind, ((p1, p2),), mode, variant, order)
     return (stage if isinstance(stage, ch._GatherSet) else stage[0]), defect
 
@@ -244,7 +248,9 @@ def test_table_sets_are_the_papers_matrices_bit_for_bit(kind, variant, order):
             ops, defect = _one_set(kind, p1, p2, mode, variant, order)
             assert defect == _paper_defect(want)
             if kind not in _GATHER_KINDS:
-                _assert_same_bits(np.stack(ops), want)
+                # The cache holds the set as one (K, 6, 6) array.
+                assert ops.shape == want.shape
+                _assert_same_bits(ops, want)
                 continue
             # v_i is row i's entry in column col(i); v holds v_i and w
             # conj(v_j) for output entry (i, j).
@@ -661,6 +667,113 @@ def test_gather_kernel_is_bit_equal_to_the_matmul(kind, mode, variant, order):
                                       ch.apply_unchecked(plain, stack))
 
 
+# --- the matmul kernel against the per-matrix loop ----------------------------
+
+_MATMUL_STRUCTURES = [s for s in _STRUCTURES if s[0] not in _GATHER_KINDS]
+
+
+def _per_matrix_loop(ops, m):
+    """sum E rho E^dag one operator and one matrix at a time, from +0."""
+    out = np.zeros(m.shape, complex)
+    for n in np.ndindex(m.shape[:-2]):
+        for e in ops:
+            out[n] += e @ m[n] @ e.conj().T
+    return out
+
+
+@pytest.mark.parametrize("kind, mode, variant, order", _MATMUL_STRUCTURES)
+def test_stacked_left_product_is_bit_equal_to_the_per_matrix_loop(
+    kind, mode, variant, order
+):
+    for n in (1, 101, 128):
+        states = unruh_state(np.linspace(0.0, math.pi / 4, n))
+        for p in (0.37, 1.0):  # at p = 1 the identity terms are zero operators
+            ops, _ = _one_set(kind, p, p, mode, variant, order)
+            if mode == ch.CORRELATED:  # two qubit operators padded to four
+                assert len(ops) == 4 and not ops[2:].any()
+            # Unruh states (real) and their evolved states (complex).
+            for m in (states, _stage_apply(ops, states)):
+                for view in [m, *(f(m) for f in _LAYOUTS.values())]:
+                    want = _per_matrix_loop(ops, np.ascontiguousarray(view))
+                    _assert_same_bits(_stage_apply(ops, view), want)
+                    _assert_same_bits(ch.apply_unchecked(ops, view), want)
+                if n == 1:
+                    _assert_same_bits(_stage_apply(ops, m[0]),
+                                      _per_matrix_loop(ops, m[0]))
+
+
+@pytest.mark.parametrize("mode", ch.GLOBAL_MODES)
+def test_matmul_set_makes_one_left_product_whatever_its_size(mode, monkeypatch):
+    pairs = ((0.3, 0.3), (0.9, 0.9), (0.3, 0.3))
+    stage, _ = ch._stage_sets(ch.BIT_TRIT_PHASE_FLIP, pairs, mode, ch.CORRECTED,
+                              ch.REVERSED)
+    k = {ch.PRODUCT: 8, ch.CORRELATED: 4}[mode]
+    x = unruh_state(np.linspace(0.0, math.pi / 4, 101)).reshape(1, -1, 36)
+    calls, matmul = [], np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        calls.append((np.shape(a), np.shape(b)))
+        return matmul(a, b, *args, **kwargs)
+
+    # The right-hand products use the @ operator, which the spy does not see.
+    monkeypatch.setattr(np, "matmul", spy)
+    ch._stage(stage, x, ch._support(x), len(pairs))
+    assert calls == [((k * 6, 6), (101, 6, 6))] * len(pairs)
+
+
+# Figure 3's bit-trit phase flip sets, each applied to the Unruh states and
+# then to its own result (the local, then the collective stage), against a
+# loop over the operators that makes one gemm per matrix, as e @ m[n] does.
+_CORE_CHECK = """
+import numpy as np
+from unruhsim import channels as ch, sweep
+from unruhsim.state import R_MAX, unruh_state
+
+(fig,) = [s for s in sweep.figure_sweeps("3") if s.channel.kind == ch.BIT_TRIT_PHASE_FLIP]
+c, ps = fig.channel, np.linspace(0.0, 1.0, fig.steps).tolist()
+sets, _ = ch._stage_sets(c.kind, tuple(zip(ps, ps)), c.global_mode, c.variant,
+                         c.level_order)
+differ = 0
+for ops in sets:
+    m = unruh_state(np.linspace(0.0, R_MAX, fig.steps))
+    for _ in range(2):
+        got = ch.apply_unchecked(ops, m)
+        want = np.zeros(m.shape, complex)
+        for e in ops:
+            want += np.matmul(np.matmul(e, m), e.conj().T)
+        differ += got.tobytes() != want.tobytes()
+        m = got
+print(differ, 2 * len(sets))
+"""
+
+
+def _cpu_flags():
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return {flag for line in fh if line.startswith("flags")
+                    for flag in line.split(":", 1)[1].split()}
+    except OSError:
+        return set()
+
+
+@pytest.mark.parametrize("core, flag", [("Prescott", None), ("Haswell", "avx2"),
+                                        ("SkylakeX", "avx512f")])
+def test_stacked_left_product_keeps_its_bits_on_each_openblas_core(core, flag):
+    # Each child compares the two products under its own BLAS kernel.
+    if platform.machine() != "x86_64":
+        pytest.skip("OpenBLAS core types are x86-64 kernels")
+    if flag and flag not in _cpu_flags():
+        pytest.skip(f"this CPU lacks {flag}")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", _CORE_CHECK], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "202"]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(_STRUCTURES), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 def test_cached_defect_is_the_matmul_defect_bit_for_bit(structure, p1, p2):
@@ -978,8 +1091,12 @@ def test_cached_incomplete_set_still_raises_with_its_defect():
 def test_cached_operators_are_read_only():
     ops, _ = _one_set(ch.BIT_TRIT_PHASE_FLIP, 0.3, 0.3, ch.PRODUCT, ch.CORRECTED,
                       ch.REVERSED)
-    with pytest.raises(ValueError):
-        ops[0][0, 0] = 2.0
+    # The kernel's (K*6, 6) left factor is a view of the cached array.
+    stacked = ops.reshape(-1, 6)
+    assert ops.shape == (8, 6, 6) and np.shares_memory(stacked, ops)
+    for array in (ops[0], stacked):
+        with pytest.raises(ValueError):
+            array[0, 0] = 2.0
     gather, _ = _one_set(ch.PHASE_FLIP, 0.3, 0.3, ch.PRODUCT, ch.CORRECTED,
                          ch.REVERSED)
     for array in gather:  # the rho index and both factors
