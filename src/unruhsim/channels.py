@@ -315,10 +315,9 @@ def _stage_sets(kind, pairs, global_mode, variant, level_order):
     columns j, where s_j sums, in operator order, |v|^2 of column j's
     one nonzero in each operator: E^dag E is diagonal, and the matmul of
     ``completeness_defect`` only adds exact zeros to it.  Any other stage
-    is a tuple of sets, each one read-only (K, 6, 6) array, so that
-    ``apply_unchecked`` stacks its operators as the rows of one (K*6, 6)
-    left factor by a reshape, a view, with the defects
-    ``completeness_defect`` gives."""
+    is a tuple of read-only (K, 6, 6) sets, which ``apply_unchecked``
+    reshapes to its row-stacked (K*6, 6) left factor, with their
+    ``completeness_defect``."""
     pattern = _gather_pattern(kind, global_mode, variant, level_order)
     if pattern is None:
         sets = [_tensor_set(qubit_channel(kind, a),
@@ -343,19 +342,13 @@ def apply_unchecked(ops, matrix: np.ndarray, out=None) -> np.ndarray:
     """sum E rho E^dag over the operators of ``ops``, without any
     revalidation of the result: the matmul kernel, which ``_stage`` takes
     for the sets of a matmul stage, and the tests' oracle for ``_gather``.
-    Written into ``out``, a C-contiguous array of +0 of rho's shape, when
-    given.
 
-    ``matrix`` may be one 6x6 matrix or a stack (..., 6, 6).  The K
-    operators, stacked as the rows of one (K*6, 6) left factor, take
-    E @ rho in one product per matrix; then E^dag goes on the right of
-    each operator's N*6 rows of the stack in one (N*6, 6) @ (6, 6)
-    product, summed in operator order from +0.  BLAS forms each row of a
-    product apart from the others, so stacking rows of the left factor
-    keeps the bits of the matrix-by-matrix loop (the tests pin it);
-    stacking columns of the right factor, as (6, 6) @ (6, N*6), does not
-    (600 of figure 3's 1,616 operator stacks differ under the Haswell and
-    SkylakeX kernels).
+    ``matrix`` may be one 6x6 matrix or a stack (..., 6, 6).  E @ rho is
+    one product per matrix, the K operators stacked as the rows of one
+    (K*6, 6) left factor; then E^dag one (N*6, 6) @ (6, 6) product per
+    operator into ``out`` (+0, C-contiguous), in operator order.  BLAS
+    forms the rows of A apart, so this keeps the per-matrix bits; stacking
+    columns of B, (6, 6) @ (6, N*6), changes 600 of figure 3's 1,616.
     """
     m = np.asarray(matrix, dtype=complex)
     e = np.asarray(ops)
