@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import math
 import os
@@ -254,6 +255,45 @@ def test_sweep_plot_data(tmp_path):
     ])
     assert code == EXIT_OK
     assert out.read_text().startswith("# phase_flip multilocal")
+
+
+_PINNED = ["--p", "0.3", "--r", "pi/5", "--steps", "7"]
+_CORRELATED = ["--global-mode", "correlated", "--axis", "r", "--p", "0", "--steps", "7"]
+# sha256 of `sweep --channel bit-trit-phase-flip` output as written when a
+# result held one linked spec per row.  The figure digests cover product mode
+# alone and no multilocal grid; these pin the correlated-mode label and the
+# multilocal rows (p1 = p2 = 0.3, p printed as 0) as the CLI writes them.
+SWEEP_SHA256 = {
+    ("ml", "p", "csv"): "0916ce50a799843d6db209d104e27ed8bce8135f799a52fc80fafa67023f50e8",
+    ("ml", "p", "dat"): "e06f4bf773860dc158cfc78aa7d4e8a3e5b38b7bfc7b3f5890f1d708901687fa",
+    ("ml", "r", "csv"): "ded2f6b6c038e272f8501e9f95eda8db7b281a031ee172ae685d1846220200f5",
+    ("ml", "r", "dat"): "7bb27ddf7a607d58d439dba60425be350c81591bbd40ad0b2e0f798ada2aab1d",
+    ("ml", "grid", "csv"): "9cb9112712a0ac151c9e6ca80099584b7d7746cc840bd88edc96debdbdfa8a9c",
+    ("ml", "grid", "dat"): "e6d49584f5258678b10ad4155b7db453e3ba95e7096f95a9d408941a8b91ecc4",
+    ("global", "p", "csv"): "8c81d17c68dd06b0dcd5a1b613c5da59eeab23bc7404596870e2694c0acaf63a",
+    ("global", "p", "dat"): "c68d14f57fde4e9e3e4f8b884aff67b02f9fba6c1a4a862f0149f6d18c6eda20",
+    ("global", "r", "csv"): "cffaba18079bef625a4cf92f0b3ddd394bc8a867e6a64df174abd2502c18098e",
+    ("global", "r", "dat"): "aa2b063878ad1edc44a663705736dbf98e6a2e727e91215f74a40b87f7f9c630",
+    ("global", "grid", "csv"): "d85acc49630059e1cc909d0a02574654d7d921dac470be9481870baf7c385955",
+    ("global", "grid", "dat"): "7eb1ba450c7718ee8c991bec4356a774ceeaad258283d058e1ddb168958d22ca",
+    ("global", "correlated", "csv"):
+        "9c92c8e92014805c8860a6c824d66635e2c057d3d72a3656f049558b8ce246f3",
+    ("global", "correlated", "dat"):
+        "99fc08850f7b6f6e8ec3850fb6572a1a671e37b0f6607181787cd4d437608517",
+}
+
+
+@pytest.mark.parametrize("coupling, axis, fmt", SWEEP_SHA256,
+                         ids=["-".join(key) for key in SWEEP_SHA256])
+def test_sweep_bytes_are_pinned(tmp_path, capsys, coupling, axis, fmt):
+    out = tmp_path / "s.out"
+    flags = _CORRELATED if axis == "correlated" else ["--axis", axis, *_PINNED]
+    code = main(["sweep", "--channel", "bit-trit-phase-flip", "--coupling", coupling,
+                 *flags, "--out", str(out), *(["--plot-data"] if fmt == "dat" else [])])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == ""
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == SWEEP_SHA256[coupling, axis, fmt]
 
 
 def test_verify_report_output(capsys):
