@@ -140,7 +140,7 @@ def verify_against_numeric(
     axis = _axis(1.0, grid_points)
     r_axis = _axis(R_MAX, grid_points)
     p_axis = axis if coupling == GLOBAL else np.array([0.0])
-    # Sized from the axes, so a grid too large is refused before any spec exists.
+    # Sized from the axes: too large a grid is refused before its spec or (n, 3) rows.
     out = _result_arrays(len(axis) ** 2 * len(p_axis), len(r_axis))
 
     spec = channels.ChannelSpec(kind, coupling, global_mode=global_mode,

@@ -1,8 +1,8 @@
 """Parameter sweeps, sudden-death thresholds and figure datasets.
 
-A sweep evaluates to one ``SweepResult``: its linked spec at each p (rows,
-outer) and its r axis (columns, inner), with one negativity and one minimum
-PT eigenvalue array over both.  Only the writers here lay those out as rows.
+A sweep evaluates to one ``SweepResult``: its template, its linked (p1, p2, p)
+row at each p (rows, outer) and its r axis (columns, inner), with one negativity
+and one minimum PT eigenvalue array over both.  Only the writers make rows of them.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import contextlib
 import errno
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,9 +37,8 @@ CSV_HEADER = "channel,coupling,global_mode,p1,p2,p,r,negativity,min_pt_eigenvalu
 class SweepSpec:
     """One sweep: a channel template plus the axis and grids to walk.
 
-    The swept p value is applied to p1, p2 and (for global coupling) the
-    collective p simultaneously; the template's own parameter values are
-    used for whatever is not swept.
+    The swept p is linked as ``_linked_rows`` says; the template's own
+    parameter values are used for whatever is not swept.
     """
 
     channel: ChannelSpec
@@ -56,18 +55,20 @@ class SweepSpec:
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
-    """One evaluated sweep: row i of each array is ``specs[i]`` over ``r``."""
+    """An evaluated sweep: each array's row i is ``channel`` at ``params[i]`` over r."""
 
-    specs: tuple[ChannelSpec, ...]
+    channel: ChannelSpec
+    params: np.ndarray  # (rows, 3)
     r: np.ndarray
-    negativity: np.ndarray  # (len(specs), len(r))
-    min_pt_eigenvalue: np.ndarray  # (len(specs), len(r))
+    negativity: np.ndarray  # (rows, len(r))
+    min_pt_eigenvalue: np.ndarray  # (rows, len(r))
 
     def __post_init__(self):
-        # The writers zip specs with array rows and count rows by shape.
-        shape = (len(self.specs), len(self.r))
-        if self.negativity.shape != shape or self.min_pt_eigenvalue.shape != shape:
-            raise DimensionMismatch(f"sweep result arrays must have shape {shape}")
+        # The writers unpack (p1, p2, p) from each row and count rows by shape.
+        shape = (*self.params.shape[:1], len(self.r))
+        if (self.params.shape[1:], self.negativity.shape,
+                self.min_pt_eigenvalue.shape) != ((3,), shape, shape):
+            raise DimensionMismatch(f"sweep result shapes must be (n, 3) and {shape}")
 
 
 # Matrices one ``channels.evolve`` call takes at most.  Larger stacks made
@@ -120,12 +121,17 @@ def evaluate(spec, params, r_values, allow_incomplete: bool = False, out=None):
     return min_eig, neg
 
 
+def _linked_rows(channel: ChannelSpec, p) -> np.ndarray:
+    """The channel's (p1, p2, p) row at each linked p, (len(p), 3): p goes to
+    p1, p2 and, for global coupling, the collective p."""
+    p = np.asarray(p, float)[:, None]
+    return np.hstack([p, p, np.where(channel.coupling == GLOBAL, p, channel.p)])
+
+
 def _linked(channel: ChannelSpec, p: float) -> ChannelSpec:
-    """The channel with p applied to p1, p2 and, for global coupling, the
-    collective p."""
-    return ChannelSpec(channel.kind, channel.coupling, p, p,
-                       p if channel.coupling == GLOBAL else channel.p,
-                       channel.global_mode, channel.variant, channel.level_order)
+    """The channel at its linked row of p."""
+    p1, p2, p = _linked_rows(channel, [p])[0].tolist()
+    return replace(channel, p1=p1, p2=p2, p=p)
 
 
 def _axis(stop: float, count: int) -> np.ndarray:
@@ -138,13 +144,12 @@ def _axis(stop: float, count: int) -> np.ndarray:
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the sweep grid: one row per swept p, one column per r."""
-    specs = ((spec.channel,) if spec.axis == AXIS_R else
-             tuple(_linked(spec.channel, p) for p in _axis(1.0, spec.steps).tolist()))
-    r = (np.array([spec.r], float) if spec.axis == AXIS_P
-         else _axis(R_MAX, spec.steps))
-    params = np.array([(s.p1, s.p2, s.p) for s in specs])
-    min_eig, neg = evaluate(spec.channel, params, r)
-    return SweepResult(specs, r, neg, min_eig)
+    c = spec.channel
+    params = (np.array([[c.p1, c.p2, c.p]], float) if spec.axis == AXIS_R
+              else _linked_rows(c, _axis(1.0, spec.steps)))
+    r = np.array([spec.r], float) if spec.axis == AXIS_P else _axis(R_MAX, spec.steps)
+    min_eig, neg = evaluate(c, params, r)
+    return SweepResult(c, params, r, neg, min_eig)
 
 
 def _linked_negativity(channel: ChannelSpec, p: float, r: float) -> float:
@@ -242,39 +247,33 @@ def _atomic_write(destination: str, chunks) -> None:
     _atomic_write_files([destination], ((chunk,) for chunk in chunks))
 
 
-def _fixed(spec: ChannelSpec) -> list[str]:
-    """The fixed fields of a spec's rows, formatted: kind, coupling, global
-    mode, p1, p2 and p; empty mode and p = 0 under multilocal coupling."""
-    global_ = spec.coupling == GLOBAL
-    return [spec.kind, spec.coupling, spec.global_mode if global_ else "",
-            _fmt(spec.p1), _fmt(spec.p2), _fmt(spec.p if global_ else 0.0)]
-
-
 def _texts(results: list[SweepResult], csv: bool = True, dat: bool = True):
     """The CSV and the .dat text of the results, as one (csv, dat) pair of
     chunks per step: the CSV header, then per result its block label and
-    one chunk per spec row (outer spec, inner r) whose lines each end in LF.
-    ``csv=False`` or ``dat=False`` leaves that file's chunks empty.
+    one chunk per parameter row (outer row, inner r) whose lines each end
+    in LF.  ``csv=False`` or ``dat=False`` leaves that file's chunks empty.
 
     Each line is formatted once, by one template: the fields from p1 on,
-    comma-separated, with p1, p2 and p formatted once per spec, r once per
+    comma-separated, with p1, p2 and p formatted once per row, r once per
     result and the two results per point ('%.12g' % x is _fmt(x) for every
-    float).  A CSV line is that line behind the kind, coupling and mode; a
-    .dat line is that line with its commas made spaces: no field holds a
-    comma.
+    float).  A CSV line is that line behind the kind, coupling and mode,
+    formatted once per result; a .dat line is that line with its commas
+    made spaces: no field holds a comma.  Under multilocal coupling the
+    mode is empty and p is 0.
     """
     yield (CSV_HEADER + "\n" if csv else ""), ""
     for i, res in enumerate(results):
+        c = res.channel
+        fixed = [c.kind, c.coupling, c.global_mode if c.coupling == GLOBAL else ""]
         if dat:
-            label = " ".join(filter(None, _fixed(res.specs[0])[:3]))
-            yield "", ("\n" if i else "") + "# " + label + "\n"
+            yield "", ("\n" if i else "") + "# " + " ".join(filter(None, fixed)) + "\n"
+        labels = ",".join(fixed) + ","
         r_text = [_fmt(r) for r in res.r.tolist()]
-        for spec, negs, eigs in zip(res.specs, res.negativity, res.min_pt_eigenvalue):
-            fixed = _fixed(spec)
-            head = ",".join(fixed[3:]) + ","
+        for (p1, p2, p), negs, eigs in zip(res.params.tolist(), res.negativity,
+                                           res.min_pt_eigenvalue):
+            head = "%.12g,%.12g,%.12g," % (p1, p2, p if c.coupling == GLOBAL else 0.0)
             lines = [head + r + ",%.12g,%.12g\n" % ne
                      for r, ne in zip(r_text, zip(negs.tolist(), eigs.tolist()))]
-            labels = ",".join(fixed[:3]) + ","
             yield ("".join([labels + line for line in lines]) if csv else "",
                    "".join(lines).replace(",", " ") if dat else "")
 
@@ -288,7 +287,7 @@ def _nonempty(results: list[SweepResult]) -> list[SweepResult]:
 def write_csv(results: list[SweepResult], destination: str,
               plot_data: str | None = None) -> int:
     """Write results as CSV (12 significant digits, LF endings, atomic),
-    one spec row at a time.  With ``plot_data``, the same pass writes
+    one parameter row at a time.  With ``plot_data``, the same pass writes
     ``write_plot_data``'s file there from the same formatted values, and
     neither file is replaced before both are complete.
 
@@ -306,7 +305,7 @@ def write_plot_data(results: list[SweepResult], destination: str) -> int:
     """Write results as blank-line-separated blocks, one per result in
     input order, labelled with its kind, coupling and global mode; a
     result is one curve or, for a p-and-r grid, one surface.  Written one
-    spec row at a time.
+    parameter row at a time.
 
     Returns the block count.
     """

@@ -28,7 +28,8 @@ def test_zero_noise_r_sweep_follows_closed_form():
         channel=_spec(channels.PHASE_FLIP), axis=sweep.AXIS_R, steps=51
     )
     res = sweep.run_sweep(s)
-    assert res.specs == (s.channel,)
+    channel, params = spec_rows([s.channel])
+    assert res.channel == channel and res.params.tolist() == params.tolist()
     assert res.negativity.shape == res.min_pt_eigenvalue.shape == (1, 51)
     for r, n in zip(res.r, res.negativity[0]):
         assert n == pytest.approx(math.cos(r) ** 2 / 2, abs=1e-10)
@@ -44,9 +45,9 @@ def test_p_sweep_links_parameters():
     res = sweep.run_sweep(s)
     assert res.r.tolist() == [0.0]
     assert res.negativity.shape == (11, 1)
-    for spec, (n,) in zip(res.specs, res.negativity):
-        assert spec.p1 == spec.p2
-        assert n == pytest.approx(0.5 * (1 - spec.p1) * (1 - spec.p2), abs=1e-10)
+    for (p1, p2, _), (n,) in zip(res.params.tolist(), res.negativity):
+        assert p1 == p2
+        assert n == pytest.approx(0.5 * (1 - p1) * (1 - p2), abs=1e-10)
 
 
 def test_grid_sweep_ordering_and_size():
@@ -58,9 +59,35 @@ def test_grid_sweep_ordering_and_size():
     res = sweep.run_sweep(s)
     assert res.negativity.shape == res.min_pt_eigenvalue.shape == (4, 4)
     # outer p (rows), inner r (columns)
-    assert [spec.p1 for spec in res.specs] == np.linspace(0, 1, 4).tolist()
+    assert res.params[:, 0].tolist() == np.linspace(0, 1, 4).tolist()
     assert res.r.tolist() == np.linspace(0, R_MAX, 4).tolist()
-    assert len({spec.p1 for spec in res.specs}) == 4
+    assert len(set(res.params[:, 0].tolist())) == 4
+
+
+@pytest.mark.parametrize("coupling", [channels.MULTILOCAL, channels.GLOBAL])
+def test_a_p_sweep_row_is_the_linked_spec_at_its_p(coupling):
+    # One linking rule: the rows run_sweep evaluates and writes are, bit for
+    # bit, those of the specs an ESD probe or a figure preset builds.
+    template = _spec(channels.DEPHASING, coupling, p1=0.2, p2=0.4, p=0.6)
+    res = sweep.run_sweep(sweep.SweepSpec(template, sweep.AXIS_P, steps=11))
+    linked = [sweep._linked(template, p) for p in np.linspace(0, 1, 11).tolist()]
+    channel, params = spec_rows(linked)
+    assert res.channel == template and channel == linked[0]
+    assert res.params.dtype == params.dtype and res.params.tobytes() == params.tobytes()
+
+
+@pytest.mark.parametrize("sweep_spec", [
+    sweep.figure_sweeps("3")[3],
+    sweep.SweepSpec(_spec(channels.BIT_TRIT_FLIP), sweep.AXIS_P, steps=101),
+], ids=["figure-3", "p-101"])
+def test_run_sweep_builds_no_channel_spec(monkeypatch, sweep_spec):
+    built = []
+    post_init = ChannelSpec.__post_init__
+    monkeypatch.setattr(ChannelSpec, "__post_init__",
+                        lambda spec: built.append(spec) or post_init(spec))
+    res = sweep.run_sweep(sweep_spec)
+    assert built == []
+    assert res.negativity.shape[0] == 101
 
 
 def test_sweep_spec_validation():
@@ -263,12 +290,12 @@ def test_csv_round_trip(tmp_path):
     assert len(lines) == 102
     assert lines[0] == sweep.CSV_HEADER
     assert "\r" not in text and text.endswith("\n")
-    for line, spec, (n,), (e,) in zip(lines[1:], res.specs, res.negativity,
-                                      res.min_pt_eigenvalue):
+    for line, (p1, p2, _), (n,), (e,) in zip(lines[1:], res.params.tolist(),
+                                             res.negativity, res.min_pt_eigenvalue):
         fields = line.split(",")
-        assert fields[:3] == [spec.kind, spec.coupling, ""]
+        assert fields[:3] == [res.channel.kind, res.channel.coupling, ""]
         assert [float(x) for x in fields[3:]] == pytest.approx(
-            [spec.p1, spec.p2, 0.0, 0.4, n, e], abs=1e-11)
+            [p1, p2, 0.0, 0.4, n, e], abs=1e-11)
 
 
 def test_written_files_get_the_mode_of_a_plain_open(tmp_path):
@@ -322,18 +349,30 @@ def test_the_temp_file_of_a_bare_destination_lies_in_the_working_directory(
     assert list(work.glob("*.tmp")) == list(tmp_path.glob("*.tmp")) == []
 
 
-@pytest.mark.parametrize("negativity_shape, eigenvalue_shape",
-                         [((2, 3), (1, 2)), ((1, 2), (2, 1)), ((2,), (2,))])
-def test_result_arrays_must_match_specs_and_r(negativity_shape, eigenvalue_shape):
-    # write_csv counts rows by shape, so a result cannot hold more or fewer.
+_ONE_ROW = spec_rows([_spec(channels.PHASE_FLIP)])
+
+
+@pytest.mark.parametrize("params, negativity_shape, eigenvalue_shape", [
+    (_ONE_ROW[1], (2, 3), (1, 2)), (_ONE_ROW[1], (1, 2), (2, 1)),
+    (_ONE_ROW[1], (2,), (2,)),
+    # Not (n, 3) rows, with arrays of as many rows as the first axis holds.
+    (np.zeros(3), (3, 2), (3, 2)), (np.zeros((1, 2)), (1, 2), (1, 2)),
+    (np.zeros((1, 3, 1)), (1, 2), (1, 2)), (np.zeros(()), (2,), (2,)),
+], ids=["more-rows", "fewer-columns", "one-axis", "params-3", "params-1x2",
+        "params-1x3x1", "params-0d"])
+def test_result_arrays_must_match_params_and_r(params, negativity_shape,
+                                               eigenvalue_shape):
+    # write_csv counts rows by shape, so a result cannot hold more or fewer,
+    # and the writers unpack (p1, p2, p) from each row: a malformed result is
+    # refused here, not reported as a write failure.
     with pytest.raises(DimensionMismatch):
-        sweep.SweepResult((_spec(channels.PHASE_FLIP),), np.array([0.0, 0.1]),
+        sweep.SweepResult(_ONE_ROW[0], params, np.array([0.0, 0.1]),
                           np.zeros(negativity_shape), np.zeros(eigenvalue_shape))
 
 
 def test_empty_result_list_rejected(tmp_path):
-    empty = sweep.SweepResult((), np.array([0.0]), np.empty((0, 1)),
-                              np.empty((0, 1)))
+    empty = sweep.SweepResult(_spec(channels.PHASE_FLIP), np.empty((0, 3)),
+                              np.array([0.0]), np.empty((0, 1)), np.empty((0, 1)))
     for results in ([], [empty]):
         with pytest.raises(OutOfRange):
             sweep.write_csv(results, str(tmp_path / "a.csv"))
@@ -380,9 +419,9 @@ def test_writers_format_each_field_as_twelve_significant_digits(tmp_path):
                                    for i in range(5)])
     results = [
         sweep.SweepResult(
-            tuple(_spec(kind, coupling, p1=v(i), p2=v(i + 1), p=v(i + 2),
-                        global_mode=gmode or channels.PRODUCT)
-                  for i in range(5)),
+            *spec_rows([_spec(kind, coupling, p1=v(i), p2=v(i + 1), p=v(i + 2),
+                              global_mode=gmode or channels.PRODUCT)
+                        for i in range(5)]),
             r, grid(1), grid(2))
         for kind, coupling, gmode in groups
     ]
@@ -457,10 +496,10 @@ def _fill_disk_after_one_chunk(monkeypatch):
 
 
 def _unformattable_second_row():
-    """A two-spec result whose second spec row cannot be formatted."""
+    """A two-row result whose second row cannot be formatted."""
     spec = _spec(channels.PHASE_FLIP)
     values = np.array([[0.5], ["not a number"]], dtype=object)
-    return sweep.SweepResult((spec, spec), np.array([0.0]), values, values)
+    return sweep.SweepResult(*spec_rows([spec, spec]), np.array([0.0]), values, values)
 
 
 @pytest.mark.parametrize("write", [sweep.write_csv, sweep.write_plot_data],
