@@ -1,8 +1,9 @@
 """Parameter sweeps, sudden-death thresholds and figure datasets.
 
 A sweep evaluates to one ``SweepResult``: its template, its linked (p1, p2, p)
-row at each p (rows, outer) and its r axis (columns, inner), with one negativity
-and one minimum PT eigenvalue array over both.  Only the writers make rows of them.
+row at each p (rows, outer) and its r axis (columns, inner), with one
+negativity and one minimum PT eigenvalue array over both.  Only the writers
+here lay those out as rows.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import contextlib
 import errno
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +38,7 @@ CSV_HEADER = "channel,coupling,global_mode,p1,p2,p,r,negativity,min_pt_eigenvalu
 class SweepSpec:
     """One sweep: a channel template plus the axis and grids to walk.
 
-    The swept p is linked as ``_linked_rows`` says; the template's own
+    The swept p is linked as ``_linked_row`` says; the template's own
     parameter values are used for whatever is not swept.
     """
 
@@ -121,17 +122,16 @@ def evaluate(spec, params, r_values, allow_incomplete: bool = False, out=None):
     return min_eig, neg
 
 
-def _linked_rows(channel: ChannelSpec, p) -> np.ndarray:
-    """The channel's (p1, p2, p) row at each linked p, (len(p), 3): p goes to
-    p1, p2 and, for global coupling, the collective p."""
-    p = np.asarray(p, float)[:, None]
-    return np.hstack([p, p, np.where(channel.coupling == GLOBAL, p, channel.p)])
+def _linked_row(channel: ChannelSpec, p):
+    """The channel's (p1, p2, p) at linked p, a float or an array of them: p
+    goes to p1, p2 and, for global coupling, the collective p."""
+    return p, p, p if channel.coupling == GLOBAL else channel.p
 
 
 def _linked(channel: ChannelSpec, p: float) -> ChannelSpec:
     """The channel at its linked row of p."""
-    p1, p2, p = _linked_rows(channel, [p])[0].tolist()
-    return replace(channel, p1=p1, p2=p2, p=p)
+    return ChannelSpec(channel.kind, channel.coupling, *_linked_row(channel, p),
+                       channel.global_mode, channel.variant, channel.level_order)
 
 
 def _axis(stop: float, count: int) -> np.ndarray:
@@ -145,8 +145,9 @@ def _axis(stop: float, count: int) -> np.ndarray:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the sweep grid: one row per swept p, one column per r."""
     c = spec.channel
-    params = (np.array([[c.p1, c.p2, c.p]], float) if spec.axis == AXIS_R
-              else _linked_rows(c, _axis(1.0, spec.steps)))
+    row = ((c.p1, c.p2, c.p) if spec.axis == AXIS_R
+           else _linked_row(c, _axis(1.0, spec.steps)))
+    params = np.stack(np.broadcast_arrays(*row), axis=-1).reshape(-1, 3)
     r = np.array([spec.r], float) if spec.axis == AXIS_P else _axis(R_MAX, spec.steps)
     min_eig, neg = evaluate(c, params, r)
     return SweepResult(c, params, r, neg, min_eig)
