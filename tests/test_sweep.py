@@ -65,7 +65,7 @@ def test_grid_sweep_ordering_and_size():
 
 
 @pytest.mark.parametrize("coupling", [channels.MULTILOCAL, channels.GLOBAL])
-def test_a_p_sweep_row_is_the_linked_spec_at_its_p(coupling):
+def test_sweep_rows_are_linked_on_p_and_the_templates_own_on_r(coupling):
     # One linking rule: the rows run_sweep evaluates and writes are, bit for
     # bit, those of the specs an ESD probe or a figure preset builds.
     template = _spec(channels.DEPHASING, coupling, p1=0.2, p2=0.4, p=0.6)
@@ -74,6 +74,9 @@ def test_a_p_sweep_row_is_the_linked_spec_at_its_p(coupling):
     channel, params = spec_rows(linked)
     assert res.channel == template and channel == linked[0]
     assert res.params.dtype == params.dtype and res.params.tobytes() == params.tobytes()
+    # An r sweep links nothing: its one row is the template's own.
+    res = sweep.run_sweep(sweep.SweepSpec(template, sweep.AXIS_R, steps=3))
+    assert res.params.tolist() == [[0.2, 0.4, 0.6]]
 
 
 @pytest.mark.parametrize("sweep_spec", [
