@@ -315,17 +315,16 @@ def _stage_sets(kind, pairs, global_mode, variant, level_order):
     columns j, where s_j sums, in operator order, |v|^2 of column j's
     one nonzero in each operator: E^dag E is diagonal, and the matmul of
     ``completeness_defect`` only adds exact zeros to it.  Any other stage
-    is a tuple of read-only (K, 6, 6) sets, which ``apply_unchecked``
-    reshapes to its row-stacked (K*6, 6) left factor, with their
-    ``completeness_defect``."""
+    is one read-only (S, K, 6, 6) array of sets, each of which
+    ``apply_unchecked`` reshapes to its row-stacked (K*6, 6) left factor,
+    with their ``completeness_defect``."""
     pattern = _gather_pattern(kind, global_mode, variant, level_order)
     if pattern is None:
-        sets = [_tensor_set(qubit_channel(kind, a),
-                            qutrit_channel(kind, b, variant, level_order), global_mode)
-                for a, b in pairs]
-        for ops in sets:
-            ops.flags.writeable = False
-        return tuple(sets), [completeness_defect(ops) for ops in sets]
+        sets = np.array([_tensor_set(qubit_channel(kind, a),
+                                     qutrit_channel(kind, b, variant, level_order),
+                                     global_mode) for a, b in pairs])
+        sets.flags.writeable = False
+        return sets, [completeness_defect(ops) for ops in sets]
     rho_index, scalar_at, unit_at, left, right, column = pattern
     scalars = np.array([(*_scalars(2, kind, float(a), CORRECTED),
                          *_scalars(3, kind, float(b), variant), 0.0) for a, b in pairs])

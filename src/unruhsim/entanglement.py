@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import hermitian_eigenvalues
+from .linalg import hermitian_eigenvalues  # loads linalg, which the tracer wraps
 from .state import DIM, require_finite
 
 # Eigenvalues above this threshold are treated as eigensolver noise, so

@@ -61,6 +61,20 @@ def _require_hermitian(defect) -> None:
                            f"exceeds {HERMITICITY_TOL:.3e}")
 
 
+def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
+    """All real eigenvalues of a Hermitian matrix, ascending; for a stack
+    (..., n, n), those of each matrix in one LAPACK call.
+
+    Raises DimensionMismatch unless the matrices are square and nonempty,
+    and NotHermitian for the first matrix whose hermiticity defect exceeds
+    ``HERMITICITY_TOL`` or is nan: a bug upstream, not an input error.
+    """
+    h = np.asarray(h, dtype=complex)
+    with np.errstate(invalid="ignore", over="ignore"):  # quiet on non-finite entries
+        _require_hermitian(hermiticity_defect(h))
+    return np.linalg.eigvalsh(h)
+
+
 def require_parameter(name: str, value: float) -> float:
     """The range rule: ``value`` as a float if it lies in [0, pi/4] for ``r``
     or in [0, 1] for a decoherence parameter, else OutOfRange (nan too),

@@ -113,7 +113,7 @@ def evaluate(spec, params, r_values, allow_incomplete: bool = False, out=None):
     n = 1 if params is None else len(params)
     min_eig, neg = _result_arrays(n, len(states)) if out is None else out
     step = max(1, _CHUNK_MATRICES // len(states))
-    for i in range(0, n, step):
+    for i in range(0, n or 1, step):  # evolve refuses an empty params
         chunk = None if params is None else params[i:i + step]
         rows = channels.evolve(states, spec, chunk, allow_incomplete)
         # evolve returns a read-only array exactly when it validated every row.

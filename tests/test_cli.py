@@ -296,6 +296,38 @@ def test_sweep_bytes_are_pinned(tmp_path, capsys, coupling, axis, fmt):
     assert digest == SWEEP_SHA256[coupling, axis, fmt]
 
 
+_STDOUT_ARGV = {
+    "state-0": ["state", "--r", "0"],
+    "state-pi/6": ["state", "--r", "pi/6"],
+    "state-pi/4": ["state", "--r", "pi/4"],
+    "check-channels": ["check-channels"],
+    "check-channels-as-printed": ["check-channels", "--variant", "as-printed",
+                                  "--p", "0,0.6"],
+}
+# sha256 of the stdout of each command above; other tests read only a few
+# fields of it.  The check-channels defects come from zgemm, so those digests
+# hold on the OpenBLAS kernel they were recorded with (SkylakeX, AVX-512), as
+# the figure digests do: under Haswell or Prescott the default grid's digest
+# changes, the as-printed one does not.
+STDOUT_SHA256 = {
+    "state-0": "b8659c127e11c611256b2c1b6231b7ae7ed268c157c333c57d45d562462d0371",
+    "state-pi/6": "d85b61851fdb69eac51f9874324aec5417d5c651f80c6b13feb43a54d4858331",
+    "state-pi/4": "958ab1fb0da3e85eefe702990357ceacb2feec6f3816b5657fd96b14f878e757",
+    "check-channels":
+        "c097625edf3cbe73a84f5c25e821251771cab36e7b4cca34bda801ac978470fb",
+    "check-channels-as-printed":
+        "9d77adde33fc205a35cf0ba14e376c670eb90016d80928c0d5d65fdfbb0a648b",
+}
+
+
+@pytest.mark.parametrize("case", STDOUT_SHA256)
+def test_state_and_check_channels_stdout_is_pinned(capsys, case):
+    assert main(_STDOUT_ARGV[case]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[case]
+
+
 def test_verify_report_output(capsys):
     code = main([
         "verify", "--channel", "phase-flip", "--coupling", "multilocal",

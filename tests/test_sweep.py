@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from unruhsim import channels, cli, linalg, state, sweep
+from unruhsim import channels, cli, state, sweep
 from unruhsim.channels import ChannelSpec
 from unruhsim.errors import DimensionMismatch, IoFailure, NotHermitian, OutOfRange
 
@@ -113,6 +113,11 @@ def test_evaluate_rejects_an_empty_r_axis():
         sweep.evaluate(*spec_rows([_spec(channels.PHASE_FLIP)]), [])
 
 
+def test_evaluate_rejects_empty_parameter_rows_as_evolve_does():
+    with pytest.raises(OutOfRange, match="^evolve takes one or more parameter rows$"):
+        sweep.evaluate(_spec(channels.PHASE_FLIP), np.empty((0, 3)), [0.1])
+
+
 def test_evaluate_checks_the_raw_rows_of_incomplete_specs(monkeypatch):
     # As printed, the trit phase flip set is not trace preserving at p > 0,
     # so its rows come back raw, never validated.
@@ -182,8 +187,7 @@ def test_each_esd_probe_builds_one_set_and_checks_each_stack_once(
     count(channels, "completeness_defect", "matmul defects")
     for module in (state, channels):
         count(module, "validate_density", "stacks validated")
-    for module in (state, linalg):
-        count(module, "hermiticity_defect", "hermiticity defects")
+    count(state, "hermiticity_defect", "hermiticity defects")
     sweep.esd_threshold(_spec(kind, coupling), math.pi / 4, p_tol=1e-2)
     # One stage built (a cache miss), one initial state and one evolved row
     # per probe, each validated.  A gather set takes its defect from its
