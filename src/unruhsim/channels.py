@@ -360,25 +360,19 @@ def apply_unchecked(ops, matrix: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def _support(x: np.ndarray):
-    """The entries (36,) that are nonzero in some matrix of the flat stack
-    x, nan and inf included, +0 and -0 not; None, standing for all 36, when
-    x holds one matrix, for which the pass costs more than it saves."""
-    return None if x.size == 36 else x.reshape(-1, 36).any(axis=0)
-
-
-def _gather(sets: _GatherSet, x: np.ndarray, support):
+def _gather(sets: _GatherSet, x: np.ndarray):
     """One stage: the S gather sets of ``sets``, each applied to its flat
     matrices of x, (S, N, 36), or all to the (1, N, 36) of x, in one call.
-    Returns the (S, N, 36) results and their reach.
+    Returns the (S, N, 36) results.
 
     Entry (i, j) of E rho E^dag is (rho[pi(i), pi(j)] * v_i) * conj(v_j).
-    With ``support`` None every column is formed; otherwise only the
-    columns c of the reach, where some rho_index[k, c] lies in the
-    support, and the rest stay the zeros they are scattered into: on
-    sparse stacks that forms fewer columns (figure 3: 6 or 18).  Forming
-    all 36 made figure 3 43 % and the verify reports 21 % slower
-    (BENCH_25.json).  On
+    Only the columns c of the reach are formed, where some rho_index[k, c]
+    lies in the support of x, the entries nonzero in some matrix of x (nan
+    and inf included, +0 and -0 not), and the rest stay the zeros they are
+    scattered into: on sparse stacks that forms fewer columns (figure 3: 6
+    or 18).  Forming all 36 made figure 3 43 % and the verify reports 21 %
+    slower (BENCH_25.json).  When x holds one matrix, for which the support
+    pass costs more than it saves, every column is formed.  On
     (S, N, K, C) arrays: a gather, the two scalings, the sum over K in
     operator order and a -0 to +0 fix-up (the matmul loop sums from +0, so
     never ends on -0).  As v and w are finite, an entry outside the reach
@@ -391,10 +385,9 @@ def _gather(sets: _GatherSet, x: np.ndarray, support):
     imaginary, and both add the operators' terms in order.
     """
     rho_index, v, w = sets
-    reach = None
-    if support is not None:
-        reach = support[rho_index].any(axis=0)
-        cols = np.flatnonzero(reach)
+    cols = None
+    if x.size != 36:
+        cols = np.flatnonzero(x.reshape(-1, 36).any(axis=0)[rho_index].any(axis=0))
         if len(cols) == 1:
             cols = np.union1d(cols, (0, 1))
         rho_index, v, w = (a.take(cols, axis=-1) for a in (rho_index, v, w))
@@ -403,24 +396,24 @@ def _gather(sets: _GatherSet, x: np.ndarray, support):
     t *= w[:, None]
     kept = t.sum(axis=-2)
     kept += 0.0
-    if reach is None:
-        return kept, None
+    if cols is None:
+        return kept
     out = np.zeros(kept.shape[:-1] + (36,), complex)
     out[..., cols] = kept
-    return out, reach
+    return out
 
 
-def _stage(sets, x: np.ndarray, support, s):
+def _stage(sets, x: np.ndarray, s):
     """The one place a kernel is chosen: ``_gather`` for the first s sets
     of a gather stage, or each of the first s sets of a matmul stage
-    through ``apply_unchecked``, reach None."""
+    through ``apply_unchecked``."""
     if isinstance(sets, _GatherSet):
-        return _gather(sets._replace(v=sets.v[:s], w=sets.w[:s]), x, support)
+        return _gather(sets._replace(v=sets.v[:s], w=sets.w[:s]), x)
     x = x.reshape(len(x), -1, 6, 6)
     out = np.zeros((s,) + x.shape[1:], complex)
     for i, ops in enumerate(sets[:s]):
         apply_unchecked(ops, x[i if len(x) > 1 else 0], out[i])
-    return out.reshape(s, -1, 36), None
+    return out.reshape(s, -1, 36)
 
 
 _INCOMPLETE_SET = (
@@ -522,11 +515,11 @@ def evolve(rho, spec, params=None, allow_incomplete: bool = False) -> np.ndarray
     tp = [d <= COMPLETENESS_TOL for d in defects]
     n = len(tp) if allow_incomplete or all(tp) else tp.index(False)
     if n:
-        rows, x = rows[:n], m.reshape(1, -1, 36)
-        y, reach = _stage(local, x, _support(x), max(rows) + 1)
+        rows = rows[:n]
+        y = _stage(local, m.reshape(1, -1, 36), max(rows) + 1)
         if spec.coupling == GLOBAL:
             # A local result shared by every row broadcasts over the stage.
-            y = _stage(coll, y if len(y) in (1, n) else y[rows], reach, n)[0]
+            y = _stage(coll, y if len(y) in (1, n) else y[rows], n)
         elif len(y) < n:
             y = y[rows]
         out = y.reshape((n,) + m.shape)

@@ -95,12 +95,6 @@ def _parse_p_grid(text: str):
     return sweep._axis(1.0, n).tolist()
 
 
-def _fmt_complex(z: complex) -> str:
-    if z.imag == 0.0:
-        return _fmt(z.real)
-    return f"{z.real:.12g}{z.imag:+.12g}j"
-
-
 @functools.cache
 def _build_parser() -> _Parser:
     """The parser; parsing never changes it, so one serves every call."""
@@ -236,7 +230,7 @@ def _channel_spec(args) -> ChannelSpec:
 def _cmd_state(args) -> int:
     rho = unruh_state(parse_angle(args.r))
     for row in rho:
-        print(",".join(_fmt_complex(z) for z in row))
+        print(",".join(_fmt(z.real) for z in row))
     return EXIT_OK
 
 
@@ -302,9 +296,9 @@ def _cmd_verify(args) -> int:
         row = [report.kind, report.coupling, report.global_mode,
                report.grid_description.replace(",", ";"), *map(_fmt, numbers),
                report.verdict]
-        sweep._atomic_write(args.csv, [
-            "channel,coupling,global_mode,grid,tolerance,max_abs_deviation,"
-            "worst_p1,worst_p2,worst_p,worst_r,verdict\n", ",".join(row) + "\n"])
+        sweep._atomic_write([args.csv], [
+            ("channel,coupling,global_mode,grid,tolerance,max_abs_deviation,"
+             "worst_p1,worst_p2,worst_p,worst_r,verdict\n",), (",".join(row) + "\n",)])
     sys.stdout.write(analytic.format_report(report))  # after the CSV: none on error
     return EXIT_OK
 
@@ -317,7 +311,7 @@ def _write_reports(out_dir: str) -> int:
     for (kind, coupling, mode), path in zip(_REPORTS, paths):
         report = analytic.verify_against_numeric(
             kind, coupling, global_mode=mode or channels.PRODUCT)
-        sweep._atomic_write(path, [analytic.format_report(report)])
+        sweep._atomic_write([path], [(analytic.format_report(report),)])
         print(f"wrote {path}: {report.verdict} "
               f"(max dev {report.max_abs_deviation:.3e})", file=sys.stderr)
     return EXIT_OK
@@ -363,7 +357,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = _apply_config(parser, argv, parser.parse_args(argv))
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed reader fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The exit-time flush of the unwritten rest would raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("i/o failure: cannot write to stdout: Broken pipe", file=sys.stderr)
+        return EXIT_IO
     except (UsageError, OutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -208,8 +208,9 @@ def _require_directory(destination: str) -> None:
         raise _cannot_write(destination, exc) from exc
 
 
-def _atomic_write_files(destinations, steps) -> None:
-    """Write each step's texts, one per destination, in order, to temp files
+def _atomic_write(destinations, steps) -> None:
+    """Write each step's texts, one per destination (a text past the last
+    destination is dropped), in order, to temp files
     (open()'s mode) beside the destinations, and once every temp file is
     complete move each into place with one ``os.replace``: a reader sees the
     old file or the whole new one; a failure before the first move, while
@@ -241,11 +242,6 @@ def _atomic_write_files(destinations, steps) -> None:
                 os.unlink(tmp)
     except (OSError, ValueError) as exc:  # ValueError: a NUL in a path
         raise _cannot_write(at, exc) from exc
-
-
-def _atomic_write(destination: str, chunks) -> None:
-    """``_atomic_write_files`` of the text chunks to one destination."""
-    _atomic_write_files([destination], ((chunk,) for chunk in chunks))
 
 
 def _texts(results: list[SweepResult], csv: bool = True, dat: bool = True):
@@ -294,11 +290,8 @@ def write_csv(results: list[SweepResult], destination: str,
 
     Returns the number of data rows written.
     """
-    steps = _texts(_nonempty(results), dat=plot_data is not None)
-    if plot_data is None:
-        _atomic_write(destination, (text for text, _ in steps))
-    else:
-        _atomic_write_files([destination, plot_data], steps)
+    _atomic_write([destination] if plot_data is None else [destination, plot_data],
+                  _texts(_nonempty(results), dat=plot_data is not None))
     return sum(res.negativity.size for res in results)
 
 
@@ -311,7 +304,7 @@ def write_plot_data(results: list[SweepResult], destination: str) -> int:
     Returns the block count.
     """
     steps = _texts(_nonempty(results), csv=False)
-    _atomic_write(destination, (text for _, text in steps))
+    _atomic_write([destination], ((text,) for _, text in steps))
     return len(results)
 
 

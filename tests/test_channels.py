@@ -586,12 +586,27 @@ def gather_calls(monkeypatch):
     calls = []
     gather = ch._gather
 
-    def spy(sets, x, support):
+    def spy(sets, x):
+        support = _support(x)
         calls.append((len(sets.v), x.shape, None if support is None else support.sum()))
-        return gather(sets, x, support)
+        return gather(sets, x)
 
     monkeypatch.setattr(ch, "_gather", spy)
     return calls
+
+
+def _support(x):
+    """The entries (36,) nonzero in some matrix of the flat stack x, nan and
+    inf included, or None, for all 36, when x holds one matrix: the support
+    ``_gather`` reads off its input."""
+    return None if x.size == 36 else x.reshape(-1, 36).any(axis=0)
+
+
+def _reach(sets, x):
+    """The output entries (36,) that ``_gather`` forms for x: those c for
+    which some rho_index[k, c] lies in the support, or None for all 36."""
+    support = _support(x)
+    return None if support is None else support[sets.rho_index].any(axis=0)
 
 
 def _stage_apply(ops, m):
@@ -600,7 +615,7 @@ def _stage_apply(ops, m):
     m = np.asarray(m, complex)
     stage = ops if isinstance(ops, ch._GatherSet) else (ops,)
     x = m.reshape(1, -1, 36)
-    return ch._stage(stage, x, ch._support(x), 1)[0][0].reshape(m.shape)
+    return ch._stage(stage, x, 1)[0].reshape(m.shape)
 
 
 @pytest.mark.parametrize("kind, mode, variant, order", _STRUCTURES)
@@ -717,7 +732,7 @@ def test_matmul_set_makes_one_left_product_whatever_its_size(mode, monkeypatch):
 
     # The right-hand products use the @ operator, which the spy does not see.
     monkeypatch.setattr(np, "matmul", spy)
-    ch._stage(stage, x, ch._support(x), len(pairs))
+    ch._stage(stage, x, len(pairs))
     assert calls == [((k * 6, 6), (101, 6, 6))] * len(pairs)
 
 
@@ -845,20 +860,20 @@ def _check_two_gather_stages(structure, pool, picks, second, m):
                            variant, order)[0]
     # One input shared by every set, its support read off the data.
     x = m.reshape(1, -1, 36)
-    support = ch._support(x)
-    assert (support is None) == (flat.shape[0] == 1)
-    y, reach = ch._gather(local, x, support)
+    reach = _reach(local, x)
+    assert (reach is None) == (flat.shape[0] == 1)
+    y = ch._gather(local, x)
     assert y.shape == (len(picks),) + flat.shape and y.flags.c_contiguous
     for got, gather in zip(y, _each_set(local)):
         _assert_same_bits(got, _gather_formula(gather, flat))
     if reach is not None:
         assert not y[..., ~reach].any()
-    # One input per set (rows of the first stage, some repeated), with the
-    # first stage's reach as the support, as evolve's collective stage.
+    # One input per set (rows of the first stage, some repeated), as
+    # evolve's collective stage, which reads its own support.
     rows = [i % len(picks) for i in second]
     coll = ch._stage_sets(kind, tuple((pool[i][0], pool[i][0]) for i in second), mode,
                           variant, order)[0]
-    z, _ = ch._gather(coll, y[rows], reach)
+    z = ch._gather(coll, y[rows])
     for got, gather, row in zip(z, _each_set(coll), rows):
         _assert_same_bits(got, _gather_formula(gather, y[row]))
 
@@ -870,8 +885,8 @@ def test_stage_gather_sums_a_lone_reached_column_in_operator_order():
                          ch.PRINTED)
     m = np.zeros((2, 36), complex)
     m[:, 23] = (0.1 + 0.7j, 1 / 3 - 0.2j)
-    y, reach = ch._gather(gather, m[None], ch._support(m[None]))
-    assert reach.sum() == 1
+    y = ch._gather(gather, m[None])
+    assert _reach(gather, m[None]).sum() == 1
     _assert_same_bits(y[0], _gather_formula(_each_set(gather)[0], m))
 
 
@@ -881,9 +896,8 @@ def test_figure_3_stages_reach_six_or_eighteen_columns(kind, reach):
     states = unruh_state(np.linspace(0.0, math.pi / 4, 101)).reshape(1, -1, 36)
     # Figure 3's global product spec at p = 0.3 applies this set twice.
     ops, _ = _one_set(kind, 0.3, 0.3, ch.PRODUCT, ch.CORRECTED, ch.REVERSED)
-    y, local_reach = ch._gather(ops, states, ch._support(states))
-    _, coll_reach = ch._gather(ops, y, local_reach)
-    assert local_reach.sum() == coll_reach.sum() == reach
+    y = ch._gather(ops, states)
+    assert _reach(ops, states).sum() == _reach(ops, y).sum() == reach
 
 
 @pytest.mark.parametrize("shared", [True, False])
@@ -894,7 +908,7 @@ def test_global_chunk_makes_one_gather_call_per_stage(shared, gather_calls):
     specs = [ch.ChannelSpec(ch.PHASE_FLIP, ch.GLOBAL, 0.2, 0.4 if shared else q, q)
              for q in axis]
     out = ch.evolve(states, *spec_rows(specs))
-    # The states' 6 nonzero entries, then the 6 columns the first stage reaches.
+    # The states' 6 nonzero entries, then the local results' 6.
     assert gather_calls == [(1 if shared else 11, (1, 11, 36), 6),
                             (11, (1 if shared else 11, 11, 36), 6)]
     for got, spec in zip(out, specs):
@@ -933,11 +947,11 @@ def test_spec_list_evolves_only_the_specs_before_the_first_failure(kind, monkeyp
              for q, p in ((0.1, 0.0), (0.2, 0.3), (0.3, 0.0))]
     stages, stage = [], ch._stage
 
-    def spy(sets, x, support, s):
+    def spy(sets, x, s):
         stages.append(s)
-        y, reach = stage(sets, x, support, s)
+        y = stage(sets, x, s)
         assert len(y) == s
-        return y, reach
+        return y
 
     monkeypatch.setattr(ch, "_stage", spy)
     with pytest.raises(CompletenessViolation) as err:

@@ -690,19 +690,55 @@ def test_verify_csv_failed_write_keeps_previous_file(tmp_path, monkeypatch, caps
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("module", ["unruhsim", "unruhsim.cli"])
-def test_module_entry_points(module):
+def _child_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p]
     )
+    return env
+
+
+@pytest.mark.parametrize("module", ["unruhsim", "unruhsim.cli"])
+def test_module_entry_points(module):
     done = subprocess.run(
         [sys.executable, "-m", module, "state", "--r", "0"],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_child_env(), timeout=60,
     )
     assert done.returncode == 0, done.stderr
     assert len(done.stdout.strip().splitlines()) == 6
+
+
+_BROKEN_PIPE = b"i/o failure: cannot write to stdout: Broken pipe\n"
+
+
+def test_a_reader_that_stops_early_is_an_io_failure():
+    # As `check-channels --p 2000 | head -1`: far more than a pipe buffer holds.
+    child = subprocess.Popen(
+        [sys.executable, "-m", "unruhsim", "check-channels", "--p", "2000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+    with child:
+        assert child.stdout.readline() == b"channel,side,variant,p,completeness_defect\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == EXIT_IO
+    assert err == _BROKEN_PIPE  # one line, no traceback
+
+
+def test_a_pipe_with_no_reader_is_an_io_failure():
+    # Buffered, the few lines of `state` fail at the flush, not inside a print.
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "unruhsim", "state", "--r", "pi/4"],
+                              stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert done.returncode == EXIT_IO
+    assert done.stderr == _BROKEN_PIPE  # one line, no traceback
 
 
 # --- checked where the input enters ---------------------------------------------
@@ -842,6 +878,17 @@ def test_counts_numpy_cannot_index_exit_one(tmp_path, monkeypatch, capsys, argv,
     monkeypatch.chdir(tmp_path)
     assert _run(capsys, argv + [str(count)]) == (
         EXIT_USAGE, "", f"error: a grid of {count} points is too large\n", None)
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["check-channels", "--p", "abc"], "error: cannot parse p grid 'abc'\n"),
+    (["check-channels", "--p", "1"], "error: p grid needs at least 2 points\n"),
+    (["verify", "--channel", "phase-flip", "--coupling", "ml", "--grid", "1"],
+     "error: grid_points must be at least 2\n"),
+], ids=["check-channels-p-text", "check-channels-p-one", "verify-grid-one"])
+def test_unreadable_or_one_point_grids_exit_one(tmp_path, monkeypatch, capsys, argv, err):
+    monkeypatch.chdir(tmp_path)
+    assert _run(capsys, argv) == (EXIT_USAGE, "", err, None)
 
 
 # --- the exit-code contract, drawn from the documented grammar -----------------

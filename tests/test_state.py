@@ -83,6 +83,12 @@ def test_validate_rejects_an_empty_stack():
         state.validate_density(np.empty((0, 6, 6)))
 
 
+def test_validate_rejects_a_stack_of_stacks():
+    with pytest.raises(DimensionMismatch) as err:
+        state.validate_density(np.zeros((1, 1, 6, 6)))
+    assert str(err.value) == "expected a matrix or a stack, got ndim=4"
+
+
 def test_an_r_axis_gives_the_stack_of_its_states_bit_for_bit():
     stack = state.unruh_state(R_GRID)
     assert stack.shape == (101, 6, 6) and not stack.flags.writeable
