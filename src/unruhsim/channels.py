@@ -403,17 +403,16 @@ def _gather(sets: _GatherSet, x: np.ndarray):
     return out
 
 
-def _stage(sets, x: np.ndarray, s):
-    """The one place a kernel is chosen: ``_gather`` for the first s sets
-    of a gather stage, or each of the first s sets of a matmul stage
-    through ``apply_unchecked``."""
+def _stage(sets, x: np.ndarray):
+    """The one place a kernel is chosen: ``_gather`` for a whole gather
+    stage, or ``apply_unchecked`` for each set of a matmul stage."""
     if isinstance(sets, _GatherSet):
-        return _gather(sets._replace(v=sets.v[:s], w=sets.w[:s]), x)
+        return _gather(sets, x)
     x = x.reshape(len(x), -1, 6, 6)
-    out = np.zeros((s,) + x.shape[1:], complex)
-    for i, ops in enumerate(sets[:s]):
+    out = np.zeros((len(sets),) + x.shape[1:], complex)
+    for i, ops in enumerate(sets):
         apply_unchecked(ops, x[i if len(x) > 1 else 0], out[i])
-    return out.reshape(s, -1, 36)
+    return out.reshape(len(sets), -1, 36)
 
 
 _INCOMPLETE_SET = (
@@ -495,11 +494,10 @@ def evolve(rho, spec, params=None, allow_incomplete: bool = False) -> np.ndarray
     the distinct (p1, p2) in order of first appearance, the collective
     stage each row's (p, p).  Each stage is one ``_stage`` call, which
     picks its kernel.  Every matrix of a trace-preserving row is
-    validated, and the result is read-only exactly when every row is trace
-    preserving.  A row that is not raises CompletenessViolation, as the
-    first failure of a row-by-row loop would, with only the rows before it
-    evolved, unless ``allow_incomplete``; then its raw evolved matrices
-    are returned for diagnostics.
+    validated; the result is read-only exactly when every row is.  Unless
+    ``allow_incomplete`` (raw matrices, for diagnostics), the first row n
+    that is not raises CompletenessViolation, after a nested ``evolve`` of
+    ``params[:n]`` (spies and tracers see it) raises any failure before it.
     """
     m = np.asarray(rho, complex)
     kind, variant, level_order = spec.kind, spec.variant, spec.level_order
@@ -513,25 +511,25 @@ def evolve(rho, spec, params=None, allow_incomplete: bool = False) -> np.ndarray
                                          variant, level_order)
         defects = list(map(max, defects, coll_defects))
     tp = [d <= COMPLETENESS_TOL for d in defects]
-    n = len(tp) if allow_incomplete or all(tp) else tp.index(False)
-    if n:
-        rows = rows[:n]
-        y = _stage(local, m.reshape(1, -1, 36), max(rows) + 1)
-        if spec.coupling == GLOBAL:
-            # A local result shared by every row broadcasts over the stage.
-            y = _stage(coll, y if len(y) in (1, n) else y[rows], n)
-        elif len(y) < n:
-            y = y[rows]
-        out = y.reshape((n,) + m.shape)
-        if all(tp[:n]):
-            out = validate_density(out.reshape(-1, 6, 6)).reshape(out.shape)
-        elif any(tp[:n]):
-            validate_density(out[np.array(tp[:n])].reshape(-1, 6, 6))
-    if n < len(tp):
+    if not (allow_incomplete or all(tp)):
+        n = tp.index(False)
+        if n:
+            evolve(m, spec, params[:n])
         failure = _INCOMPLETE_GLOBAL if spec.coupling == GLOBAL else _INCOMPLETE_SET
         raise CompletenessViolation(
             failure.format(kind=kind, variant=variant, global_mode=spec.global_mode,
                            defect=defects[n]), defect=defects[n])
+    y = _stage(local, m.reshape(1, -1, 36))
+    if spec.coupling == GLOBAL:
+        # A local result shared by every row broadcasts over the stage.
+        y = _stage(coll, y if len(y) in (1, len(rows)) else y[rows])
+    elif len(y) < len(rows):
+        y = y[rows]
+    out = y.reshape((len(rows),) + m.shape)
+    if all(tp):
+        out = validate_density(out.reshape(-1, 6, 6)).reshape(out.shape)
+    elif any(tp):
+        validate_density(out[np.array(tp)].reshape(-1, 6, 6))
     return out[0] if params is None else out
 
 

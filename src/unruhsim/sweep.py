@@ -161,21 +161,19 @@ def esd_threshold(channel: ChannelSpec, r: float, p_tol: float = 1e-6):
     """Smallest linked p at which negativity falls to the disentanglement
     floor, or None when the state stays entangled across [0, 1).
 
-    Coarse scan at step 0.01, then bisection of the first crossing down to
-    ``p_tol``, or until the bracket is one ulp wide.  The scan takes the
-    first crossing, so a single threshold is well defined even if
-    negativity were not monotone.
+    Coarse scan at step 0.01 from p = 0.01 (p = 0 holds no crossing), then
+    bisection of the first crossing down to ``p_tol`` or to a one-ulp
+    bracket.  The first crossing is taken, so the threshold is well defined
+    even if negativity were not monotone.
     """
     if p_tol <= 0:
         raise OutOfRange("p_tol must be positive")
     if not math.isfinite(p_tol):  # nan passes the check above
         raise OutOfRange(f"p_tol must be finite, got {p_tol!r}")
     f = lambda p: _linked_negativity(channel, p, r)
-    k = next((k for k in range(100) if f(k / 100.0) <= ESD_NEGATIVITY_FLOOR), None)
+    k = next((k for k in range(1, 100) if f(k / 100.0) <= ESD_NEGATIVITY_FLOOR), None)
     if k is None:
         return None
-    if k == 0:
-        return 0.0
     lo, hi = (k - 1) / 100.0, k / 100.0
     while hi - lo > p_tol:
         mid = 0.5 * (lo + hi)

@@ -615,7 +615,7 @@ def _stage_apply(ops, m):
     m = np.asarray(m, complex)
     stage = ops if isinstance(ops, ch._GatherSet) else (ops,)
     x = m.reshape(1, -1, 36)
-    return ch._stage(stage, x, 1)[0].reshape(m.shape)
+    return ch._stage(stage, x)[0].reshape(m.shape)
 
 
 @pytest.mark.parametrize("kind, mode, variant, order", _STRUCTURES)
@@ -732,7 +732,7 @@ def test_matmul_set_makes_one_left_product_whatever_its_size(mode, monkeypatch):
 
     # The right-hand products use the @ operator, which the spy does not see.
     monkeypatch.setattr(np, "matmul", spy)
-    ch._stage(stage, x, len(pairs))
+    ch._stage(stage, x)
     assert calls == [((k * 6, 6), (101, 6, 6))] * len(pairs)
 
 
@@ -947,9 +947,10 @@ def test_spec_list_evolves_only_the_specs_before_the_first_failure(kind, monkeyp
              for q, p in ((0.1, 0.0), (0.2, 0.3), (0.3, 0.0))]
     stages, stage = [], ch._stage
 
-    def spy(sets, x, s):
+    def spy(sets, x):
+        s = len(sets.v) if isinstance(sets, ch._GatherSet) else len(sets)
         stages.append(s)
-        y = stage(sets, x, s)
+        y = stage(sets, x)
         assert len(y) == s
         return y
 

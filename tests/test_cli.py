@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from unruhsim import channels, cli, sweep
 from unruhsim.cli import EXIT_INVARIANT, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from unruhsim.errors import DimensionMismatch
 
 
 def test_parse_angle_forms():
@@ -223,6 +224,17 @@ def test_invariant_violation_exits_two(capsys):
     ])
     assert code == EXIT_INVARIANT
     assert "invariant violation" in capsys.readouterr().err
+
+
+def test_other_package_errors_exit_two(monkeypatch, capsys):
+    def fail(args):
+        raise DimensionMismatch("probe")
+
+    monkeypatch.setitem(cli._COMMANDS, "state", fail)
+    assert main(["state", "--r", "0"]) == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: probe\n")
+    assert "Traceback" not in captured.err
 
 
 def test_io_failure_exits_three(tmp_path, capsys):
@@ -534,6 +546,7 @@ _NEGATIVITY = ["negativity", "--channel", "phase-flip", "--coupling", "ml",
     (["sweep", "--channel", "phase-flip", "--coupling", "ml", "--axis", "r",
       "--p", "abc", "--out", "s.csv"], None),
     (_NEGATIVITY, b"p = \xff\n"),  # not UTF-8
+    (_NEGATIVITY, b"p2\n"),
     # 10**20 points fail inside numpy before anything is allocated.
     (["sweep", "--channel", "phase-flip", "--coupling", "ml", "--axis", "p",
       "--steps", str(10**20), "--out", "s.csv"], None),
@@ -545,7 +558,8 @@ _NEGATIVITY = ["negativity", "--channel", "phase-flip", "--coupling", "ml",
       "--grid", "50000"], None),
     (["verify", "--channel", "dephasing", "--coupling", "multilocal",
       "--grid", "3000000"], None),
-], ids=["p1", "p", "config-p2", "sweep-p", "config-not-utf8", "sweep-steps-huge",
+], ids=["p1", "p", "config-p2", "sweep-p", "config-not-utf8", "config-no-equals",
+        "sweep-steps-huge",
         "verify-grid-huge", "check-channels-huge", "verify-global-results-huge",
         "verify-multilocal-results-huge"])
 def test_bad_input_exits_one_without_traceback(
@@ -559,6 +573,8 @@ def test_bad_input_exits_one_without_traceback(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    if config == b"p2\n":
+        assert captured.err == "error: run.cfg:1: expected 'key = value'\n"
     # Refused for its size, not by a value check.
     points = {str(10**20): 10**20, "50000": 50000**4, "3000000": 3000000**3}
     for size in set(argv) & points.keys():

@@ -282,6 +282,21 @@ def test_esd_tolerance_below_one_ulp_terminates():
     assert t == pytest.approx(ESD_EXPECTED[key], abs=2e-6)
 
 
+def test_esd_scan_starts_at_the_first_step(monkeypatch):
+    # At p = 0 every reading is the identity channel or fails at every p.
+    probes, negativity = [], sweep._linked_negativity
+
+    def spy(channel, p, r):
+        probes.append(p)
+        return negativity(channel, p, r)
+
+    monkeypatch.setattr(sweep, "_linked_negativity", spy)
+    key = (channels.BIT_TRIT_FLIP, channels.GLOBAL)
+    t = sweep.esd_threshold(_spec(*key), math.pi / 4)
+    assert t == pytest.approx(ESD_EXPECTED[key], abs=2e-6)
+    assert probes[0] == 0.01 and 0.0 not in probes
+
+
 # --- serialization ----------------------------------------------------------------
 
 def test_csv_round_trip(tmp_path):
