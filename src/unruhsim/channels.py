@@ -212,20 +212,22 @@ def lift_qutrit(ops) -> tuple[np.ndarray, ...]:
     return tuple(_kron(_I2, e) for e in ops)
 
 
-def _tensor_set(a: np.ndarray, b: np.ndarray, global_mode: str = PRODUCT):
-    """The 6x6 set of a (Ka, 2, 2) qubit set and a (Kb, 3, 3) qutrit set
-    (index 3A+a), as one (K, 6, 6) stack.
-
-    ``product`` tensors every qubit operator with every qutrit operator
-    (qubit outer, qutrit inner); ``correlated`` pairs them index by index,
-    padding the shorter set with zeros.
-    """
+def _paired(a, b, global_mode: str):
+    """The qubit and qutrit operands of ``global_mode``'s pairs of the sets a
+    and b, as views that broadcast together: every pair for ``product``
+    (qubit outer), the first min(Ka, Kb) index by index for ``correlated``;
+    the paper's zero operators that pad the shorter set add nothing."""
     require_member("global mode", global_mode, GLOBAL_MODES)
     if global_mode == PRODUCT:
-        return _kron(a[:, None], b[None, :]).reshape(-1, 6, 6)
-    n = max(len(a), len(b))
-    pad = lambda e: np.concatenate([e, np.zeros((n - len(e),) + e.shape[1:], complex)])
-    return _kron(pad(a), pad(b))
+        return a[:, None], b[None, :]
+    n = min(len(a), len(b))
+    return a[:n], b[:n]
+
+
+def _tensor_set(a: np.ndarray, b: np.ndarray, global_mode: str):
+    """The 6x6 set of a (Ka, 2, 2) qubit set and a (Kb, 3, 3) qutrit set
+    (index 3A+a), as one (K, 6, 6) stack of the pairs of ``_paired``."""
+    return _kron(*_paired(a, b, global_mode)).reshape(-1, 6, 6)
 
 
 class _GatherSet(NamedTuple):
@@ -252,9 +254,8 @@ def _gather_pattern(kind, global_mode, variant, level_order):
     * ``rho_index`` (K, 36): for output entry (i, j), the flat index
       pi_k(i)*6 + pi_k(j) of its rho entry;
     * ``scalar_at`` (2, K, 6): the index of the scalar of v_i's qubit and
-      qutrit factor among seven: the qubit's (1, x, y) of ``_scalars``,
-      the qutrit's, and one zero that stands for a correlated set's
-      padding;
+      qutrit factor among six: the qubit's (1, x, y) of ``_scalars``, then
+      the qutrit's;
     * ``unit_at`` (2, K, 6): the unit entry (``_table``) of each factor;
     * ``left``, ``right`` (K, 36): for output entry (i, j), the flat
       index of v_i and of v_j in the (K, 6) array of the v_i, worked out
@@ -273,16 +274,13 @@ def _gather_pattern(kind, global_mode, variant, level_order):
             or np.any((ops.real != 0) & (ops.imag != 0))):
         return None
     col = nonzero.argmax(axis=-1)  # 0 for a zero row, whose v_i is 0
-    k, ka, kb, row = len(ops), len(qubit), len(qutrit), np.arange(6)
-    if global_mode == PRODUCT:
-        on_qubit, on_qutrit = np.repeat(np.arange(ka), kb), np.tile(np.arange(kb), ka)
-    else:
-        on_qubit = on_qutrit = np.arange(k)
-    # Each factor's flat index among the qubit entries, qutrit entries, padding.
+    k, row = len(ops), np.arange(6)
+    # Operator k's qubit and qutrit operator, as _tensor_set pairs them.
+    on_qubit, on_qutrit = (np.ravel(i) for i in np.broadcast_arrays(
+        *_paired(np.arange(len(qubit)), np.arange(len(qutrit)), global_mode)))
+    # Each factor's flat index among the qubit entries, then the qutrit entries.
     entry = np.stack((on_qubit[:, None] * 4 + row // 3 * 2 + col // 3,
                       qubit.size + on_qutrit[:, None] * 9 + row % 3 * 3 + col % 3))
-    if global_mode == CORRELATED:  # operators ka (kb) and beyond are padding
-        entry[0, ka:] = entry[1, kb:] = qubit.size + qutrit.size
     index, unit = zip(_table(2, kind, CORRECTED, PRINTED),
                       _table(3, kind, variant, level_order))
     first = np.arange(k)[:, None] * 6  # the flat index of each operator's v_0
@@ -291,8 +289,8 @@ def _gather_pattern(kind, global_mode, variant, level_order):
     zero_row = (~nonzero.any(axis=-1)).argmax(axis=-1)[:, None]
     holder = np.where(nonzero.any(axis=-2), nonzero.argmax(axis=-2), zero_row)
     pattern = ((col[:, :, None] * 6 + col[:, None, :]).reshape(k, 36),
-               np.concatenate((index[0], index[1] + 3, 6), axis=None).take(entry),
-               np.concatenate(unit + (1,), axis=None).take(entry),
+               np.concatenate((index[0], index[1] + 3), axis=None).take(entry),
+               np.concatenate(unit, axis=None).take(entry),
                np.repeat(first + row, 6, axis=1), np.tile(first + row, 6),
                first + holder)
     for a in pattern:
@@ -327,7 +325,7 @@ def _stage_sets(kind, pairs, global_mode, variant, level_order):
         return sets, [completeness_defect(ops) for ops in sets]
     rho_index, scalar_at, unit_at, left, right, column = pattern
     scalars = np.array([(*_scalars(2, kind, float(a), CORRECTED),
-                         *_scalars(3, kind, float(b), variant), 0.0) for a, b in pairs])
+                         *_scalars(3, kind, float(b), variant)) for a, b in pairs])
     factors = scalars.take(scalar_at, axis=1) * unit_at  # (S, 2, K, 6)
     v = (factors[:, 0] * factors[:, 1]).reshape(len(pairs), -1)  # (S, K*6)
     # |v|^2 as BLAS rounds conj(v) * v: one part of v is zero.
@@ -454,9 +452,9 @@ def collective_set(
 
     ``product`` tensors every qubit operator with every qutrit operator
     and is the unique trace-preserving completion.  ``correlated`` pairs
-    operators index by index, padding the shorter set with zeros; it
-    generally violates completeness, which callers must check.  The
-    operators are read-only.
+    operators index by index, without the paper's zero operators that pad
+    the shorter set; it generally violates completeness, which callers
+    must check.  The operators are read-only.
     """
     ops = _tensor_set(qubit_channel(kind, p),
                       qutrit_channel(kind, p, variant, level_order), global_mode)

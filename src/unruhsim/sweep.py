@@ -99,7 +99,8 @@ def evaluate(spec, params, r_values, allow_incomplete: bool = False, out=None):
     its own values (n = 1) for None, over one r-axis; written into ``out``
     (from ``_result_arrays``) when given.
 
-    The r-axis states are built and validated once, as one stack.  Each
+    The r-axis states are built and validated once, as one stack, after
+    the result arrays, so an oversized grid is refused first.  Each
     chunk of rows evolves the whole stack in one ``channels.evolve`` call
     and takes its PT spectra in one eigensolver call: validation certifies
     PSD by one Cholesky factorisation per stack and calls the eigensolver
@@ -109,9 +110,9 @@ def evaluate(spec, params, r_values, allow_incomplete: bool = False, out=None):
     """
     if len(r_values) == 0:
         raise OutOfRange("the r axis is empty")
-    states = unruh_state(r_values)
     n = 1 if params is None else len(params)
-    min_eig, neg = _result_arrays(n, len(states)) if out is None else out
+    min_eig, neg = _result_arrays(n, len(r_values)) if out is None else out
+    states = unruh_state(r_values)
     step = max(1, _CHUNK_MATRICES // len(states))
     for i in range(0, n or 1, step):  # evolve refuses an empty params
         chunk = None if params is None else params[i:i + step]

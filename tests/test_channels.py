@@ -235,6 +235,9 @@ def test_table_sets_are_the_papers_matrices_bit_for_bit(kind, variant, order):
                           (ch.qutrit_channel(kind, p, variant, order), qutrit)):
             _assert_same_bits(got, np.stack(want))
             assert ch.completeness_defect(got) == _paper_defect(want)
+    # A correlated set keeps the first min(Ka, Kb) pairs: the paper's
+    # padding operators beyond them are zero.
+    kept = min(len(qubit), len(qutrit))
     for mode in ch.GLOBAL_MODES:
         # Where each row's nonzero lies: at p = 1/2 every entry that is
         # nonzero at some p is nonzero.
@@ -243,8 +246,13 @@ def test_table_sets_are_the_papers_matrices_bit_for_bit(kind, variant, order):
         # (product) set one p per system.
         pairs = [(p1, p2) for p1 in _TABLE_P for p2 in _TABLE_P
                  if mode == ch.PRODUCT or p1 == p2]
+        if mode == ch.CORRELATED:
+            col = col[:kept]
         for p1, p2 in pairs:
             want = _paper_set(kind, p1, p2, mode, variant, order)
+            if mode == ch.CORRELATED:
+                assert not want[kept:].any()
+                want = want[:kept]
             ops, defect = _one_set(kind, p1, p2, mode, variant, order)
             assert defect == _paper_defect(want)
             if kind not in _GATHER_KINDS:
@@ -663,23 +671,46 @@ def _assert_same_bits(got, want):
 _KERNEL_P = (0.0, 5e-324, 0.3, 1.0)
 
 
-@pytest.mark.parametrize("kind, mode, variant, order",
-                         [s for s in _STRUCTURES if s[0] in _GATHER_KINDS])
-def test_gather_kernel_is_bit_equal_to_the_matmul(kind, mode, variant, order):
+def _kernel_inputs():
+    """101 Unruh states and, beside them, 101 dense matrices with signed
+    zeros in both parts."""
     rng = np.random.default_rng(11)
     states = np.stack([unruh_state(r) for r in np.linspace(0, math.pi / 4, 101)])
-    # Dense matrices with signed zeros in both parts, beside the states.
     noise = rng.normal(size=(101, 6, 6)) + 1j * rng.normal(size=(101, 6, 6))
     noise.real[rng.random(noise.shape) < 0.3] = -0.0
     noise.imag[rng.random(noise.shape) < 0.3] = -0.0
+    return states, noise
+
+
+@pytest.mark.parametrize("kind, mode, variant, order",
+                         [s for s in _STRUCTURES if s[0] in _GATHER_KINDS])
+def test_gather_kernel_is_bit_equal_to_the_matmul(kind, mode, variant, order):
+    inputs = _kernel_inputs()
     for p1 in _KERNEL_P:
         for p2 in _KERNEL_P:
             ops, _ = _one_set(kind, p1, p2, mode, variant, order)
             plain = _operators(kind, p1, p2, mode, variant, order)
-            for m in (states, noise):
+            for m in inputs:
                 for stack in (m, m[:1], m[0]):
                     _assert_same_bits(_stage_apply(ops, stack),
                                       ch.apply_unchecked(plain, stack))
+
+
+@pytest.mark.parametrize("kind, mode, variant, order",
+                         [s for s in _STRUCTURES if s[1] == ch.CORRELATED])
+def test_correlated_stage_is_bit_equal_to_the_papers_padded_set(
+    kind, mode, variant, order
+):
+    # The correlated set leaves out the zero operators that pad the
+    # paper's set; the matmul over the paper's set still adds them.
+    for p in _KERNEL_P:
+        ops, _ = _one_set(kind, p, p, mode, variant, order)
+        paper = _paper_set(kind, p, p, mode, variant, order)
+        assert not paper[2:].any()  # two qubit operators, padded to the qutrit's
+        for m in _kernel_inputs():
+            for stack in (m, m[:1]):
+                _assert_same_bits(_stage_apply(ops, stack),
+                                  ch.apply_unchecked(paper, stack))
 
 
 # --- the matmul kernel against the per-matrix loop ----------------------------
@@ -704,14 +735,19 @@ def test_stacked_left_product_is_bit_equal_to_the_per_matrix_loop(
         states = unruh_state(np.linspace(0.0, math.pi / 4, n))
         for p in (0.37, 1.0):  # at p = 1 the identity terms are zero operators
             ops, _ = _one_set(kind, p, p, mode, variant, order)
-            if mode == ch.CORRELATED:  # two qubit operators padded to four
-                assert len(ops) == 4 and not ops[2:].any()
+            # The paper pads the two qubit operators with zeros to four; the
+            # correlated set keeps the two pairs.
+            paper = _paper_set(kind, p, p, mode, variant, order)
+            if mode == ch.CORRELATED:
+                assert len(ops) == 2
             # Unruh states (real) and their evolved states (complex).
             for m in (states, _stage_apply(ops, states)):
                 for view in [m, *(f(m) for f in _LAYOUTS.values())]:
                     want = _per_matrix_loop(ops, np.ascontiguousarray(view))
                     _assert_same_bits(_stage_apply(ops, view), want)
                     _assert_same_bits(ch.apply_unchecked(ops, view), want)
+                    _assert_same_bits(
+                        _per_matrix_loop(paper, np.ascontiguousarray(view)), want)
                 if n == 1:
                     _assert_same_bits(_stage_apply(ops, m[0]),
                                       _per_matrix_loop(ops, m[0]))
@@ -722,7 +758,7 @@ def test_matmul_set_makes_one_left_product_whatever_its_size(mode, monkeypatch):
     pairs = ((0.3, 0.3), (0.9, 0.9), (0.3, 0.3))
     stage, _ = ch._stage_sets(ch.BIT_TRIT_PHASE_FLIP, pairs, mode, ch.CORRECTED,
                               ch.REVERSED)
-    k = {ch.PRODUCT: 8, ch.CORRELATED: 4}[mode]
+    k = {ch.PRODUCT: 8, ch.CORRELATED: 2}[mode]
     x = unruh_state(np.linspace(0.0, math.pi / 4, 101)).reshape(1, -1, 36)
     calls, matmul = [], np.matmul
 

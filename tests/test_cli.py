@@ -616,6 +616,23 @@ def test_result_arrays_that_do_not_fit_exit_one(
     assert not (tmp_path / "s.csv").exists()
 
 
+def test_sweep_grid_too_large_is_refused_before_its_states_exist(
+    tmp_path, monkeypatch, capsys
+):
+    def no_states(r):
+        raise AssertionError(f"built {len(r)} states")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sweep, "unruh_state", no_states)
+    argv = ["sweep", "--channel", "dephasing", "--coupling", "ml", "--axis", "grid",
+            "--steps", "100000", "--out", "s.csv"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a grid of 10000000000 points is too large\n"
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_verify_grid_too_large_is_refused_before_any_spec_exists(
     monkeypatch, capsys
 ):
