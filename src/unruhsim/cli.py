@@ -368,6 +368,9 @@ def main(argv=None) -> int:
     except (UsageError, OutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:  # a size no refusal caught: too large for this machine
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_USAGE
     except (CompletenessViolation, NotHermitian, TraceDeviation,
             NegativeEigenvalue) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

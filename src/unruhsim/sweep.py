@@ -72,12 +72,12 @@ class SweepResult:
             raise DimensionMismatch(f"sweep result shapes must be (n, 3) and {shape}")
 
 
-# Matrices one ``channels.evolve`` call takes at most.  Larger stacks made
-# fresh processes page-fault on their temporaries (10,000-52,000 extra minor
-# faults in the six verify reports at 132-512 matrices).  Re-measured with
-# the per-stage set cache (BENCH_23.json, six rounds each): against 128, the
-# six verify reports took 44 % longer at 64 and 6 % longer at 256, with 0 of
-# 6 rounds faster than 128 either way, and 256 raised peak memory by 0.5 MiB.
+# Matrices one ``channels.evolve`` call takes at most, for r axes up to this long.
+# Larger stacks made fresh processes page-fault on their temporaries (10,000-52,000
+# extra minor faults in the six verify reports at 132-512 matrices).  Re-measured
+# with the per-stage set cache (BENCH_23.json, six rounds each): against 128, the
+# six verify reports took 44 % longer at 64 and 6 % longer at 256, with 0 of 6
+# rounds faster than 128 either way, and 256 raised peak memory by 0.5 MiB.
 _CHUNK_MATRICES = 128
 
 
@@ -144,13 +144,15 @@ def _axis(stop: float, count: int) -> np.ndarray:
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the sweep grid: one row per swept p, one column per r."""
+    """Evaluate the sweep grid: one row per swept p, one column per r.  Its
+    result arrays are sized first: too large a grid is refused before its rows."""
     c = spec.channel
-    row = ((c.p1, c.p2, c.p) if spec.axis == AXIS_R
-           else _linked_row(c, _axis(1.0, spec.steps)))
-    params = np.stack(np.broadcast_arrays(*row), axis=-1).reshape(-1, 3)
+    p = None if spec.axis == AXIS_R else _axis(1.0, spec.steps)
     r = np.array([spec.r], float) if spec.axis == AXIS_P else _axis(R_MAX, spec.steps)
-    min_eig, neg = evaluate(c, params, r)
+    out = _result_arrays(1 if p is None else len(p), len(r))
+    row = (c.p1, c.p2, c.p) if p is None else _linked_row(c, p)
+    params = np.stack(np.broadcast_arrays(*row), axis=-1).reshape(-1, 3)
+    min_eig, neg = evaluate(c, params, r, out=out)
     return SweepResult(c, params, r, neg, min_eig)
 
 
@@ -243,11 +245,11 @@ def _atomic_write(destinations, steps) -> None:
         raise _cannot_write(at, exc) from exc
 
 
-def _texts(results: list[SweepResult], csv: bool = True, dat: bool = True):
+def _texts(results: list[SweepResult]):
     """The CSV and the .dat text of the results, as one (csv, dat) pair of
     chunks per step: the CSV header, then per result its block label and
     one chunk per parameter row (outer row, inner r) whose lines each end
-    in LF.  ``csv=False`` or ``dat=False`` leaves that file's chunks empty.
+    in LF.  Every writer formats both; one writing one file drops the other.
 
     Each line is formatted once, by one template: the fields from p1 on,
     comma-separated, with p1, p2 and p formatted once per row, r once per
@@ -257,12 +259,11 @@ def _texts(results: list[SweepResult], csv: bool = True, dat: bool = True):
     made spaces: no field holds a comma.  Under multilocal coupling the
     mode is empty and p is 0.
     """
-    yield (CSV_HEADER + "\n" if csv else ""), ""
+    yield CSV_HEADER + "\n", ""
     for i, res in enumerate(results):
         c = res.channel
         fixed = [c.kind, c.coupling, c.global_mode if c.coupling == GLOBAL else ""]
-        if dat:
-            yield "", ("\n" if i else "") + "# " + " ".join(filter(None, fixed)) + "\n"
+        yield "", ("\n" if i else "") + "# " + " ".join(filter(None, fixed)) + "\n"
         labels = ",".join(fixed) + ","
         r_text = [_fmt(r) for r in res.r.tolist()]
         for (p1, p2, p), negs, eigs in zip(res.params.tolist(), res.negativity,
@@ -270,8 +271,8 @@ def _texts(results: list[SweepResult], csv: bool = True, dat: bool = True):
             head = "%.12g,%.12g,%.12g," % (p1, p2, p if c.coupling == GLOBAL else 0.0)
             lines = [head + r + ",%.12g,%.12g\n" % ne
                      for r, ne in zip(r_text, zip(negs.tolist(), eigs.tolist()))]
-            yield ("".join([labels + line for line in lines]) if csv else "",
-                   "".join(lines).replace(",", " ") if dat else "")
+            yield ("".join([labels + line for line in lines]),
+                   "".join(lines).replace(",", " "))
 
 
 def _nonempty(results: list[SweepResult]) -> list[SweepResult]:
@@ -290,7 +291,7 @@ def write_csv(results: list[SweepResult], destination: str,
     Returns the number of data rows written.
     """
     _atomic_write([destination] if plot_data is None else [destination, plot_data],
-                  _texts(_nonempty(results), dat=plot_data is not None))
+                  _texts(_nonempty(results)))
     return sum(res.negativity.size for res in results)
 
 
@@ -302,8 +303,7 @@ def write_plot_data(results: list[SweepResult], destination: str) -> int:
 
     Returns the block count.
     """
-    steps = _texts(_nonempty(results), csv=False)
-    _atomic_write([destination], ((text,) for _, text in steps))
+    _atomic_write([destination], ((dat,) for _, dat in _texts(_nonempty(results))))
     return len(results)
 
 

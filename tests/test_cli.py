@@ -633,6 +633,40 @@ def test_sweep_grid_too_large_is_refused_before_its_states_exist(
     assert not (tmp_path / "s.csv").exists()
 
 
+def test_sweep_grid_too_large_is_refused_before_its_rows_exist(
+    tmp_path, monkeypatch, capsys
+):
+    def no_rows(channel, p):
+        raise AssertionError(f"built {len(p)} rows")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sweep, "_linked_row", no_rows)
+    argv = ["sweep", "--channel", "dephasing", "--coupling", "ml", "--axis", "grid",
+            "--steps", "100000", "--out", "s.csv"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a grid of 10000000000 points is too large\n"
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_running_out_of_memory_exits_one_without_traceback(
+    tmp_path, monkeypatch, capsys
+):
+    def no_room(r):
+        raise MemoryError(f"cannot allocate {len(r)} states")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sweep, "unruh_state", no_room)
+    argv = ["sweep", "--channel", "phase-flip", "--coupling", "ml", "--axis", "r",
+            "--steps", "11", "--out", "s.csv"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: out of memory\n")
+    assert "Traceback" not in captured.err
+    assert os.listdir(tmp_path) == []
+
+
 def test_verify_grid_too_large_is_refused_before_any_spec_exists(
     monkeypatch, capsys
 ):
