@@ -29,18 +29,20 @@ class PtSpectrum:
     min_eigenvalue: float
 
 
+# Flat position of the entry (3B+a, 3A+b) that lands at (3A+a, 3B+b).
+_PT_ORDER = np.arange(DIM * DIM).reshape(2, 3, 2, 3).transpose(2, 1, 0, 3).ravel()
+_PT_ORDER.flags.writeable = False
+
+
 def partial_transpose_qubit(rho) -> np.ndarray:
     """Transpose the qubit indices only: block (A,B) <- block (B,A).
 
     Under the 3A+a index convention this swaps the two off-diagonal 3x3
-    blocks and keeps the diagonal blocks; an (N, 6, 6) stack is transposed
-    matrix by matrix.
+    blocks and keeps the diagonal blocks, in one ``take`` of the flattened
+    entries; an (..., 6, 6) stack is transposed matrix by matrix.
     """
     m = np.asarray(rho, complex)
-    out = m.copy()
-    out[..., 0:3, 3:6] = m[..., 3:6, 0:3]
-    out[..., 3:6, 0:3] = m[..., 0:3, 3:6]
-    return out
+    return m.reshape(*m.shape[:-2], DIM * DIM).take(_PT_ORDER, axis=-1).reshape(m.shape)
 
 
 def pt_spectra(matrices, validated: bool = False) -> tuple[np.ndarray, np.ndarray]:

@@ -103,7 +103,7 @@ def evaluate(spec, params, r_values, allow_incomplete: bool = False, out=None):
     the result arrays, so an oversized grid is refused first.  Each
     chunk of rows evolves the whole stack in one ``channels.evolve`` call
     and takes its PT spectra in one eigensolver call: validation certifies
-    PSD by one Cholesky factorisation per stack and calls the eigensolver
+    PSD by Gershgorin's disc bound on each stack and calls the eigensolver
     only for a stack that fails a check.  Only a chunk with raw rows
     (``allow_incomplete``) has its partial transposes checked for
     hermiticity; ``evolve`` has validated the rows of every other chunk.

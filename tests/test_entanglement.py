@@ -55,6 +55,24 @@ def test_partial_transpose_keeps_the_hermiticity_defect_bit_for_bit(m):
     assert got.tobytes() == want.tobytes()
 
 
+def _block_swap(m):
+    out = m.copy()
+    out[..., 0:3, 3:6] = m[..., 3:6, 0:3]
+    out[..., 3:6, 0:3] = m[..., 0:3, 3:6]
+    return out
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (1, 6, 6), (7, 6, 6), (2, 3, 6, 6)])
+def test_partial_transpose_moves_every_bit_as_the_block_swap_does(shape):
+    rng = np.random.default_rng(3200 + len(shape))
+    entries = [math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 0.25, -3e-310]
+    m = np.empty(shape, dtype=complex)
+    m.real = rng.choice(entries, size=shape)
+    m.imag = rng.choice(entries, size=shape)
+    pt = partial_transpose_qubit(m)
+    assert pt.shape == shape and pt.tobytes() == _block_swap(m).tobytes()
+
+
 def test_raw_non_hermitian_matrices_are_still_checked():
     m = np.array(unruh_state(0.3))
     m[0, 4] += 2e-3

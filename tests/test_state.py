@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -111,6 +112,41 @@ def test_hermiticity_defect_rejects_non_square_input():
             state.hermiticity_defect(bad)
 
 
+# nan, inf and finite entries whose differences overflow, drawn rarely
+_RARE = [math.nan, -math.nan, math.inf, -math.inf, 1e308, -1e308]
+_COMMON = [-0.0, 0.0, 0.5, -0.25, 1 / 3]
+
+
+def _drawn(shape, rng, rare):
+    """Complex entries from _RARE with probability ``rare``, else from _COMMON."""
+    p = [rare / len(_RARE)] * len(_RARE) + [(1 - rare) / len(_COMMON)] * len(_COMMON)
+    m = np.empty(shape, dtype=complex)
+    m.real, m.imag = rng.choice(_RARE + _COMMON, size=(2, *shape), p=p)
+    return m
+
+
+def _same_floats(got, want):
+    """Equal bits, except for a nan's sign and payload, which numpy's SIMD and
+    scalar loops may set differently and no caller reads."""
+    got, want = np.asarray(got), np.asarray(want)
+    nan = np.isnan(want)
+    assert got.shape == want.shape and (np.isnan(got) == nan).all()
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_hermiticity_defect_reads_one_triangle_bit_for_bit(n):
+    rng = np.random.default_rng(1700 + n)
+    for shape, rare in itertools.product([(n, n), (40, n, n), (3, 5, n, n)],
+                                         [0.0, 0.01, 0.1]):
+        h = _drawn(shape, rng, rare)
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = np.abs(h - np.swapaxes(h, -1, -2).conj()).max(axis=(-2, -1))
+            got = state.hermiticity_defect(h)
+        assert isinstance(got, float) if h.ndim == 2 else got.shape == shape[:-2]
+        _same_floats(got, want)
+
+
 # --- the PSD certificate against the eigensolver-only rule --------------------
 
 def _eigensolver_rule(m):
@@ -176,7 +212,8 @@ _MIN_EIGENVALUES = {
     "-tol": -_TOL,
     "-tol*(1+1e-3)": -_TOL * (1 + 1e-3),
     "-tol*(1-1e-3)": -_TOL * (1 - 1e-3),
-    # The certificate's shift, where the eigensolver must decide.
+    # Half the bound, the Gershgorin slack edge; these rotated states are far
+    # from diagonally dominant, so the eigensolver decides either side of it.
     "-tol/2*(1+1e-3)": -_TOL / 2 * (1 + 1e-3),
     "-tol/2*(1-1e-3)": -_TOL / 2 * (1 - 1e-3),
 }
@@ -299,7 +336,28 @@ def test_a_valid_stack_is_certified_without_the_eigensolver(monkeypatch):
     stack = np.array(state.unruh_state(R_GRID))
     counts = _count_calls(monkeypatch, "eigvalsh", "cholesky")
     state.validate_density(stack)
-    assert counts == {"eigvalsh": 0, "cholesky": 1}
+    assert counts == {"eigvalsh": 0, "cholesky": 0}
+
+
+def test_a_psd_state_that_is_not_diagonally_dominant_takes_one_eigensolver_call(
+    monkeypatch
+):
+    m = np.zeros((6, 6), dtype=complex)
+    m[1:3, 1:3] = [[0.8, 0.39], [0.39, 0.2]]  # row 2's slack: 0.4 - 0.59 < 0
+    counts = _count_calls(monkeypatch, "eigvalsh")
+    _assert_same_verdict(m)
+    assert counts == {"eigvalsh": 2}  # the reference rule's and validation's
+
+
+# A diagonal entry d < 0 has slack 3d: certified down to d = -PSD_TOL/6.
+@pytest.mark.parametrize("d, calls", [
+    (-1e-11, 0), (-1.6e-11, 0), (-1.7e-11, 1), (-0.9e-10, 1), (-1.1e-10, 1),
+])
+def test_a_diagonal_state_is_certified_down_to_the_slack_edge(monkeypatch, d, calls):
+    m = np.diag([d, 0.2, 0.2, 0.2, 0.2, 0.2 - d]).astype(complex)
+    counts = _count_calls(monkeypatch, "eigvalsh")
+    _assert_same_verdict(m)
+    assert counts == {"eigvalsh": 1 + calls}  # the reference rule's, then validation's
 
 
 def test_a_negative_eigenvalue_takes_one_eigensolver_call(monkeypatch):

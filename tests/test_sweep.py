@@ -1,14 +1,16 @@
 import collections
+import dataclasses
 import errno
 import math
 import os
 import stat
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from unruhsim import channels, cli, state, sweep
+from unruhsim import analytic, channels, cli, state, sweep
 from unruhsim.channels import ChannelSpec
 from unruhsim.errors import DimensionMismatch, IoFailure, NotHermitian, OutOfRange
 
@@ -152,7 +154,7 @@ def test_an_r_axis_is_built_and_validated_as_one_stack(monkeypatch, n):
 def test_a_figure_3_spec_takes_one_eigensolver_call_its_pt_spectra(
     monkeypatch, figure_sweep
 ):
-    # The states and the evolved rows are certified PSD by Cholesky.
+    # The states and the evolved rows are certified PSD by Gershgorin's bound.
     shapes = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh",
@@ -161,6 +163,31 @@ def test_a_figure_3_spec_takes_one_eigensolver_call_its_pt_spectra(
     min_eig, _ = sweep.evaluate(*spec_rows([spec]), np.linspace(0.0, R_MAX, 101))
     assert shapes == [(1, 101, 6, 6)]
     assert min_eig.shape == (1, 101)
+
+
+def test_figure_3_and_verify_stacks_are_all_certified_without_the_eigensolver(
+    monkeypatch
+):
+    # Every validated stack passes Gershgorin's bound, so a change that stops
+    # certifying them fails here rather than slowing down.
+    callers = collections.Counter()
+
+    def traced(fn):
+        def counted(*args, **kwargs):
+            callers[fn.__name__, sys._getframe(1).f_code.co_name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", traced(np.linalg.eigvalsh))
+    monkeypatch.setattr(state, "hermiticity_defect", traced(state.hermiticity_defect))
+    for figure_sweep in sweep.figure_sweeps("3"):
+        sweep.run_sweep(dataclasses.replace(figure_sweep, steps=21))
+    for kind, coupling, mode in cli._REPORTS:
+        analytic.verify_against_numeric(kind, coupling, grid_points=5,
+                                        global_mode=mode or channels.PRODUCT)
+    assert callers["hermiticity_defect", "validate_density"] > 0
+    assert callers["eigvalsh", "pt_spectra"] > 0
+    assert callers["eigvalsh", "validate_density"] == 0
 
 
 @pytest.mark.parametrize("coupling", [channels.MULTILOCAL, channels.GLOBAL])
