@@ -39,9 +39,12 @@ def partial_transpose_qubit(rho) -> np.ndarray:
 
     Under the 3A+a index convention this swaps the two off-diagonal 3x3
     blocks and keeps the diagonal blocks, in one ``take`` of the flattened
-    entries; an (..., 6, 6) stack is transposed matrix by matrix.
+    entries; an (..., 6, 6) stack is transposed matrix by matrix, and any
+    other trailing shape raises DimensionMismatch.
     """
     m = np.asarray(rho, complex)
+    if m.shape[-2:] != (DIM, DIM):
+        raise DimensionMismatch(f"expected {DIM}x{DIM} matrices, got shape {m.shape}")
     return m.reshape(*m.shape[:-2], DIM * DIM).take(_PT_ORDER, axis=-1).reshape(m.shape)
 
 

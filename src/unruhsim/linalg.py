@@ -1,5 +1,4 @@
-"""``state.hermitian_eigenvalues`` under the name that perfbench/spans.py
-``TARGETS`` traces and the tests reach; it stays until ROADMAP items 1-2
-repoint them."""
+"""``state.hermitian_eigenvalues`` re-exported: only perfbench/spans.py ``TARGETS``
+and ``entanglement``'s import reach this name, until ROADMAP items 1-2 fold it."""
 
 from .state import hermitian_eigenvalues

@@ -9,7 +9,6 @@ cos^2(r) envelope.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -36,29 +35,24 @@ def require_finite(m: np.ndarray) -> None:
         raise ValueError("matrix contains non-finite entries")
 
 
-@functools.cache
-def _triangle(n: int) -> np.ndarray:
-    """Flat positions in an n x n matrix of its upper triangle, diagonal
-    included (row 0), and of their mirror entries (row 1)."""
-    i, j = np.triu_indices(n)
-    pair = np.stack([i * n + j, j * n + i])
-    pair.flags.writeable = False
-    return pair
+# Flat positions in a 6x6 matrix of its upper triangle, diagonal included
+# (row 0: 6i + j), and of their mirror entries (row 1: 6j + i).
+_TRIANGLE = np.array([[DIM, 1], [1, DIM]]) @ np.triu_indices(DIM)
+_TRIANGLE.flags.writeable = False
 
 
 def hermiticity_defect(h: np.ndarray):
-    """Max-norm of (h - h^dagger); one value per matrix of a stack (..., n, n)
-    of n >= 1.
+    """Max-norm of (h - h^dagger); one value per matrix of a stack (..., 6, 6).
 
-    Read off the upper triangle: |h_ij - conj(h_ji)| and |h_ji - conj(h_ij)|
-    are the same float, bit for bit, so the other entries add nothing.
+    Every matrix the package checks is a 6x6 qubit-qutrit operator, so any
+    other trailing shape raises DimensionMismatch.  Read off the upper
+    triangle: |h_ij - conj(h_ji)| and |h_ji - conj(h_ij)| are the same
+    float, bit for bit, so the other entries add nothing.
     """
     h = np.asarray(h, dtype=complex)
-    if h.ndim < 2 or h.shape[-2] != h.shape[-1] or not h.shape[-1]:
-        raise DimensionMismatch(
-            f"expected nonempty square matrices, got shape {h.shape}")
-    n = h.shape[-1]
-    pair = h.reshape(*h.shape[:-2], n * n)[..., _triangle(n)]
+    if h.shape[-2:] != (DIM, DIM):
+        raise DimensionMismatch(f"expected {DIM}x{DIM} matrices, got shape {h.shape}")
+    pair = h.reshape(*h.shape[:-2], DIM * DIM)[..., _TRIANGLE]
     defect = np.abs(pair[..., 0, :] - pair[..., 1, :].conj()).max(axis=-1)
     return float(defect) if h.ndim == 2 else defect
 
@@ -74,11 +68,11 @@ def _require_hermitian(defect) -> None:
 
 
 def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
-    """All real eigenvalues of a Hermitian matrix, ascending; for a stack
-    (..., n, n), those of each matrix in one LAPACK call.
+    """All real eigenvalues of a Hermitian 6x6 matrix, ascending; for a
+    stack (..., 6, 6), those of each matrix in one LAPACK call.
 
-    Raises DimensionMismatch unless the matrices are square and nonempty,
-    and NotHermitian for the first matrix whose hermiticity defect exceeds
+    Raises DimensionMismatch for any other trailing shape, and NotHermitian
+    for the first matrix whose hermiticity defect exceeds
     ``HERMITICITY_TOL`` or is nan: a bug upstream, not an input error.
     """
     h = np.asarray(h, dtype=complex)

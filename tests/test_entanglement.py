@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from unruhsim import linalg
 from unruhsim.entanglement import (
     PtSpectrum,
     negativity,
@@ -14,7 +14,12 @@ from unruhsim.entanglement import (
     pt_spectra,
 )
 from unruhsim.errors import DimensionMismatch, NotHermitian
-from unruhsim.state import hermiticity_defect, unruh_state, validate_density
+from unruhsim.state import (
+    hermitian_eigenvalues,
+    hermiticity_defect,
+    unruh_state,
+    validate_density,
+)
 
 R_GRID = np.linspace(0.0, math.pi / 4, 101)
 
@@ -26,6 +31,16 @@ def test_partial_transpose_block_positions():
     np.testing.assert_array_equal(pt[3:6, 3:6], m[3:6, 3:6])
     np.testing.assert_array_equal(pt[0:3, 3:6], m[3:6, 0:3])
     np.testing.assert_array_equal(pt[3:6, 0:3], m[0:3, 3:6])
+
+
+@pytest.mark.parametrize("shape", [(2, 18), (36, 1), (36,)])
+def test_partial_transpose_refuses_36_entries_in_another_shape(shape):
+    m = np.arange(36, dtype=complex).reshape(shape)
+    for transpose in (partial_transpose_qubit,
+                      lambda m: pt_spectra(m, validated=True)):
+        with pytest.raises(DimensionMismatch,
+                           match=re.escape(f"expected 6x6 matrices, got shape {shape}")):
+            transpose(m)
 
 
 def test_partial_transpose_is_involution():
@@ -168,7 +183,7 @@ _INF_AT_2_2[1, 2, 2] = np.inf
     # An inf entry gives a nan defect, without a RuntimeWarning, which
     # pytest would raise in its place.
     (pt_spectra, _INF_AT_2_2, NotHermitian, "defect nan"),
-    (linalg.hermitian_eigenvalues, _INF_AT_2_2, NotHermitian, "defect nan"),
+    (hermitian_eigenvalues, _INF_AT_2_2, NotHermitian, "defect nan"),
 ], ids=["nan", "inf", "4x4", "stack", "pt-spectra-nan", "pt-spectra-inf",
         "hermitian-eigenvalues-inf"])
 def test_bad_raw_input_raises_package_errors(evaluate, m, error, message):
@@ -180,7 +195,7 @@ def test_every_hermiticity_check_gives_one_text():
     m = np.array(unruh_state(0.3))
     m[0, 4] += 2e-3
     texts = set()
-    for check in (validate_density, linalg.hermitian_eigenvalues, pt_spectra,
+    for check in (validate_density, hermitian_eigenvalues, pt_spectra,
                   negativity):
         with pytest.raises(NotHermitian) as failure:
             check(m)
@@ -190,7 +205,7 @@ def test_every_hermiticity_check_gives_one_text():
 
 def test_an_empty_stack_has_an_empty_spectrum():
     empty = np.empty((0, 6, 6), dtype=complex)
-    assert linalg.hermitian_eigenvalues(empty).shape == (0, 6)
+    assert hermitian_eigenvalues(empty).shape == (0, 6)
     for validated in (False, True):
         eig, neg = pt_spectra(empty, validated=validated)
         assert eig.shape == (0, 6) and neg.shape == (0,)

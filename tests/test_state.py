@@ -4,6 +4,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from unruhsim import state
 from unruhsim.channels import PHASE_FLIP, ChannelSpec
@@ -105,10 +108,15 @@ def test_an_r_axis_checks_every_r_and_its_own_shape():
         state.unruh_state([[0.1, 0.2]])
 
 
-def test_hermiticity_defect_rejects_non_square_input():
-    for bad in (np.ones(3), np.ones((2, 3)), np.ones((4, 2, 3)), np.empty((0, 0)),
-                np.empty((3, 0, 0))):
-        with pytest.raises(DimensionMismatch):
+# Every shape but (..., 6, 6): non-square, empty, and square of other sizes.
+_NOT_6X6 = (np.ones(3), np.ones((2, 3)), np.ones((4, 2, 3)), np.empty((0, 0)),
+            np.empty((3, 0, 0)), np.ones((1, 1)), np.eye(2), np.eye(7),
+            np.ones((5, 2, 2)))
+
+
+def test_hermiticity_defect_rejects_any_shape_but_6x6():
+    for bad in _NOT_6X6:
+        with pytest.raises(DimensionMismatch, match=r"^expected 6x6 matrices, got shape"):
             state.hermiticity_defect(bad)
 
 
@@ -134,10 +142,9 @@ def _same_floats(got, want):
     assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
-@pytest.mark.parametrize("n", range(1, 8))
-def test_hermiticity_defect_reads_one_triangle_bit_for_bit(n):
-    rng = np.random.default_rng(1700 + n)
-    for shape, rare in itertools.product([(n, n), (40, n, n), (3, 5, n, n)],
+def test_hermiticity_defect_reads_one_triangle_bit_for_bit():
+    rng = np.random.default_rng(1706)
+    for shape, rare in itertools.product([(6, 6), (40, 6, 6), (3, 5, 6, 6)],
                                          [0.0, 0.01, 0.1]):
         h = _drawn(shape, rng, rare)
         with np.errstate(invalid="ignore", over="ignore"):
@@ -145,6 +152,59 @@ def test_hermiticity_defect_reads_one_triangle_bit_for_bit(n):
             got = state.hermiticity_defect(h)
         assert isinstance(got, float) if h.ndim == 2 else got.shape == shape[:-2]
         _same_floats(got, want)
+
+
+# --- the checked eigensolve ---------------------------------------------------
+
+def _embedded(block):
+    """``block`` as the top-left block of an otherwise zero 6x6 matrix."""
+    m = np.zeros((6, 6), dtype=complex)
+    m[:len(block), :len(block)] = block
+    return m
+
+
+def _complex_6x6():
+    finite = st.floats(-1.0, 1.0, allow_nan=False)
+    return st.builds(lambda re, im: re + 1j * im,
+                     hnp.arrays(np.float64, (6, 6), elements=finite),
+                     hnp.arrays(np.float64, (6, 6), elements=finite))
+
+
+def test_hermitian_eigenvalues_rejects_any_shape_but_6x6():
+    for bad in _NOT_6X6:
+        with pytest.raises(DimensionMismatch, match=r"^expected 6x6 matrices, got shape"):
+            state.hermitian_eigenvalues(bad)
+
+
+def test_hermitian_eigenvalues_examples():
+    # Each block's spectrum, padded with the zeros of the rest of the matrix.
+    for block, want in ((np.diag([3.0, 1.0, 2.0]), [0, 0, 0, 1, 2, 3]),
+                        ([[0, 1], [1, 0]], [-1, 0, 0, 0, 0, 1]),
+                        ([[0, 0.5], [0.5, 0]], [-0.5, 0, 0, 0, 0, 0.5])):
+        np.testing.assert_allclose(state.hermitian_eigenvalues(_embedded(block)), want,
+                                   atol=1e-15)
+
+
+def test_not_hermitian_rejected():
+    with pytest.raises(NotHermitian):
+        state.hermitian_eigenvalues(_embedded([[0, 1], [0, 0]]))
+
+
+@settings(max_examples=50)
+@given(hnp.arrays(np.float64, (6,), elements=st.floats(-5, 5, allow_nan=False)))
+def test_diagonal_eigenvalues_exact(d):
+    got = state.hermitian_eigenvalues(np.diag(d).astype(complex))
+    np.testing.assert_allclose(got, np.sort(d), atol=1e-14)
+
+
+@settings(max_examples=50)
+@given(_complex_6x6(), st.floats(-2, 2, allow_nan=False))
+def test_eigenvalue_sum_and_shift(m, alpha):
+    h = m + m.conj().T
+    eig = state.hermitian_eigenvalues(h)
+    assert abs(eig.sum() - np.trace(h).real) <= 1e-10
+    shifted = state.hermitian_eigenvalues(h + alpha * np.eye(6))
+    np.testing.assert_allclose(shifted, eig + alpha, atol=1e-10)
 
 
 # --- the PSD certificate against the eigensolver-only rule --------------------

@@ -7,6 +7,7 @@ import stat
 import sys
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -14,6 +15,7 @@ from unruhsim import analytic, channels, cli, state, sweep
 from unruhsim.channels import ChannelSpec
 from unruhsim.errors import DimensionMismatch, IoFailure, NotHermitian, OutOfRange
 
+from esd_roots import DPS, esd_root
 from spec_rows import spec_rows
 
 R_MAX = math.pi / 4
@@ -272,6 +274,27 @@ ESD_EXPECTED = {
 def test_esd_thresholds_frozen(kind, coupling):
     threshold = sweep.esd_threshold(_spec(kind, coupling=coupling), math.pi / 4)
     assert threshold == pytest.approx(ESD_EXPECTED[(kind, coupling)], abs=2e-6)
+
+
+# The 50-digit roots of det PT(p) at pi/4 (esd_roots.py), to the 15 digits
+# README prints.
+ESD_ROOTS = {
+    (channels.BIT_TRIT_FLIP, channels.MULTILOCAL): "0.530130522876042",
+    (channels.BIT_TRIT_PHASE_FLIP, channels.MULTILOCAL): "0.400551199740082",
+    (channels.BIT_TRIT_FLIP, channels.GLOBAL): "0.314529740160846",
+    (channels.BIT_TRIT_PHASE_FLIP, channels.GLOBAL): "0.232708407761286",
+}
+
+
+@pytest.mark.parametrize("kind,coupling", sorted(ESD_EXPECTED))
+def test_esd_constants_and_thresholds_sit_at_the_exact_roots(kind, coupling):
+    root = esd_root(kind, coupling)
+    threshold = sweep.esd_threshold(_spec(kind, coupling=coupling), math.pi / 4)
+    with mp.workdps(DPS):
+        assert abs(root - mp.mpf(ESD_ROOTS[(kind, coupling)])) <= 5e-16
+        # Negativity reaches the 1e-12 floor just before the root.
+        assert 0 <= root - ESD_EXPECTED[(kind, coupling)] <= 1e-11
+        assert -1e-11 <= threshold - root <= 1e-6
 
 
 @pytest.mark.parametrize("kind", [channels.PHASE_FLIP, channels.DEPHASING])
