@@ -59,9 +59,9 @@ CORRELATED = "correlated"
 GLOBAL_MODES = (PRODUCT, CORRELATED)
 
 COMPLETENESS_TOL = 1e-12
-# Stages kept by ``_stage_sets``: a chunk of a global verify grid needs
-# two, its own local stage and the collective stage that every chunk of
-# the report shares.
+# Stages kept by ``_stage_sets``: one ``evolve`` call's local and collective
+# stage.  A chunk of 512 matrices of a global verify grid (46 rows, p
+# innermost with period 11) shares neither stage with the chunk before it.
 _STAGE_CACHE_SIZE = 2
 
 _I2 = np.eye(2, dtype=complex)
@@ -370,11 +370,13 @@ def _gather(sets: _GatherSet, x: np.ndarray):
     scattered into: on sparse stacks that forms fewer columns (figure 3: 6
     or 18).  Forming all 36 made figure 3 43 % and the verify reports 21 %
     slower (BENCH_25.json).  When x holds one matrix, for which the support
-    pass costs more than it saves, every column is formed.  On
-    (S, N, K, C) arrays: a gather, the two scalings, the sum over K in
-    operator order and a -0 to +0 fix-up (the matmul loop sums from +0, so
-    never ends on -0).  As v and w are finite, an entry outside the reach
-    is a sum of signed zeros, which the fix-up would make +0.  The
+    pass costs more than it saves, every column is formed.  On one
+    (S, N, K, C) temporary: a gather, the two scalings in place, the sum
+    over K in operator order and a -0 to +0 fix-up (the matmul loop sums
+    from +0, so never ends on -0).  Only where x's one matrix set
+    broadcasts up to S > 1 sets does the first scaling make the temporary,
+    from a gather of (1, N, K, C).  As v and w are finite, an entry outside
+    the reach is a sum of signed zeros, which the fix-up would make +0.  The
     restricted arrays are C-contiguous and keep two columns or more, so
     numpy adds the K terms one by one, as over all 36 columns; down a lone
     column it would sum them pairwise.  On finite input this gives the bits
@@ -390,7 +392,10 @@ def _gather(sets: _GatherSet, x: np.ndarray):
             cols = np.union1d(cols, (0, 1))
         rho_index, v, w = (a.take(cols, axis=-1) for a in (rho_index, v, w))
     t = x.take(rho_index, axis=-1)  # (S or 1, N, K, C)
-    t = t * v[:, None]
+    if len(t) == len(v):
+        t *= v[:, None]
+    else:  # one matrix set of x broadcasts up to the S sets
+        t = t * v[:, None]
     t *= w[:, None]
     kept = t.sum(axis=-2)
     kept += 0.0

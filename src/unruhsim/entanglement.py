@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg import hermitian_eigenvalues  # loads linalg, which the tracer wraps
-from .state import DIM, require_finite
+from .state import DIM, require_finite, require_matrices
 
 # Eigenvalues above this threshold are treated as eigensolver noise, so
 # separable states report exactly zero negativity.
@@ -39,12 +39,11 @@ def partial_transpose_qubit(rho) -> np.ndarray:
 
     Under the 3A+a index convention this swaps the two off-diagonal 3x3
     blocks and keeps the diagonal blocks, in one ``take`` of the flattened
-    entries; an (..., 6, 6) stack is transposed matrix by matrix, and any
-    other trailing shape raises DimensionMismatch.
+    entries; a nonempty (..., 6, 6) stack is transposed matrix by matrix,
+    and any other shape raises ``require_matrices``' DimensionMismatch.
     """
     m = np.asarray(rho, complex)
-    if m.shape[-2:] != (DIM, DIM):
-        raise DimensionMismatch(f"expected {DIM}x{DIM} matrices, got shape {m.shape}")
+    require_matrices(m)
     return m.reshape(*m.shape[:-2], DIM * DIM).take(_PT_ORDER, axis=-1).reshape(m.shape)
 
 
@@ -75,8 +74,9 @@ def negativity(rho) -> PtSpectrum:
     (used for diagnostics of non-trace-preserving evolutions).
     """
     m = np.asarray(rho, dtype=complex)
-    if m.shape != (DIM, DIM):
-        raise DimensionMismatch(f"expected a {DIM}x{DIM} matrix, got shape {m.shape}")
+    require_matrices(m)
+    if m.ndim != 2:
+        raise DimensionMismatch(f"expected one {DIM}x{DIM} matrix, got shape {m.shape}")
     require_finite(m)
     eig, neg = pt_spectra(m)
     return PtSpectrum(

@@ -35,6 +35,13 @@ def require_finite(m: np.ndarray) -> None:
         raise ValueError("matrix contains non-finite entries")
 
 
+def require_matrices(m: np.ndarray) -> None:
+    """The shape rule: DimensionMismatch unless ``m`` holds one or more
+    6x6 matrices, as one (6, 6) array or a nonempty stack (..., 6, 6)."""
+    if m.shape[-2:] != (DIM, DIM) or not m.size:
+        raise DimensionMismatch(f"expected {DIM}x{DIM} matrices, got shape {m.shape}")
+
+
 # Flat positions in a 6x6 matrix of its upper triangle, diagonal included
 # (row 0: 6i + j), and of their mirror entries (row 1: 6j + i).
 _TRIANGLE = np.array([[DIM, 1], [1, DIM]]) @ np.triu_indices(DIM)
@@ -45,13 +52,12 @@ def hermiticity_defect(h: np.ndarray):
     """Max-norm of (h - h^dagger); one value per matrix of a stack (..., 6, 6).
 
     Every matrix the package checks is a 6x6 qubit-qutrit operator, so any
-    other trailing shape raises DimensionMismatch.  Read off the upper
-    triangle: |h_ij - conj(h_ji)| and |h_ji - conj(h_ij)| are the same
-    float, bit for bit, so the other entries add nothing.
+    other shape raises ``require_matrices``' DimensionMismatch.  Read off
+    the upper triangle: |h_ij - conj(h_ji)| and |h_ji - conj(h_ij)| are the
+    same float, bit for bit, so the other entries add nothing.
     """
     h = np.asarray(h, dtype=complex)
-    if h.shape[-2:] != (DIM, DIM):
-        raise DimensionMismatch(f"expected {DIM}x{DIM} matrices, got shape {h.shape}")
+    require_matrices(h)
     pair = h.reshape(*h.shape[:-2], DIM * DIM)[..., _TRIANGLE]
     defect = np.abs(pair[..., 0, :] - pair[..., 1, :].conj()).max(axis=-1)
     return float(defect) if h.ndim == 2 else defect
@@ -71,7 +77,7 @@ def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
     """All real eigenvalues of a Hermitian 6x6 matrix, ascending; for a
     stack (..., 6, 6), those of each matrix in one LAPACK call.
 
-    Raises DimensionMismatch for any other trailing shape, and NotHermitian
+    Raises DimensionMismatch for any other shape, and NotHermitian
     for the first matrix whose hermiticity defect exceeds
     ``HERMITICITY_TOL`` or is nan: a bug upstream, not an input error.
     """
@@ -95,8 +101,10 @@ def require_parameter(name: str, value: float) -> float:
 def validate_density(m) -> np.ndarray:
     """Check the density-matrix invariants and freeze the result.
 
-    Takes a 6x6 matrix or an (N, 6, 6) stack, checked matrix by matrix,
-    and returns a read-only copy of the same shape.
+    Takes a 6x6 matrix or a nonempty (N, 6, 6) stack, checked matrix by
+    matrix, and returns a read-only copy of the same shape.  Another
+    number of axes raises DimensionMismatch, as does another shape, by
+    ``require_matrices``, after a ValueError for any non-finite entry.
 
     A stack of valid shape is scanned once, for its hermiticity defects:
     finiteness is read off them, and the entries are checked for it
@@ -116,13 +124,14 @@ def validate_density(m) -> np.ndarray:
     failing matrix, checked in that order.
     """
     m = np.asarray(m, dtype=complex)
-    ms = m[np.newaxis] if m.ndim == 2 else m
-    if ms.ndim != 3:
+    if m.ndim not in (2, 3):
         raise DimensionMismatch(f"expected a matrix or a stack, got ndim={m.ndim}")
-    if ms.shape[1:] != (DIM, DIM) or not len(ms):
-        require_finite(ms)
-        raise OutOfRange(f"expected a {DIM}x{DIM} matrix or a nonempty stack "
-                         f"of them, got shape {m.shape}")
+    try:
+        require_matrices(m)
+    except DimensionMismatch:
+        require_finite(m)
+        raise
+    ms = m[np.newaxis] if m.ndim == 2 else m
     with np.errstate(invalid="ignore", over="ignore"):  # quiet on non-finite entries
         h_defect = hermiticity_defect(ms)
         diag = ms.diagonal(axis1=1, axis2=2)

@@ -73,12 +73,13 @@ class SweepResult:
 
 
 # Matrices one ``channels.evolve`` call takes at most, for r axes up to this long.
-# Larger stacks made fresh processes page-fault on their temporaries (10,000-52,000
-# extra minor faults in the six verify reports at 132-512 matrices).  Re-measured
-# with the per-stage set cache (BENCH_23.json, six rounds each): against 128, the
-# six verify reports took 44 % longer at 64 and 6 % longer at 256, with 0 of 6
-# rounds faster than 128 either way, and 256 raised peak memory by 0.5 MiB.
-_CHUNK_MATRICES = 128
+# Trials of this bound up to BENCH_23.json measured page-fault churn, not the
+# chunk: glibc gave each chunk's large temporaries back to the OS, and the next
+# chunk faulted them in again.  With the grid commands keeping the heap
+# (``cli._keep_heap``) and ``channels._gather`` scaling in place, 512 was the
+# fastest of 256, 384 and 512 on both grid workloads, for 1.1-1.7 MiB more
+# peak memory than 128 (BENCH_36.json).
+_CHUNK_MATRICES = 512
 
 
 def _result_arrays(rows: int, columns: int):
@@ -251,13 +252,14 @@ def _texts(results: list[SweepResult]):
     one chunk per parameter row (outer row, inner r) whose lines each end
     in LF.  Every writer formats both; one writing one file drops the other.
 
-    Each line is formatted once, by one template: the fields from p1 on,
-    comma-separated, with p1, p2 and p formatted once per row, r once per
-    result and the two results per point ('%.12g' % x is _fmt(x) for every
-    float).  A CSV line is that line behind the kind, coupling and mode,
-    formatted once per result; a .dat line is that line with its commas
-    made spaces: no field holds a comma.  Under multilocal coupling the
-    mode is empty and p is 0.
+    A row's lines are formatted at once, by one template: its lines from
+    p1 on, comma-separated, with p1, p2 and p formatted once per row and r
+    once per result, filled by one '%' over the row's interleaved
+    (negativity, min eigenvalue) values ('%.12g' % x is _fmt(x) for every
+    float; no formatted field holds a '%').  A CSV line is that line
+    behind the kind, coupling and mode, formatted once per result; a .dat
+    line is that line with its commas made spaces: no field holds a comma.
+    Under multilocal coupling the mode is empty and p is 0.
     """
     yield CSV_HEADER + "\n", ""
     for i, res in enumerate(results):
@@ -265,14 +267,15 @@ def _texts(results: list[SweepResult]):
         fixed = [c.kind, c.coupling, c.global_mode if c.coupling == GLOBAL else ""]
         yield "", ("\n" if i else "") + "# " + " ".join(filter(None, fixed)) + "\n"
         labels = ",".join(fixed) + ","
-        r_text = [_fmt(r) for r in res.r.tolist()]
+        tails = [_fmt(r) + ",%.12g,%.12g\n" for r in res.r.tolist()]
         for (p1, p2, p), negs, eigs in zip(res.params.tolist(), res.negativity,
                                            res.min_pt_eigenvalue):
             head = "%.12g,%.12g,%.12g," % (p1, p2, p if c.coupling == GLOBAL else 0.0)
-            lines = [head + r + ",%.12g,%.12g\n" % ne
-                     for r, ne in zip(r_text, zip(negs.tolist(), eigs.tolist()))]
-            yield ("".join([labels + line for line in lines]),
-                   "".join(lines).replace(",", " "))
+            # Every tail ends its line, so head + head.join(tails) heads each line.
+            text = (head + head.join(tails)) % tuple(
+                np.column_stack((negs, eigs)).ravel().tolist())
+            yield (labels + text[:-1].replace("\n", "\n" + labels) + "\n",
+                   text.replace(",", " "))
 
 
 def _nonempty(results: list[SweepResult]) -> list[SweepResult]:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import io
 import math
@@ -7,6 +8,7 @@ import os
 import shlex
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -806,6 +808,94 @@ def test_a_pipe_with_no_reader_is_an_io_failure():
         os.close(write)
     assert done.returncode == EXIT_IO
     assert done.stderr == _BROKEN_PIPE  # one line, no traceback
+
+
+# --- the grid commands keep glibc's heap -----------------------------------------
+
+class _Libc:
+    """Stands in for ctypes.CDLL: a C library whose mallopt records its
+    calls, or, with ``missing``, one without it: no such symbol
+    (AttributeError) or no handle at all (OSError; TypeError, as on Windows)."""
+
+    def __init__(self, calls, missing=None):
+        self.calls, self.missing = calls, missing
+
+    def __call__(self, name):
+        self.calls.append(("open", name))
+        if self.missing in (OSError, TypeError):
+            raise self.missing("no handle for the C library")
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return 1
+        return types.SimpleNamespace(**({} if self.missing else {"mallopt": mallopt}))
+
+
+@pytest.fixture
+def heap_calls(monkeypatch):
+    """The calls a fake C library meets, from a fresh once-per-process cache."""
+    calls = []
+    monkeypatch.setattr(ctypes, "CDLL", _Libc(calls))
+    cli._keep_heap.cache_clear()
+    yield calls
+    cli._keep_heap.cache_clear()
+
+
+_GRID_ARGVS = [
+    ["sweep", "--channel", "phase-flip", "--coupling", "ml", "--axis", "grid",
+     "--steps", "3", "--out", "s.csv"],
+    ["verify", "--channel", "dephasing", "--coupling", "global", "--grid", "3"],
+    ["verify", "--out-dir", "reports"],
+    ["repro", "--figure", "2c", "--out-dir", "figures"],
+    ["sweep", "--channel", "dephasing", "--coupling", "ml", "--variant", "as-printed",
+     "--axis", "p", "--steps", "3", "--out", "bad.csv"],
+    ["sweep", "--channel", "phase-flip", "--coupling", "ml", "--axis", "p",
+     "--steps", "0", "--out", "none.csv"],
+]
+
+
+def test_only_the_grid_commands_keep_the_heap_once_per_process(
+    tmp_path, monkeypatch, capsys, heap_calls
+):
+    monkeypatch.chdir(tmp_path)
+    assert "ctypes" not in vars(cli)  # imported on the first grid command only
+    for argv in (["esd", "--channel", "phase-flip", "--coupling", "ml", "--r", "0.3"],
+                 ["negativity", "--channel", "phase-flip", "--coupling", "ml",
+                  "--r", "0.3"],
+                 ["state", "--r", "pi/6"], ["check-channels", "--p", "3"]):
+        assert main(argv) == EXIT_OK
+    assert heap_calls == []
+    for argv in _GRID_ARGVS * 2:
+        main(argv)
+    capsys.readouterr()
+    assert heap_calls == [("open", None), (cli._M_MMAP_THRESHOLD, 32 << 20),
+                          (cli._M_TRIM_THRESHOLD, 256 << 20)]
+    assert (cli._M_MMAP_THRESHOLD, cli._M_TRIM_THRESHOLD) == (-3, -1)  # malloc.h
+
+
+def test_without_mallopt_the_grid_commands_write_the_same(
+    tmp_path, monkeypatch, capsys, heap_calls
+):
+    def run_all(where, libc):
+        where.mkdir()
+        monkeypatch.chdir(where)
+        monkeypatch.setattr(ctypes, "CDLL", libc)
+        cli._keep_heap.cache_clear()
+        streams = []
+        for argv in _GRID_ARGVS:
+            code = main(argv)
+            streams.append((code, *capsys.readouterr()))
+        files = {str(p.relative_to(where)): p.read_bytes()
+                 for p in sorted(where.rglob("*")) if p.is_file()}
+        return streams, files
+
+    kept = run_all(tmp_path / "kept", _Libc(heap_calls))
+    assert [code for code, *_ in kept[0]] == [EXIT_OK] * 4 + [EXIT_INVARIANT, EXIT_USAGE]
+    assert len(kept[1]) == 9  # s.csv, six reports, fig2c.csv and fig2c.dat
+    for missing in (AttributeError, OSError, TypeError):
+        calls = []
+        assert run_all(tmp_path / missing.__name__, _Libc(calls, missing)) == kept
+        assert calls == [("open", None)]
 
 
 # --- checked where the input enters ---------------------------------------------

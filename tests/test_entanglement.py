@@ -203,9 +203,13 @@ def test_every_hermiticity_check_gives_one_text():
     assert texts == {"hermiticity defect 2.000e-03 exceeds 1.000e-12"}
 
 
-def test_an_empty_stack_has_an_empty_spectrum():
-    empty = np.empty((0, 6, 6), dtype=complex)
-    assert hermitian_eigenvalues(empty).shape == (0, 6)
-    for validated in (False, True):
-        eig, neg = pt_spectra(empty, validated=validated)
-        assert eig.shape == (0, 6) and neg.shape == (0,)
+@pytest.mark.parametrize("m", [np.eye(4) / 4, np.ones((2, 3)), np.empty((0, 6, 6))],
+                         ids=["4x4", "2x3", "empty-stack"])
+def test_every_matrix_check_refuses_a_wrong_shape_by_one_rule(m):
+    checks = (validate_density, hermiticity_defect, hermitian_eigenvalues,
+              partial_transpose_qubit, negativity,
+              lambda m: pt_spectra(m, validated=True))
+    for check in checks:
+        with pytest.raises(DimensionMismatch) as failure:
+            check(m)
+        assert str(failure.value) == f"expected 6x6 matrices, got shape {m.shape}"

@@ -83,7 +83,8 @@ def test_validated_matrix_is_frozen():
 
 
 def test_validate_rejects_an_empty_stack():
-    with pytest.raises(OutOfRange):
+    with pytest.raises(DimensionMismatch,
+                       match=r"^expected 6x6 matrices, got shape \(0, 6, 6\)$"):
         state.validate_density(np.empty((0, 6, 6)))
 
 
@@ -108,10 +109,11 @@ def test_an_r_axis_checks_every_r_and_its_own_shape():
         state.unruh_state([[0.1, 0.2]])
 
 
-# Every shape but (..., 6, 6): non-square, empty, and square of other sizes.
+# Every shape but a nonempty (..., 6, 6): non-square, empty, square of other
+# sizes, and stacks of no 6x6 matrix.
 _NOT_6X6 = (np.ones(3), np.ones((2, 3)), np.ones((4, 2, 3)), np.empty((0, 0)),
             np.empty((3, 0, 0)), np.ones((1, 1)), np.eye(2), np.eye(7),
-            np.ones((5, 2, 2)))
+            np.ones((5, 2, 2)), np.empty((0, 6, 6)), np.empty((2, 0, 6, 6)))
 
 
 def test_hermiticity_defect_rejects_any_shape_but_6x6():
@@ -218,8 +220,7 @@ def _eigensolver_rule(m):
     if not np.isfinite(ms).all():
         return ValueError, "matrix contains non-finite entries"
     if ms.shape[1:] != (6, 6) or not len(ms):
-        return OutOfRange, ("expected a 6x6 matrix or a nonempty stack of them, "
-                            f"got shape {np.shape(m)}")
+        return DimensionMismatch, f"expected 6x6 matrices, got shape {np.shape(m)}"
     h_defect = np.abs(ms - np.swapaxes(ms, 1, 2).conj()).max(axis=(1, 2))
     tr_defect = np.abs(ms.trace(axis1=1, axis2=2) - 1.0)
     min_eig = np.linalg.eigvalsh(ms)[:, 0]
@@ -239,7 +240,7 @@ def _assert_same_verdict(m):
     expected = _eigensolver_rule(m)
     try:
         out = state.validate_density(m)
-    except (NotHermitian, TraceDeviation, NegativeEigenvalue, OutOfRange,
+    except (NotHermitian, TraceDeviation, NegativeEigenvalue, DimensionMismatch,
             ValueError) as exc:
         assert (type(exc), str(exc)) == expected
     else:
@@ -359,8 +360,8 @@ def test_a_non_finite_entry_gives_the_eigensolver_verdict(value, imag, where):
 @pytest.mark.parametrize("m, error", [
     (np.full((4, 4), np.nan), ValueError),
     (np.full((2, 3), np.inf), ValueError),
-    (np.ones((2, 3)), OutOfRange),
-    (np.empty((0, 6, 6)), OutOfRange),
+    (np.ones((2, 3)), DimensionMismatch),
+    (np.empty((0, 6, 6)), DimensionMismatch),
 ], ids=["nan-4x4", "inf-2x3", "finite-2x3", "empty-stack"])
 def test_a_wrong_shape_gives_the_eigensolver_verdict(m, error):
     assert _eigensolver_rule(m)[0] is error

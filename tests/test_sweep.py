@@ -151,6 +151,33 @@ def test_an_r_axis_is_built_and_validated_as_one_stack(monkeypatch, n):
     assert built == [n] and validated == [(n, 6, 6)]
 
 
+def _figure_3_and_a_verify_grid():
+    """(spec, params, r axis, allow_incomplete) of each figure 3 sweep at 21
+    steps, then of the dephasing global correlated verify grid."""
+    for figure_sweep in sweep.figure_sweeps("3"):
+        c = figure_sweep.channel
+        p = sweep._axis(1.0, 21)
+        params = np.stack(np.broadcast_arrays(*sweep._linked_row(c, p)), axis=-1)
+        yield c, params, sweep._axis(R_MAX, 21), False
+    axis = sweep._axis(1.0, 11)
+    params = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+    spec = ChannelSpec(channels.DEPHASING, channels.GLOBAL,
+                       global_mode=channels.CORRELATED)
+    yield spec, params, sweep._axis(R_MAX, 11), True
+
+
+def test_chunking_never_changes_a_bit(monkeypatch):
+    bound = sweep._CHUNK_MATRICES
+    for spec, params, r, raw in _figure_3_and_a_verify_grid():
+        results = []
+        # one row per chunk, the old bound, the bound, the whole grid at once
+        for matrices in (len(r), 128, bound, len(params) * len(r)):
+            monkeypatch.setattr(sweep, "_CHUNK_MATRICES", matrices)
+            results.append(b"".join(a.tobytes() for a in sweep.evaluate(
+                spec, params, r, allow_incomplete=raw)))
+        assert results[1:] == results[:-1], spec
+
+
 @pytest.mark.parametrize("figure_sweep", sweep.figure_sweeps("3"),
                          ids=lambda s: s.channel.kind)
 def test_a_figure_3_spec_takes_one_eigensolver_call_its_pt_spectra(
