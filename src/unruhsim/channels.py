@@ -59,10 +59,6 @@ CORRELATED = "correlated"
 GLOBAL_MODES = (PRODUCT, CORRELATED)
 
 COMPLETENESS_TOL = 1e-12
-# Stages kept by ``_stage_sets``: one ``evolve`` call's local and collective
-# stage.  A chunk of 512 matrices of a global verify grid (46 rows, p
-# innermost with period 11) shares neither stage with the chunk before it.
-_STAGE_CACHE_SIZE = 2
 
 _I2 = np.eye(2, dtype=complex)
 _I3 = np.eye(3, dtype=complex)
@@ -298,12 +294,11 @@ def _gather_pattern(kind, global_mode, variant, level_order):
     return pattern
 
 
-@functools.lru_cache(maxsize=_STAGE_CACHE_SIZE)
 def _stage_sets(kind, pairs, global_mode, variant, level_order):
     """The sets of one ``evolve`` stage, ``kind``'s qubit set at qubit_p
     (x) its qutrit set at qutrit_p for each (qubit_p, qutrit_p) of
-    ``pairs``, and the list of their completeness defects, built once per
-    key while it stays among the most recently used.
+    ``pairs``, and the list of their completeness defects.  The arrays are
+    read-only, as one stage may serve both stages of a call.
 
     A gather stage is one ``_GatherSet`` built in one pass from the
     pattern's scalar map: each factor is its scalar times its unit entry,
@@ -490,16 +485,16 @@ def evolve(rho, spec, params=None, allow_incomplete: bool = False) -> np.ndarray
     or, with a leading row axis, through the spec at each (p1, p2, p) row of
     the (n, 3) array ``params``: the one evaluation path.
 
-    The stack goes through each distinct local set at (p1, p2) once; for
-    global coupling, each row's local result then goes through its own
-    collective set.  Each stage comes whole, with its sets' completeness
-    defects, from the bounded ``_stage_sets`` cache: the local stage holds
-    the distinct (p1, p2) in order of first appearance, the collective
-    stage each row's (p, p).  Each stage is one ``_stage`` call, which
-    picks its kernel.  Every matrix of a trace-preserving row is
+    The stack goes through each distinct local set at (p1, p2) once, in order
+    of first appearance; for global coupling, each row's local result then
+    goes through its own collective set at (p, p).  Each stage is built whole,
+    with its sets' completeness defects, by one ``_stage_sets`` call, unless
+    in product mode the collective stage equals the local one (distinct rows,
+    p1 = p2 = p), which then serves both; each is applied by one ``_stage``
+    call, which picks its kernel.  Every matrix of a trace-preserving row is
     validated; the result is read-only exactly when every row is.  Unless
-    ``allow_incomplete`` (raw matrices, for diagnostics), the first row n
-    that is not raises CompletenessViolation, after a nested ``evolve`` of
+    ``allow_incomplete`` (raw matrices, for diagnostics), the first row n that
+    is not raises CompletenessViolation, after a nested ``evolve`` of
     ``params[:n]`` (spies and tracers see it) raises any failure before it.
     """
     m = np.asarray(rho, complex)
@@ -507,11 +502,13 @@ def evolve(rho, spec, params=None, allow_incomplete: bool = False) -> np.ndarray
     pairs, ps = _parameters(spec, params)
     distinct = {}  # the local stage's row of each distinct (p1, p2)
     rows = [distinct.setdefault(pair, len(distinct)) for pair in pairs]
-    local, defects = _stage_sets(kind, tuple(distinct), PRODUCT, variant, level_order)
-    defects = [defects[i] for i in rows]
+    local_key = [list(distinct), PRODUCT]  # a stage's pairs and global mode
+    local, local_defects = _stage_sets(kind, *local_key, variant, level_order)
+    defects = [local_defects[i] for i in rows]
     if spec.coupling == GLOBAL:
-        coll, coll_defects = _stage_sets(kind, tuple(zip(ps, ps)), spec.global_mode,
-                                         variant, level_order)
+        key = [list(zip(ps, ps)), spec.global_mode]
+        coll, coll_defects = ((local, local_defects) if key == local_key
+                              else _stage_sets(kind, *key, variant, level_order))
         defects = list(map(max, defects, coll_defects))
     tp = [d <= COMPLETENESS_TOL for d in defects]
     if not (allow_incomplete or all(tp)):

@@ -108,6 +108,8 @@ def evaluate(spec, params, r_values, allow_incomplete: bool = False, out=None):
     only for a stack that fails a check.  Only a chunk with raw rows
     (``allow_incomplete``) has its partial transposes checked for
     hermiticity; ``evolve`` has validated the rows of every other chunk.
+    Only the CLI keeps glibc's heap (``cli._keep_heap``): other callers
+    fault in each 512-matrix chunk's temporaries anew.
     """
     if len(r_values) == 0:
         raise OutOfRange("the r axis is empty")

@@ -1088,7 +1088,7 @@ def test_stack_validation_names_first_failing_matrix():
         ch.evolve(states, noiseless)
 
 
-# --- stages: built in one pass, cached whole ----------------------------------
+# --- stages: built whole in one pass ----------------------------------------
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(_GATHER_STRUCTURES),
@@ -1102,34 +1102,15 @@ def test_stage_rows_are_the_one_pair_stages_bit_for_bit(structure, pool, picks):
     # set takes one p.
     pairs = tuple(pool[i % len(pool)] for i in picks)
     pairs = pairs if mode == ch.PRODUCT else tuple((a, a) for a, _ in pairs)
-    stage, defects = ch._stage_sets.__wrapped__(kind, pairs, mode, variant, order)
+    stage, defects = ch._stage_sets(kind, pairs, mode, variant, order)
     assert stage.v.shape == stage.w.shape == (len(pairs),) + stage.rho_index.shape
     for s, pair in enumerate(pairs):
-        one, (defect,) = ch._stage_sets.__wrapped__(kind, (pair,), mode, variant, order)
+        one, (defect,) = ch._stage_sets(kind, (pair,), mode, variant, order)
         np.testing.assert_array_equal(stage.rho_index, one.rho_index)
         _assert_same_bits(stage.v[s], one.v[0])
         _assert_same_bits(stage.w[s], one.w[0])
         assert type(defects[s]) is float and defects[s] == defect
 
-
-def test_global_chunks_build_their_shared_collective_stage_once():
-    states = unruh_state(np.linspace(0.0, math.pi / 4, 11))
-    axis = np.linspace(0.0, 1.0, 11).tolist()
-    ch._stage_sets.cache_clear()
-    for p1 in (0.2, 0.3):  # two chunks of a global verify grid
-        ch.evolve(states, *spec_rows([ch.ChannelSpec(ch.PHASE_FLIP, ch.GLOBAL, p1,
-                                                     0.4, q) for q in axis]))
-    # Each chunk's local stage misses; the collective stage misses, then hits.
-    info = ch._stage_sets.cache_info()
-    assert (info.misses, info.hits) == (3, 1)
-    ch._stage_sets.cache_clear()
-    ch.evolve(states, ch.ChannelSpec(ch.DEPHASING, ch.GLOBAL, 0.3, 0.3, 0.3))
-    # A linked global product spec finds both stages under one key.
-    info = ch._stage_sets.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-
-
-# --- the bounded stage cache --------------------------------------------------
 
 def test_cached_incomplete_set_still_raises_with_its_defect():
     spec = ch.ChannelSpec(ch.DEPHASING, ch.MULTILOCAL, 0.3, 0.4,
@@ -1141,13 +1122,12 @@ def test_cached_incomplete_set_still_raises_with_its_defect():
             ch.evolve(rho, spec)
         defects.append(err.value.defect)
     assert defects[0] == defects[1] == pytest.approx(2.0, abs=1e-12)
-    assert ch._stage_sets.cache_info().hits >= 1
 
 
-def test_cached_operators_are_read_only():
+def test_stage_operators_are_read_only():
     ops, _ = _one_set(ch.BIT_TRIT_PHASE_FLIP, 0.3, 0.3, ch.PRODUCT, ch.CORRECTED,
                       ch.REVERSED)
-    # The kernel's (K*6, 6) left factor is a view of the cached array.
+    # The kernel's (K*6, 6) left factor is a view of the stage's array.
     stacked = ops.reshape(-1, 6)
     assert ops.shape == (8, 6, 6) and np.shares_memory(stacked, ops)
     for array in (ops[0], stacked):
@@ -1160,21 +1140,55 @@ def test_cached_operators_are_read_only():
             array[0, 0] = 2
 
 
-def test_cache_eviction_keeps_results():
+# --- stage builds per evolve call -------------------------------------------
+
+def test_results_do_not_depend_on_earlier_calls():
     kinds_modes = [(k, m) for k in ch.KINDS for m in ch.GLOBAL_MODES]
     specs = [ch.ChannelSpec(kind, ch.GLOBAL, 0.05 * i, 0.5, 0.03 * i, mode)
              for i in range(6) for kind, mode in kinds_modes]
-    assert len(specs) > ch._STAGE_CACHE_SIZE
     states = np.stack([unruh_state(r) for r in (0.0, 0.4, math.pi / 4)])
-    alone = []
-    for spec in specs:
-        ch._stage_sets.cache_clear()
-        alone.append(ch.evolve(states, spec, allow_incomplete=True))
-    for _ in range(2):  # the second round meets only evicted entries
-        for spec, expected in zip(specs, alone):
+    alone = [ch.evolve(states, spec, allow_incomplete=True) for spec in specs[::-1]]
+    for _ in range(2):  # each spec again, after all the others
+        for spec, expected in zip(specs, alone[::-1]):
             np.testing.assert_array_equal(
                 ch.evolve(states, spec, allow_incomplete=True), expected)
-            assert ch._stage_sets.cache_info().currsize <= ch._STAGE_CACHE_SIZE
+
+
+# (coupling, global mode, (p1, p2, p) rows, stages one evolve call builds);
+# one row is evolved as its spec, without params.
+_STAGE_BUILDS = {
+    "multilocal": (ch.MULTILOCAL, ch.PRODUCT,
+                   [(0.3, 0.8, 0.0), (0.5, 0.5, 0.0), (0.3, 0.8, 0.0)], 1),
+    "linked product spec": (ch.GLOBAL, ch.PRODUCT, [(0.3, 0.3, 0.3)], 1),
+    "linked product rows": (ch.GLOBAL, ch.PRODUCT,
+                            [(0.3, 0.3, 0.3), (0.7, 0.7, 0.7)], 1),
+    "correlated": (ch.GLOBAL, ch.CORRELATED, [(0.3, 0.3, 0.3), (0.7, 0.7, 0.7)], 2),
+    "unlinked product": (ch.GLOBAL, ch.PRODUCT, [(0.3, 0.8, 0.45), (0.7, 0.7, 0.7)], 2),
+    "repeated product row": (ch.GLOBAL, ch.PRODUCT,
+                             [(0.3, 0.3, 0.3), (0.7, 0.7, 0.7), (0.3, 0.3, 0.3)], 2),
+}
+
+
+@pytest.mark.parametrize("case", _STAGE_BUILDS)
+@pytest.mark.parametrize("kind", ch.KINDS)
+def test_stage_builds_per_evolve_call(monkeypatch, kind, case):
+    # The collective stage is the local one exactly when both hold the same
+    # (p, p) pairs in product mode; otherwise each stage is built.
+    coupling, mode, rows, builds = _STAGE_BUILDS[case]
+    built = []
+    build = ch._stage_sets
+    monkeypatch.setattr(ch, "_stage_sets", lambda *a: built.append(a) or build(*a))
+    spec = ch.ChannelSpec(kind, coupling, *rows[0], global_mode=mode)
+    states = unruh_state(np.linspace(0.0, math.pi / 4, 3))
+    if len(rows) == 1:
+        evolved = ch.evolve(states, spec, allow_incomplete=True)[None]
+    else:
+        evolved = ch.evolve(states, spec, np.array(rows), allow_incomplete=True)
+    assert len(built) == builds
+    for (p1, p2, p), row in zip(rows, evolved, strict=True):
+        row_spec = replace(spec, p1=p1, p2=p2, p=p)
+        for got, m in zip(row, states, strict=True):
+            _assert_same_bits(got, _kraus_oracle(m, row_spec))
 
 
 # --- the Choi matrix of every 6x6 set ----------------------------------------

@@ -1,0 +1,96 @@
+"""Laws of the physics that bound every value the grids print, on any kernel.
+
+Each figure preset and each verify grid runs through ``sweep.evaluate`` as
+the CLI runs it; a spy keeps every row's r = 0 negativity and its full PT
+spectra.  The laws, for a qubit-qutrit state:
+
+* 0 <= N <= 1/2, the 2 (x) 3 bound (min(d) - 1) / 2, for every row: the
+  correlated sets are subsets of the product pairs, so no row raises the
+  trace;
+* the PT eigenvalues of a trace-preserving row sum to tr PT(rho) = 1;
+* convexity in r: rho(r) = cos^2 r A + sin^2 r B with B a product state, and
+  every operator is a product a (x) b, so N(p, r) <= cos^2 r N(p, 0)
+  (Vidal & Werner, Phys. Rev. A 65, 032314 (2002)).
+
+The negativity laws hold to 4 ulps of 1/2, a bound fixed before the first
+run.  The eigenvalue sum holds to 32 ulps of 1/2: it carries the rounding of
+the evolved trace (up to 8 ulps of 1/2 on figure 3) and of the eigensolver
+(up to 10), and reached 14 there.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from unruhsim import analytic, channels, cli, sweep
+
+ULP = math.ulp(0.5)
+NEGATIVITY_TOL = 4 * ULP
+TRACE_TOL = 32 * ULP
+
+
+def _complete(spec, p):
+    """Whether the row at collective p is trace preserving: the corrected
+    local sets and the product pairs always are; a correlated set holds the
+    first min(Ka, Kb) pairs of the qubit and qutrit sets index by index."""
+    if spec.coupling == channels.MULTILOCAL or spec.global_mode == channels.PRODUCT:
+        return True
+    qubit = channels.qubit_channel(spec.kind, p)
+    qutrit = channels.qutrit_channel(spec.kind, p, spec.variant, spec.level_order)
+    ops = [np.kron(a, b) for a, b in zip(qubit, qutrit)]
+    return channels.completeness_defect(ops) <= channels.COMPLETENESS_TOL
+
+
+@pytest.fixture
+def grids(monkeypatch):
+    """Every (spec, rows, r axis, negativity, PT spectra, N at r = 0) that
+    ``sweep.evaluate`` gives while the callers run."""
+    evaluate, spectra = sweep.evaluate, sweep.pt_spectra
+    seen, eigs = [], []
+
+    def spy_spectra(*args, **kwargs):
+        eig, neg = spectra(*args, **kwargs)
+        eigs.append(eig)
+        return eig, neg
+
+    def spy(spec, params, r_values, allow_incomplete=False, out=None):
+        eigs.clear()
+        min_eig, neg = evaluate(spec, params, r_values, allow_incomplete, out)
+        eig = np.concatenate(eigs)
+        at_zero = evaluate(spec, params, [0.0], allow_incomplete)[1][:, 0]
+        seen.append((spec, params, np.asarray(r_values), neg.copy(), eig, at_zero))
+        return min_eig, neg
+
+    monkeypatch.setattr(sweep, "pt_spectra", spy_spectra)
+    monkeypatch.setattr(sweep, "evaluate", spy)
+    monkeypatch.setattr(analytic, "evaluate", spy)
+    return seen
+
+
+def _check_laws(seen):
+    assert seen
+    for spec, params, r, neg, eig, at_zero in seen:
+        assert neg.shape == eig.shape[:2] == (len(params), len(r))
+        assert np.all(neg >= 0.0) and np.all(neg <= 0.5 + NEGATIVITY_TOL), spec
+        tp = np.array([_complete(spec, p) for p in params[:, 2].tolist()])
+        excess = np.abs(eig[tp].sum(axis=-1) - 1.0)
+        assert excess.size == 0 or excess.max() <= TRACE_TOL, spec
+        cos2 = np.cos(r) ** 2
+        assert np.all(neg <= cos2 * at_zero[:, None] + NEGATIVITY_TOL), spec
+
+
+@pytest.mark.parametrize("figure", sweep.FIGURES)
+def test_figure_presets_keep_the_laws(grids, figure):
+    for figure_sweep in sweep.figure_sweeps(figure):
+        sweep.run_sweep(figure_sweep)
+    assert len(grids) == len(channels.KINDS)
+    _check_laws(grids)
+
+
+@pytest.mark.parametrize("kind,coupling,mode", cli._REPORTS)
+def test_verify_grids_keep_the_laws(grids, kind, coupling, mode):
+    analytic.verify_against_numeric(kind, coupling,
+                                    global_mode=mode or channels.PRODUCT)
+    assert len(grids) == 1
+    _check_laws(grids)

@@ -238,21 +238,22 @@ def test_each_esd_probe_builds_one_set_and_checks_each_stack_once(
     # Each structure's gather pattern is read off one set on first use.
     channels._gather_pattern(kind, channels.PRODUCT, channels.CORRECTED,
                              channels.DEFAULT_LEVEL_ORDER)
-    channels._stage_sets.cache_clear()
     count(sweep, "evaluate", "probes")
+    count(channels, "_stage_sets", "stages built")
     count(channels, "completeness_defect", "matmul defects")
     for module in (state, channels):
         count(module, "validate_density", "stacks validated")
     count(state, "hermiticity_defect", "hermiticity defects")
     sweep.esd_threshold(_spec(kind, coupling), math.pi / 4, p_tol=1e-2)
-    # One stage built (a cache miss), one initial state and one evolved row
-    # per probe, each validated.  A gather set takes its defect from its
-    # factors, without the matmul.
+    # One stage built, one initial state and one evolved row per probe, each
+    # validated.  A gather set takes its defect from its factors, without
+    # the matmul.
     probes = counts["probes"]
     gather = kind != channels.BIT_TRIT_PHASE_FLIP
-    assert probes >= 2 and channels._stage_sets.cache_info().misses == probes
+    assert probes >= 2 and counts["stages built"] == probes
     assert counts == collections.Counter({
-        "probes": probes, "matmul defects": 0 if gather else probes,
+        "probes": probes, "stages built": probes,
+        "matmul defects": 0 if gather else probes,
         "stacks validated": 2 * probes, "hermiticity defects": 2 * probes})
 
 
