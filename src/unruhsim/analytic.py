@@ -142,13 +142,13 @@ def verify_against_numeric(
     r_axis = _axis(R_MAX, grid_points)
     p_axis = axis if coupling == GLOBAL else np.array([0.0])
     # Sized from the axes: too large a grid is refused before its spec or (n, 3) rows.
-    out = _result_arrays(len(axis) ** 2 * len(p_axis), len(r_axis))
+    _result_arrays(len(axis) ** 2 * len(p_axis), len(r_axis))
 
     spec = channels.ChannelSpec(kind, coupling, global_mode=global_mode,
                                 variant=variant, level_order=level_order)
     # (p1, p2, p) rows, p1 outermost.
     params = np.stack(np.meshgrid(axis, axis, p_axis, indexing="ij"), -1).reshape(-1, 3)
-    min_eig, neg = evaluate(spec, params, r_axis, allow_incomplete=True, out=out)
+    min_eig, neg = evaluate(spec, params, r_axis, allow_incomplete=True)
     # factor * cos^2 r: the same float operations as the public closed forms.
     cos2 = np.array([math.cos(float(r)) ** 2 for r in r_axis])
     analytic = _FACTORS[kind](coupling, *params.T)[:, None] * cos2

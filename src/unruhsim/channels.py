@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CompletenessViolation, DimensionMismatch, OutOfRange, require_member
-from .state import require_parameter, validate_density
+from .state import require_matrices, require_parameter, validate_density
 
 PHASE_FLIP = "phase_flip"
 DEPHASING = "dephasing"
@@ -481,13 +481,15 @@ def _parameters(spec: ChannelSpec, params):
 
 
 def evolve(rho, spec, params=None, allow_incomplete: bool = False) -> np.ndarray:
-    """Evolve a 6x6 state, or an (N, 6, 6) stack of them, through ``spec``
-    or, with a leading row axis, through the spec at each (p1, p2, p) row of
-    the (n, 3) array ``params``: the one evaluation path.
+    """Evolve a 6x6 state, or a nonempty (..., 6, 6) stack of them, through
+    ``spec`` or, with a leading row axis, through the spec at each (p1, p2, p)
+    row of the (n, 3) array ``params``: the one evaluation path.  Any other
+    shape raises ``require_matrices``' DimensionMismatch before any stage.
 
     The stack goes through each distinct local set at (p1, p2) once, in order
-    of first appearance; for global coupling, each row's local result then
-    goes through its own collective set at (p, p).  Each stage is built whole,
+    of first appearance; the local results are then repeated to one per row,
+    where rows share one, and for global coupling each row's result goes
+    through its own collective set at (p, p).  Each stage is built whole,
     with its sets' completeness defects, by one ``_stage_sets`` call, unless
     in product mode the collective stage equals the local one (distinct rows,
     p1 = p2 = p), which then serves both; each is applied by one ``_stage``
@@ -498,6 +500,7 @@ def evolve(rho, spec, params=None, allow_incomplete: bool = False) -> np.ndarray
     ``params[:n]`` (spies and tracers see it) raises any failure before it.
     """
     m = np.asarray(rho, complex)
+    require_matrices(m)
     kind, variant, level_order = spec.kind, spec.variant, spec.level_order
     pairs, ps = _parameters(spec, params)
     distinct = {}  # the local stage's row of each distinct (p1, p2)
@@ -520,16 +523,15 @@ def evolve(rho, spec, params=None, allow_incomplete: bool = False) -> np.ndarray
             failure.format(kind=kind, variant=variant, global_mode=spec.global_mode,
                            defect=defects[n]), defect=defects[n])
     y = _stage(local, m.reshape(1, -1, 36))
-    if spec.coupling == GLOBAL:
-        # A local result shared by every row broadcasts over the stage.
-        y = _stage(coll, y if len(y) in (1, len(rows)) else y[rows])
-    elif len(y) < len(rows):
+    if len(y) < len(rows):
         y = y[rows]
+    if spec.coupling == GLOBAL:
+        y = _stage(coll, y)
     out = y.reshape((len(rows),) + m.shape)
     if all(tp):
-        out = validate_density(out.reshape(-1, 6, 6)).reshape(out.shape)
+        out = validate_density(out)
     elif any(tp):
-        validate_density(out[np.array(tp)].reshape(-1, 6, 6))
+        validate_density(out[np.array(tp)])
     return out[0] if params is None else out
 
 

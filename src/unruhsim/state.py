@@ -101,10 +101,10 @@ def require_parameter(name: str, value: float) -> float:
 def validate_density(m) -> np.ndarray:
     """Check the density-matrix invariants and freeze the result.
 
-    Takes a 6x6 matrix or a nonempty (N, 6, 6) stack, checked matrix by
-    matrix, and returns a read-only copy of the same shape.  Another
-    number of axes raises DimensionMismatch, as does another shape, by
-    ``require_matrices``, after a ValueError for any non-finite entry.
+    Takes any nonempty (..., 6, 6) stack, checked as its flat stack of
+    matrices, and returns a read-only copy of the same shape.  Any other
+    shape raises ``require_matrices``' DimensionMismatch, after a
+    ValueError for any non-finite entry.
 
     A stack of valid shape is scanned once, for its hermiticity defects:
     finiteness is read off them, and the entries are checked for it
@@ -124,14 +124,12 @@ def validate_density(m) -> np.ndarray:
     failing matrix, checked in that order.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim not in (2, 3):
-        raise DimensionMismatch(f"expected a matrix or a stack, got ndim={m.ndim}")
     try:
         require_matrices(m)
     except DimensionMismatch:
         require_finite(m)
         raise
-    ms = m[np.newaxis] if m.ndim == 2 else m
+    ms = m.reshape(-1, DIM, DIM)
     with np.errstate(invalid="ignore", over="ignore"):  # quiet on non-finite entries
         h_defect = hermiticity_defect(ms)
         diag = ms.diagonal(axis1=1, axis2=2)
@@ -171,7 +169,7 @@ def unruh_state(r) -> np.ndarray:
     """
     axis = np.asarray(r, dtype=float)
     if axis.ndim > 1:
-        raise DimensionMismatch(f"expected one r or an r axis, got ndim={axis.ndim}")
+        raise DimensionMismatch(f"expected one r or an r axis, got shape {axis.shape}")
     rs = [require_parameter("r", x) for x in (axis.tolist() if axis.ndim else [r])]
     m = np.zeros((len(rs), DIM, DIM), dtype=complex)
     for rho, x in zip(m, rs):

@@ -94,14 +94,14 @@ def _result_arrays(rows: int, columns: int):
         raise OutOfRange(f"a grid of {rows * columns} points is too large") from exc
 
 
-def evaluate(spec, params, r_values, allow_incomplete: bool = False, out=None):
+def evaluate(spec, params, r_values, allow_incomplete: bool = False):
     """Minimum PT eigenvalues and negativities, each (n, len(r_values)), of
     ``spec`` at each (p1, p2, p) row of the (n, 3) array ``params``, or at
-    its own values (n = 1) for None, over one r-axis; written into ``out``
-    (from ``_result_arrays``) when given.
+    its own values (n = 1) for None, over one r-axis.
 
     The r-axis states are built and validated once, as one stack, after
-    the result arrays, so an oversized grid is refused first.  Each
+    ``_result_arrays`` gives the result arrays, so an oversized grid is
+    refused first (callers that build rows call it before them).  Each
     chunk of rows evolves the whole stack in one ``channels.evolve`` call
     and takes its PT spectra in one eigensolver call: validation certifies
     PSD by Gershgorin's disc bound on each stack and calls the eigensolver
@@ -114,7 +114,7 @@ def evaluate(spec, params, r_values, allow_incomplete: bool = False, out=None):
     if len(r_values) == 0:
         raise OutOfRange("the r axis is empty")
     n = 1 if params is None else len(params)
-    min_eig, neg = _result_arrays(n, len(r_values)) if out is None else out
+    min_eig, neg = _result_arrays(n, len(r_values))
     states = unruh_state(r_values)
     step = max(1, _CHUNK_MATRICES // len(states))
     for i in range(0, n or 1, step):  # evolve refuses an empty params
@@ -152,10 +152,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     c = spec.channel
     p = None if spec.axis == AXIS_R else _axis(1.0, spec.steps)
     r = np.array([spec.r], float) if spec.axis == AXIS_P else _axis(R_MAX, spec.steps)
-    out = _result_arrays(1 if p is None else len(p), len(r))
+    _result_arrays(1 if p is None else len(p), len(r))
     row = (c.p1, c.p2, c.p) if p is None else _linked_row(c, p)
     params = np.stack(np.broadcast_arrays(*row), axis=-1).reshape(-1, 3)
-    min_eig, neg = evaluate(c, params, r, out=out)
+    min_eig, neg = evaluate(c, params, r)
     return SweepResult(c, params, r, neg, min_eig)
 
 

@@ -949,9 +949,9 @@ def test_global_chunk_makes_one_gather_call_per_stage(shared, gather_calls):
     specs = [ch.ChannelSpec(ch.PHASE_FLIP, ch.GLOBAL, 0.2, 0.4 if shared else q, q)
              for q in axis]
     out = ch.evolve(states, *spec_rows(specs))
-    # The states' 6 nonzero entries, then the local results' 6.
+    # The states' 6 nonzero entries, then the local results' 6, one per row.
     assert gather_calls == [(1 if shared else 11, (1, 11, 36), 6),
-                            (11, (1 if shared else 11, 11, 36), 6)]
+                            (11, (11, 11, 36), 6)]
     for got, spec in zip(out, specs):
         np.testing.assert_array_equal(got, ch.evolve(states, spec))
 

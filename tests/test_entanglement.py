@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from unruhsim import channels
+from unruhsim.channels import ChannelSpec
 from unruhsim.entanglement import (
     PtSpectrum,
     negativity,
@@ -203,13 +205,28 @@ def test_every_hermiticity_check_gives_one_text():
     assert texts == {"hermiticity defect 2.000e-03 exceeds 1.000e-12"}
 
 
-@pytest.mark.parametrize("m", [np.eye(4) / 4, np.ones((2, 3)), np.empty((0, 6, 6))],
-                         ids=["4x4", "2x3", "empty-stack"])
-def test_every_matrix_check_refuses_a_wrong_shape_by_one_rule(m):
+@pytest.mark.parametrize("m", [np.eye(4) / 4, np.ones((2, 3)), np.empty((0, 6, 6)),
+                               np.ones((2, 18)) / 6, np.ones(36) / 6,
+                               np.ones((36, 1)) / 6],
+                         ids=["4x4", "2x3", "empty-stack", "2x18", "36", "36x1"])
+def test_every_matrix_check_refuses_a_wrong_shape_by_one_rule(m, monkeypatch):
+    built = []
+    stage_sets = channels._stage_sets
+    monkeypatch.setattr(channels, "_stage_sets",
+                        lambda *args: built.append(args) or stage_sets(*args))
+    trace_preserving = ChannelSpec(channels.PHASE_FLIP, channels.GLOBAL, 0.1, 0.2, 0.3)
+    as_printed = ChannelSpec(channels.DEPHASING, channels.MULTILOCAL, 0.3, 0.4,
+                             variant=channels.AS_PRINTED)
     checks = (validate_density, hermiticity_defect, hermitian_eigenvalues,
               partial_transpose_qubit, negativity,
-              lambda m: pt_spectra(m, validated=True))
+              lambda m: pt_spectra(m, validated=True),
+              lambda m: channels.evolve(m, trace_preserving),
+              lambda m: channels.evolve(m, as_printed, allow_incomplete=True),
+              lambda m: channels.multilocal_evolve(m, channels.PHASE_FLIP, 0.1, 0.2),
+              lambda m: channels.global_evolve(m, channels.BIT_TRIT_PHASE_FLIP,
+                                               0.1, 0.2, 0.3))
     for check in checks:
         with pytest.raises(DimensionMismatch) as failure:
             check(m)
         assert str(failure.value) == f"expected 6x6 matrices, got shape {m.shape}"
+    assert built == []

@@ -10,10 +10,16 @@ spectra.  The laws, for a qubit-qutrit state:
 * the PT eigenvalues of a trace-preserving row sum to tr PT(rho) = 1;
 * convexity in r: rho(r) = cos^2 r A + sin^2 r B with B a product state, and
   every operator is a product a (x) b, so N(p, r) <= cos^2 r N(p, 0)
-  (Vidal & Werner, Phys. Rev. A 65, 032314 (2002)).
+  (Vidal & Werner, Phys. Rev. A 65, 032314 (2002));
+* monotone in each p: the local sets of phase flip, dephasing and bit-trit
+  flip compose as E_p o E_q = E_p' with 1 - p' = (1 - p)(1 - q), and the
+  product collective set is a local operation too, so N never rises along
+  p1 or p2, nor along p under global product coupling.  Bit-trit phase
+  flip composes no such way, and its N revives along p2.
 
 The negativity laws hold to 4 ulps of 1/2, a bound fixed before the first
-run.  The eigenvalue sum holds to 32 ulps of 1/2: it carries the rounding of
+run; the monotone laws to the same bound.  The eigenvalue sum holds to 32
+ulps of 1/2: it carries the rounding of
 the evolved trace (up to 8 ulps of 1/2 on figure 3) and of the eigensolver
 (up to 10), and reached 14 there.
 """
@@ -54,9 +60,9 @@ def grids(monkeypatch):
         eigs.append(eig)
         return eig, neg
 
-    def spy(spec, params, r_values, allow_incomplete=False, out=None):
+    def spy(spec, params, r_values, allow_incomplete=False):
         eigs.clear()
-        min_eig, neg = evaluate(spec, params, r_values, allow_incomplete, out)
+        min_eig, neg = evaluate(spec, params, r_values, allow_incomplete)
         eig = np.concatenate(eigs)
         at_zero = evaluate(spec, params, [0.0], allow_incomplete)[1][:, 0]
         seen.append((spec, params, np.asarray(r_values), neg.copy(), eig, at_zero))
@@ -94,3 +100,38 @@ def test_verify_grids_keep_the_laws(grids, kind, coupling, mode):
                                     global_mode=mode or channels.PRODUCT)
     assert len(grids) == 1
     _check_laws(grids)
+
+
+# Corrected sets in the reversed level order, over six r values.
+_MONOTONE_R = np.linspace(0.0, math.pi / 4, 6)
+
+
+def _largest_rises(kind, coupling, points):
+    """The largest rise of N between neighbours along p1, p2 and, under
+    global product coupling, p, on a grid of ``points`` per p axis."""
+    axis = np.linspace(0.0, 1.0, points)
+    p_axis = axis if coupling == channels.GLOBAL else np.array([0.0])
+    params = np.stack(np.meshgrid(axis, axis, p_axis, indexing="ij"), -1).reshape(-1, 3)
+    spec = channels.ChannelSpec(kind, coupling, global_mode=channels.PRODUCT,
+                                variant=channels.CORRECTED,
+                                level_order=channels.REVERSED)
+    _, neg = sweep.evaluate(spec, params, _MONOTONE_R)
+    neg = neg.reshape(points, points, len(p_axis), len(_MONOTONE_R))
+    return [np.diff(neg, axis=a).max() for a in range(2 if len(p_axis) == 1 else 3)]
+
+
+_MONOTONE_GRIDS = pytest.mark.parametrize("coupling, points", [
+    (channels.MULTILOCAL, 21), (channels.GLOBAL, 11)])
+
+
+@_MONOTONE_GRIDS
+@pytest.mark.parametrize("kind", [channels.PHASE_FLIP, channels.DEPHASING,
+                                  channels.BIT_TRIT_FLIP])
+def test_negativity_never_rises_along_any_p(kind, coupling, points):
+    assert max(_largest_rises(kind, coupling, points)) <= NEGATIVITY_TOL
+
+
+@_MONOTONE_GRIDS
+def test_bit_trit_phase_flip_keeps_no_monotone_law(coupling, points):
+    assert max(_largest_rises(channels.BIT_TRIT_PHASE_FLIP, coupling, points)) \
+        > NEGATIVITY_TOL

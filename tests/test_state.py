@@ -88,10 +88,23 @@ def test_validate_rejects_an_empty_stack():
         state.validate_density(np.empty((0, 6, 6)))
 
 
-def test_validate_rejects_a_stack_of_stacks():
-    with pytest.raises(DimensionMismatch) as err:
-        state.validate_density(np.zeros((1, 1, 6, 6)))
-    assert str(err.value) == "expected a matrix or a stack, got ndim=4"
+def test_validate_takes_a_stack_of_stacks_in_its_own_shape():
+    stack = state.unruh_state(np.linspace(0.0, state.R_MAX, 6)).reshape(2, 3, 6, 6)
+    frozen = state.validate_density(stack)
+    assert frozen.shape == (2, 3, 6, 6) and not frozen.flags.writeable
+    assert frozen.tobytes() == stack.tobytes()
+
+
+@pytest.mark.parametrize("kind", [NotHermitian, TraceDeviation, NegativeEigenvalue],
+                         ids=lambda kind: kind.__name__)
+def test_a_stack_of_stacks_names_its_bad_matrix_as_the_flat_stack_does(kind):
+    stack = np.array(state.unruh_state(np.linspace(0.0, state.R_MAX, 6))).reshape(2, 3, 6, 6)
+    stack[1, 2] = _failing(kind)
+    with pytest.raises(kind) as nested:
+        state.validate_density(stack)
+    with pytest.raises(kind) as flat:
+        state.validate_density(stack.reshape(-1, 6, 6))
+    assert str(nested.value) == str(flat.value)
 
 
 def test_an_r_axis_gives_the_stack_of_its_states_bit_for_bit():
@@ -105,8 +118,9 @@ def test_an_r_axis_gives_the_stack_of_its_states_bit_for_bit():
 def test_an_r_axis_checks_every_r_and_its_own_shape():
     with pytest.raises(OutOfRange, match=r"^acceleration parameter r=nan outside"):
         state.unruh_state(np.array([0.1, math.nan]))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch) as err:
         state.unruh_state([[0.1, 0.2]])
+    assert str(err.value) == "expected one r or an r axis, got shape (1, 2)"
 
 
 # Every shape but a nonempty (..., 6, 6): non-square, empty, square of other
