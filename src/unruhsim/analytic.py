@@ -15,16 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels
-from .channels import (
-    CORRECTED,
-    COUPLINGS,
-    DEFAULT_LEVEL_ORDER,
-    DEPHASING,
-    GLOBAL,
-    MULTILOCAL,
-    PHASE_FLIP,
-    PRODUCT,
-)
+from .channels import COUPLINGS, DEPHASING, GLOBAL, MULTILOCAL, PHASE_FLIP, PRODUCT
 from .errors import OutOfRange, require_member
 from .state import R_MAX, require_parameter
 from .sweep import _axis, _result_arrays, evaluate
@@ -120,8 +111,6 @@ def verify_against_numeric(
     coupling: str,
     global_mode: str = PRODUCT,
     grid_points: int | None = None,
-    variant: str = CORRECTED,
-    level_order: str = DEFAULT_LEVEL_ORDER,
 ) -> VerificationReport:
     """Compare a closed-form eigenvalue against the numeric pipeline.
 
@@ -144,8 +133,7 @@ def verify_against_numeric(
     # Sized from the axes: too large a grid is refused before its spec or (n, 3) rows.
     _result_arrays(len(axis) ** 2 * len(p_axis), len(r_axis))
 
-    spec = channels.ChannelSpec(kind, coupling, global_mode=global_mode,
-                                variant=variant, level_order=level_order)
+    spec = channels.ChannelSpec(kind, coupling, global_mode=global_mode)
     # (p1, p2, p) rows, p1 outermost.
     params = np.stack(np.meshgrid(axis, axis, p_axis, indexing="ij"), -1).reshape(-1, 3)
     min_eig, neg = evaluate(spec, params, r_axis, allow_incomplete=True)

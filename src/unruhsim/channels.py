@@ -308,9 +308,8 @@ def _stage_sets(kind, pairs, global_mode, variant, level_order):
     columns j, where s_j sums, in operator order, |v|^2 of column j's
     one nonzero in each operator: E^dag E is diagonal, and the matmul of
     ``completeness_defect`` only adds exact zeros to it.  Any other stage
-    is one read-only (S, K, 6, 6) array of sets, each of which
-    ``apply_unchecked`` reshapes to its row-stacked (K*6, 6) left factor,
-    with their ``completeness_defect``."""
+    is one read-only (S, K, 6, 6) array of sets, which ``apply_unchecked``
+    takes whole, with their ``completeness_defect``."""
     pattern = _gather_pattern(kind, global_mode, variant, level_order)
     if pattern is None:
         sets = np.array([_tensor_set(qubit_channel(kind, a),
@@ -330,27 +329,29 @@ def _stage_sets(kind, pairs, global_mode, variant, level_order):
     return stage, np.abs(sums - 1.0).max(axis=1).tolist()
 
 
-def apply_unchecked(ops, matrix: np.ndarray, out=None) -> np.ndarray:
-    """sum E rho E^dag over the operators of ``ops``, without any
-    revalidation of the result: the matmul kernel, which ``_stage`` takes
-    for the sets of a matmul stage, and the tests' oracle for ``_gather``.
+def apply_unchecked(sets, x: np.ndarray) -> np.ndarray:
+    """One matmul stage: sum E rho E^dag over the operators of each of the
+    S sets of the (S, K, 6, 6) array ``sets``, applied to its flat matrices
+    of x, (S, N, 36), or all to the (1, N, 36) of x, in one call, without
+    any revalidation.  Returns the (S, N, 36) results.  It is the kernel
+    ``_stage`` takes for a matmul stage, and the tests' oracle for
+    ``_gather``.
 
-    ``matrix`` may be one 6x6 matrix or a stack (..., 6, 6).  E @ rho is
-    one product per matrix, the K operators stacked as the rows of one
-    (K*6, 6) left factor; then E^dag one (N*6, 6) @ (6, 6) product per
-    operator into ``out`` (+0, C-contiguous), in operator order.  BLAS
-    forms the rows of A apart, so this keeps the per-matrix bits; stacking
-    columns of B, (6, 6) @ (6, N*6), changes 600 of figure 3's 1,616.
+    E @ rho is one left product per stage, each set's K operators stacked
+    as the rows of one (K*6, 6) left factor: one (K*6, 6) @ (6, 6) gemm per
+    matrix.  Then E^dag one batched (S, N*6, 6) @ (S, 6, 6) product per
+    operator, added from +0 in operator order.  BLAS forms the rows of A
+    apart, so this keeps the per-matrix bits; stacking columns of B,
+    (6, 6) @ (6, N*6), changes 600 of figure 3's 1,616.
     """
-    m = np.asarray(matrix, dtype=complex)
-    e = np.asarray(ops)
-    d = m.shape[-1]
-    left = np.matmul(e.reshape(-1, d), m).reshape(m.shape[:-2] + e.shape)
-    out = np.zeros(m.shape, complex) if out is None else out
-    rows = out.reshape(-1, d)
-    for k, ek in enumerate(e):
-        rows += left[..., k, :, :].reshape(-1, d) @ ek.conj().T
-    return out
+    e = np.asarray(sets)
+    s, k = e.shape[:2]
+    m = x.reshape(len(x), -1, 6, 6)
+    left = np.matmul(e.reshape(s, 1, k * 6, 6), m).reshape(s, -1, k, 6, 6)
+    out = np.zeros((s, left.shape[1] * 6, 6), complex)
+    for i in range(k):
+        out += left[:, :, i].reshape(s, -1, 6) @ e[:, i].conj().transpose(0, 2, 1)
+    return out.reshape(s, -1, 36)
 
 
 def _gather(sets: _GatherSet, x: np.ndarray):
@@ -367,8 +368,8 @@ def _gather(sets: _GatherSet, x: np.ndarray):
     slower (BENCH_25.json).  When x holds one matrix, for which the support
     pass costs more than it saves, every column is formed.  On one
     (S, N, K, C) temporary: a gather, the two scalings in place, the sum
-    over K in operator order and a -0 to +0 fix-up (the matmul loop sums
-    from +0, so never ends on -0).  Only where x's one matrix set
+    over K in operator order and a -0 to +0 fix-up (the matmul kernel adds
+    to +0, so never ends on -0).  Only where x's one matrix set
     broadcasts up to S > 1 sets does the first scaling make the temporary,
     from a gather of (1, N, K, C).  As v and w are finite, an entry outside
     the reach is a sum of signed zeros, which the fix-up would make +0.  The
@@ -402,15 +403,9 @@ def _gather(sets: _GatherSet, x: np.ndarray):
 
 
 def _stage(sets, x: np.ndarray):
-    """The one place a kernel is chosen: ``_gather`` for a whole gather
-    stage, or ``apply_unchecked`` for each set of a matmul stage."""
-    if isinstance(sets, _GatherSet):
-        return _gather(sets, x)
-    x = x.reshape(len(x), -1, 6, 6)
-    out = np.zeros((len(sets),) + x.shape[1:], complex)
-    for i, ops in enumerate(sets):
-        apply_unchecked(ops, x[i if len(x) > 1 else 0], out[i])
-    return out.reshape(len(sets), -1, 36)
+    """The one place a kernel is chosen: ``_gather`` for a gather stage,
+    ``apply_unchecked`` for a matmul stage, each called once."""
+    return (_gather if isinstance(sets, _GatherSet) else apply_unchecked)(sets, x)
 
 
 _INCOMPLETE_SET = (
@@ -437,7 +432,9 @@ def apply(ops, rho) -> np.ndarray:
         raise CompletenessViolation(
             f"Kraus set has completeness defect {defect:.3e}; "
             "evolution would not preserve the trace", defect=defect)
-    return validate_density(apply_unchecked(ops, np.asarray(rho, complex)))
+    m = np.asarray(rho, complex)
+    out = apply_unchecked((ops,), m.reshape(1, -1, 36))
+    return validate_density(out.reshape(m.shape))
 
 
 # Nothing in src/ calls this; kept only for perfbench/spans.py TARGETS (ROADMAP 1-2).
@@ -493,11 +490,12 @@ def evolve(rho, spec, params=None, allow_incomplete: bool = False) -> np.ndarray
     with its sets' completeness defects, by one ``_stage_sets`` call, unless
     in product mode the collective stage equals the local one (distinct rows,
     p1 = p2 = p), which then serves both; each is applied by one ``_stage``
-    call, which picks its kernel.  Every matrix of a trace-preserving row is
-    validated; the result is read-only exactly when every row is.  Unless
-    ``allow_incomplete`` (raw matrices, for diagnostics), the first row n that
-    is not raises CompletenessViolation, after a nested ``evolve`` of
-    ``params[:n]`` (spies and tracers see it) raises any failure before it.
+    call, one call of its kernel for the whole stage.  Every matrix of a
+    trace-preserving row is validated; the result is read-only exactly when
+    every row is.  Unless ``allow_incomplete`` (raw matrices, for
+    diagnostics), the first row n that is not raises CompletenessViolation,
+    after a nested ``evolve`` of ``params[:n]`` (spies and tracers see it)
+    raises any failure before it.
     """
     m = np.asarray(rho, complex)
     require_matrices(m)

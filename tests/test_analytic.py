@@ -198,15 +198,16 @@ def test_dephasing_mismatches_corrected_pipeline():
 def test_dephasing_matches_uncorrected_pipeline():
     # Only the raw uncorrected operators read in their original level order
     # reproduce the dephasing closed form, which pins down its origin.
-    report = verify_against_numeric(
-        channels.DEPHASING,
-        channels.MULTILOCAL,
-        grid_points=7,
-        variant=channels.AS_PRINTED,
-        level_order=channels.PRINTED,
-    )
-    assert report.verdict == MATCH
-    assert report.max_abs_deviation <= 1e-12
+    axis, r = sweep._axis(1.0, 7), sweep._axis(R_MAX, 7)
+    params = np.stack(np.meshgrid(axis, axis, [0.0], indexing="ij"), -1).reshape(-1, 3)
+    spec = channels.ChannelSpec(channels.DEPHASING, channels.MULTILOCAL,
+                                variant=channels.AS_PRINTED,
+                                level_order=channels.PRINTED)
+    min_eig, neg = sweep.evaluate(spec, params, r, allow_incomplete=True)
+    lam = analytic._FACTORS[channels.DEPHASING](channels.MULTILOCAL, *params.T)
+    lam = lam[:, None] * np.cos(r) ** 2
+    assert np.abs(min_eig - lam).max() <= 1e-12
+    assert np.abs(neg - np.maximum(0.0, -lam)).max() <= 1e-12
 
 
 def test_exactly_one_negative_eigenvalue_for_phase_flip():

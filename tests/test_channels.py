@@ -1,9 +1,5 @@
 import functools
 import math
-import os
-import platform
-import subprocess
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +19,7 @@ from unruhsim.errors import (
 )
 from unruhsim.state import unruh_state, validate_density
 
+import openblas_cores
 from spec_rows import spec_rows
 
 P_GRID = [round(0.1 * k, 10) for k in range(11)]
@@ -626,6 +623,13 @@ def _stage_apply(ops, m):
     return ch._stage(stage, x)[0].reshape(m.shape)
 
 
+def _matmul(ops, m):
+    """The plain tuple of operators ``ops`` applied to m, one matrix or a
+    stack, as a one-set stage of the matmul kernel."""
+    m = np.asarray(m, complex)
+    return ch.apply_unchecked((ops,), m.reshape(1, -1, 36))[0].reshape(m.shape)
+
+
 @pytest.mark.parametrize("kind, mode, variant, order", _STRUCTURES)
 def test_gather_kernel_is_chosen_exactly_for_real_or_imaginary_sets(
     kind, mode, variant, order, gather_calls
@@ -653,8 +657,7 @@ def test_plain_operator_tuples_take_the_matmul(gather_calls):
     ops, _ = _one_set(*key)
     rho = unruh_state(0.4)
     plain = ch.apply(_operators(*key), rho)
-    np.testing.assert_array_equal(ch.apply_unchecked(_operators(*key), rho),
-                                  plain)
+    np.testing.assert_array_equal(_matmul(_operators(*key), rho), plain)
     np.testing.assert_array_equal(_stage_apply(_operators(*key), rho), plain)
     assert gather_calls == []
     np.testing.assert_array_equal(_stage_apply(ops, rho), plain)
@@ -692,8 +695,7 @@ def test_gather_kernel_is_bit_equal_to_the_matmul(kind, mode, variant, order):
             plain = _operators(kind, p1, p2, mode, variant, order)
             for m in inputs:
                 for stack in (m, m[:1], m[0]):
-                    _assert_same_bits(_stage_apply(ops, stack),
-                                      ch.apply_unchecked(plain, stack))
+                    _assert_same_bits(_stage_apply(ops, stack), _matmul(plain, stack))
 
 
 @pytest.mark.parametrize("kind, mode, variant, order",
@@ -709,8 +711,7 @@ def test_correlated_stage_is_bit_equal_to_the_papers_padded_set(
         assert not paper[2:].any()  # two qubit operators, padded to the qutrit's
         for m in _kernel_inputs():
             for stack in (m, m[:1]):
-                _assert_same_bits(_stage_apply(ops, stack),
-                                  ch.apply_unchecked(paper, stack))
+                _assert_same_bits(_stage_apply(ops, stack), _matmul(paper, stack))
 
 
 # --- the matmul kernel against the per-matrix loop ----------------------------
@@ -752,14 +753,29 @@ def test_stacked_left_product_is_bit_equal_to_the_per_matrix_loop(
                         wants[values.tobytes()] = want
                     want = wants[values.tobytes()]
                     _assert_same_bits(_stage_apply(ops, view), want)
-                    _assert_same_bits(ch.apply_unchecked(ops, view), want)
+                    _assert_same_bits(_matmul(ops, view), want)
                 if n == 1:
                     _assert_same_bits(_stage_apply(ops, m[0]),
                                       _per_matrix_loop(ops, m[0]))
+        # A 3-set stage in one call, on one shared input and on one input
+        # per set, as the local and the collective stage of ``evolve``.
+        stage, _ = ch._stage_sets(kind, ((0.37, 0.37), (1.0, 1.0), (0.9, 0.9)),
+                                  mode, variant, order)
+        shared = states.reshape(1, n, 36)
+        got = ch.apply_unchecked(stage, shared)
+        assert got.shape == (3, n, 36)
+        for ops, g in zip(stage, got):
+            _assert_same_bits(g.reshape(states.shape), _per_matrix_loop(ops, states))
+        own = got[[2, 0, 1]]  # three distinct stacks
+        got = ch.apply_unchecked(stage, own)
+        for ops, g, x in zip(stage, got, own):
+            x = x.reshape(states.shape)
+            _assert_same_bits(g.reshape(x.shape), _per_matrix_loop(ops, x))
 
 
 @pytest.mark.parametrize("mode", ch.GLOBAL_MODES)
 def test_matmul_set_makes_one_left_product_whatever_its_size(mode, monkeypatch):
+    # One left product for the whole stage of three sets.
     pairs = ((0.3, 0.3), (0.9, 0.9), (0.3, 0.3))
     stage, _ = ch._stage_sets(ch.BIT_TRIT_PHASE_FLIP, pairs, mode, ch.CORRECTED,
                               ch.REVERSED)
@@ -774,12 +790,13 @@ def test_matmul_set_makes_one_left_product_whatever_its_size(mode, monkeypatch):
     # The right-hand products use the @ operator, which the spy does not see.
     monkeypatch.setattr(np, "matmul", spy)
     ch._stage(stage, x)
-    assert calls == [((k * 6, 6), (101, 6, 6))] * len(pairs)
+    assert calls == [((3, 1, k * 6, 6), (1, 101, 6, 6))]
 
 
-# Figure 3's bit-trit phase flip sets, each applied to the Unruh states and
-# then to its own result (the local, then the collective stage), against a
-# loop over the operators that makes one gemm per matrix, as e @ m[n] does.
+# Figure 3's bit-trit phase flip sets, in stages of five as its chunks hold
+# them, each stage applied to the shared Unruh states and then to its own
+# results (the local, then the collective stage), against a loop over each
+# set's operators that makes one gemm per matrix, as e @ m[n] does.
 _CORE_CHECK = """
 import numpy as np
 from unruhsim import channels as ch, sweep
@@ -789,45 +806,33 @@ from unruhsim.state import R_MAX, unruh_state
 c, ps = fig.channel, np.linspace(0.0, 1.0, fig.steps).tolist()
 sets, _ = ch._stage_sets(c.kind, tuple(zip(ps, ps)), c.global_mode, c.variant,
                          c.level_order)
+states = unruh_state(np.linspace(0.0, R_MAX, fig.steps)).reshape(1, -1, 36)
 differ = 0
-for ops in sets:
-    m = unruh_state(np.linspace(0.0, R_MAX, fig.steps))
+for i in range(0, len(sets), 5):
+    stage, x = sets[i:i + 5], states
     for _ in range(2):
-        got = ch.apply_unchecked(ops, m)
-        want = np.zeros(m.shape, complex)
-        for e in ops:
-            want += np.matmul(np.matmul(e, m), e.conj().T)
-        differ += got.tobytes() != want.tobytes()
-        m = got
+        got = ch.apply_unchecked(stage, x)
+        for ops, g, m in zip(stage, got, np.broadcast_to(x, got.shape)):
+            m = m.reshape(-1, 6, 6)
+            want = np.zeros(m.shape, complex)
+            for e in ops:
+                want += np.matmul(np.matmul(e, m), e.conj().T)
+            differ += g.tobytes() != want.tobytes()
+        x = got
 print(differ, 2 * len(sets))
 """
 
 
-def _cpu_flags():
-    try:
-        with open("/proc/cpuinfo") as fh:
-            return {flag for line in fh if line.startswith("flags")
-                    for flag in line.split(":", 1)[1].split()}
-    except OSError:
-        return set()
-
-
-@pytest.mark.parametrize("core, flag", [("Prescott", None), ("Haswell", "avx2"),
-                                        ("SkylakeX", "avx512f")])
+@pytest.mark.parametrize("core, flag", openblas_cores.CORES)
 def test_stacked_left_product_keeps_its_bits_on_each_openblas_core(core, flag):
     # Each child compares the two products under its own BLAS kernel.
-    if platform.machine() != "x86_64":
-        pytest.skip("OpenBLAS core types are x86-64 kernels")
-    if flag and flag not in _cpu_flags():
-        pytest.skip(f"this CPU lacks {flag}")
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p])
-    done = subprocess.run([sys.executable, "-c", _CORE_CHECK], capture_output=True,
-                          text=True, env=env, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "202"]
+    reason = openblas_cores.unavailable(flag)
+    if reason:
+        pytest.skip(reason)
+    child = openblas_cores.start(core, _CORE_CHECK)
+    out, err = child.communicate(timeout=60)
+    assert child.returncode == 0, err
+    assert out.split() == ["0", "202"]
 
 
 @settings(max_examples=300, deadline=None)

@@ -17,6 +17,9 @@ spectra.  The laws, for a qubit-qutrit state:
   p1 or p2, nor along p under global product coupling.  Bit-trit phase
   flip composes no such way, and its N revives along p2.
 
+One test runs figure 3 and a verify report in a child process under each
+OpenBLAS core type and checks the laws there, pinning no bytes.
+
 The negativity laws hold to 4 ulps of 1/2, a bound fixed before the first
 run; the monotone laws to the same bound.  The eigenvalue sum holds to 32
 ulps of 1/2: it carries the rounding of
@@ -29,6 +32,7 @@ import math
 import numpy as np
 import pytest
 
+import openblas_cores
 from unruhsim import analytic, channels, cli, sweep
 
 ULP = math.ulp(0.5)
@@ -50,6 +54,10 @@ def _complete(spec, p):
 
 @pytest.fixture
 def grids(monkeypatch):
+    return _record_grids(monkeypatch)
+
+
+def _record_grids(monkeypatch):
     """Every (spec, rows, r axis, negativity, PT spectra, N at r = 0) that
     ``sweep.evaluate`` gives while the callers run."""
     evaluate, spectra = sweep.evaluate, sweep.pt_spectra
@@ -135,3 +143,58 @@ def test_negativity_never_rises_along_any_p(kind, coupling, points):
 def test_bit_trit_phase_flip_keeps_no_monotone_law(coupling, points):
     assert max(_largest_rises(channels.BIT_TRIT_PHASE_FLIP, coupling, points)) \
         > NEGATIVITY_TOL
+
+
+# Figure 3 at 21 steps and the dephasing global correlated verify report (its
+# non-TP rows included), under one OpenBLAS core: the laws are checked there,
+# and every printed value is saved to the .npz file named by argv[1].
+_LAWS_UNDER_CORE = """
+import sys
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import test_laws
+from unruhsim import analytic, channels, sweep
+
+printed = {}
+with pytest.MonkeyPatch.context() as monkeypatch:
+    seen = test_laws._record_grids(monkeypatch)
+    for figure_sweep in sweep.figure_sweeps("3"):
+        res = sweep.run_sweep(replace(figure_sweep, steps=21))
+        for name in ("negativity", "min_pt_eigenvalue"):
+            printed[f"fig3 {res.channel.kind} {name}"] = getattr(res, name)
+    report = analytic.verify_against_numeric(channels.DEPHASING, channels.GLOBAL,
+                                             channels.CORRELATED)
+test_laws._check_laws(seen)
+printed["verify max_abs_deviation"] = report.max_abs_deviation
+printed["verify worst_point"] = report.worst_point
+np.savez(sys.argv[1], **printed)
+"""
+
+
+def test_laws_hold_under_each_openblas_core(tmp_path):
+    # The children run side by side, each under its own BLAS kernel.
+    children = {core: openblas_cores.start(core, _LAWS_UNDER_CORE,
+                                           str(tmp_path / f"{core}.npz"))
+                for core, flag in openblas_cores.CORES
+                if openblas_cores.unavailable(flag) is None}
+    if not children:
+        pytest.skip(openblas_cores.unavailable(None))
+    errors = {core: child.communicate(timeout=60)[1]
+              for core, child in children.items()}
+    printed = []
+    for core, child in children.items():
+        if child.returncode == 0:
+            with np.load(tmp_path / f"{core}.npz") as saved:
+                printed.append(dict(saved))
+    # The largest difference between cores of every printed value; no bytes
+    # are pinned, as each core rounds its own way.
+    spread = []
+    for name in (printed[0] if printed else []):
+        values = np.stack([p[name] for p in printed])
+        spread.append(f"{name}: {(values.max(axis=0) - values.min(axis=0)).max()}")
+    spread = "\n".join(spread)
+    for core, child in children.items():
+        assert child.returncode == 0, f"under {core}:\n{errors[core]}\n{spread}"
