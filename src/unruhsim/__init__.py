@@ -8,6 +8,7 @@ expressions are kept as hypotheses and verified against the pipeline.
 
 from .channels import ChannelSpec, evolve
 from .entanglement import negativity
+from . import linalg  # loaded with the package, as perfbench's tracer wraps it
 from .state import unruh_state
 
 __version__ = "0.1.0"

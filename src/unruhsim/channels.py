@@ -237,61 +237,61 @@ class _GatherSet(NamedTuple):
 
 
 @functools.lru_cache(maxsize=32)  # kind x global mode x variant x level order
-def _gather_pattern(kind, global_mode, variant, level_order):
-    """Where the nonzeros of every set of one structure lie, or None when
-    the gather would not be exact: an operator with two nonzeros in a row
-    or column, or a nonzero that is neither real nor purely imaginary.
+def _plan(kind, global_mode, variant, level_order):
+    """How ``_stage_sets`` builds every set of one structure, read off the
+    set at p = 1/2, where every entry that is nonzero at some p is nonzero.
 
-    Operator k holds the one nonzero of its row i, v_i, in column
-    pi_k(i): the product a[A, B] * b[x, y] of one entry of its qubit
-    operator a and one of its qutrit operator b, for i = 3A + x and
-    pi_k(i) = 3B + y.  The pattern holds six read-only arrays:
+    Entry (i, c) of operator k is a[A, B] * b[x, y], one entry of its qubit
+    operator a times one of its qutrit operator b, for i = 3A + x and
+    c = 3B + y.  The read-only maps ``scalar_at`` and ``unit_at``
+    (2, K, 6, C) hold the index of each factor's scalar among six (the
+    qubit's (1, x, y) of ``_scalars``, then the qutrit's) and its unit
+    entry (``_table``).  A matmul structure has C = 6, every column, and
+    ``gather`` None.  A gather structure, each of whose operators has at
+    most one nonzero per row and per column, each real or purely
+    imaginary, has C = 1, row i's one nonzero v_i in column pi_k(i) (0 for
+    a zero row), and ``gather`` holds four more read-only arrays:
 
     * ``rho_index`` (K, 36): for output entry (i, j), the flat index
       pi_k(i)*6 + pi_k(j) of its rho entry;
-    * ``scalar_at`` (2, K, 6): the index of the scalar of v_i's qubit and
-      qutrit factor among six: the qubit's (1, x, y) of ``_scalars``, then
-      the qutrit's;
-    * ``unit_at`` (2, K, 6): the unit entry (``_table``) of each factor;
     * ``left``, ``right`` (K, 36): for output entry (i, j), the flat
       index of v_i and of v_j in the (K, 6) array of the v_i, worked out
       once here, as one ``take`` per stage build beats repeat and tile;
     * ``column`` (K, 6): the flat index there of the nonzero of column j
       of operator k, or of a zero row where column j is zero.
-
-    It is read off the set at p = 1/2, where every entry that is nonzero
-    at some p is nonzero.
     """
     qubit = qubit_channel(kind, 0.5)
     qutrit = qutrit_channel(kind, 0.5, variant, level_order)
     ops = _tensor_set(qubit, qutrit, global_mode)
     nonzero = ops != 0
-    if (nonzero.sum(axis=-1).max() > 1 or nonzero.sum(axis=-2).max() > 1
-            or np.any((ops.real != 0) & (ops.imag != 0))):
-        return None
+    exact = not (nonzero.sum(axis=-1).max() > 1 or nonzero.sum(axis=-2).max() > 1
+                 or np.any((ops.real != 0) & (ops.imag != 0)))
     col = nonzero.argmax(axis=-1)  # 0 for a zero row, whose v_i is 0
-    k, row = len(ops), np.arange(6)
+    row = np.arange(6)
+    c = col[:, :, None] if exact else row  # the columns of each row's entries
     # Operator k's qubit and qutrit operator, as _tensor_set pairs them.
-    on_qubit, on_qutrit = (np.ravel(i) for i in np.broadcast_arrays(
+    on_qubit, on_qutrit = (np.ravel(i)[:, None, None] for i in np.broadcast_arrays(
         *_paired(np.arange(len(qubit)), np.arange(len(qutrit)), global_mode)))
     # Each factor's flat index among the qubit entries, then the qutrit entries.
-    entry = np.stack((on_qubit[:, None] * 4 + row // 3 * 2 + col // 3,
-                      qubit.size + on_qutrit[:, None] * 9 + row % 3 * 3 + col % 3))
+    entry = np.stack((on_qubit * 4 + row[:, None] // 3 * 2 + c // 3,
+                      qubit.size + on_qutrit * 9 + row[:, None] % 3 * 3 + c % 3))
     index, unit = zip(_table(2, kind, CORRECTED, PRINTED),
                       _table(3, kind, variant, level_order))
-    first = np.arange(k)[:, None] * 6  # the flat index of each operator's v_0
-    # An operator has as many zero columns as zero rows (one nonzero per
-    # row and per column), so a zero column always finds a zero row.
-    zero_row = (~nonzero.any(axis=-1)).argmax(axis=-1)[:, None]
-    holder = np.where(nonzero.any(axis=-2), nonzero.argmax(axis=-2), zero_row)
-    pattern = ((col[:, :, None] * 6 + col[:, None, :]).reshape(k, 36),
-               np.concatenate((index[0], index[1] + 3), axis=None).take(entry),
-               np.concatenate(unit, axis=None).take(entry),
-               np.repeat(first + row, 6, axis=1), np.tile(first + row, 6),
-               first + holder)
-    for a in pattern:
+    gather = None
+    if exact:
+        first = np.arange(len(ops))[:, None] * 6  # flat index of each operator's v_0
+        # An operator has as many zero columns as zero rows (one nonzero per
+        # row and per column), so a zero column always finds a zero row.
+        zero_row = (~nonzero.any(axis=-1)).argmax(axis=-1)[:, None]
+        holder = np.where(nonzero.any(axis=-2), nonzero.argmax(axis=-2), zero_row)
+        gather = ((col[:, :, None] * 6 + col[:, None, :]).reshape(-1, 36),
+                  np.repeat(first + row, 6, axis=1), np.tile(first + row, 6),
+                  first + holder)
+    maps = (np.concatenate((index[0], index[1] + 3), axis=None).take(entry),
+            np.concatenate(unit, axis=None).take(entry))
+    for a in maps + (gather or ()):
         a.flags.writeable = False
-    return pattern
+    return maps + (gather,)
 
 
 def _stage_sets(kind, pairs, global_mode, variant, level_order):
@@ -300,28 +300,27 @@ def _stage_sets(kind, pairs, global_mode, variant, level_order):
     ``pairs``, and the list of their completeness defects.  The arrays are
     read-only, as one stage may serve both stages of a call.
 
-    A gather stage is one ``_GatherSet`` built in one pass from the
-    pattern's scalar map: each factor is its scalar times its unit entry,
-    and v_i the qubit factor times the qutrit factor, the multiplies that
-    ``qubit_channel``, ``qutrit_channel`` and ``_kron`` make, so every
-    factor keeps its bits.  A defect is the largest |s_j - 1| over the
-    columns j, where s_j sums, in operator order, |v|^2 of column j's
-    one nonzero in each operator: E^dag E is diagonal, and the matmul of
-    ``completeness_defect`` only adds exact zeros to it.  Any other stage
-    is one read-only (S, K, 6, 6) array of sets, which ``apply_unchecked``
-    takes whole, with their ``completeness_defect``."""
-    pattern = _gather_pattern(kind, global_mode, variant, level_order)
-    if pattern is None:
-        sets = np.array([_tensor_set(qubit_channel(kind, a),
-                                     qutrit_channel(kind, b, variant, level_order),
-                                     global_mode) for a, b in pairs])
-        sets.flags.writeable = False
-        return sets, [completeness_defect(ops) for ops in sets]
-    rho_index, scalar_at, unit_at, left, right, column = pattern
+    Every stage is built in one pass from ``_plan``'s maps: one (S, 6)
+    array of the scalars, each factor its scalar times its unit entry, and
+    each entry the qubit factor times the qutrit factor, the multiplies
+    that ``qubit_channel``, ``qutrit_channel`` and ``_kron`` make, so every
+    entry keeps its bits.  A matmul stage is these entries, one read-only
+    (S, K, 6, 6) array of sets, which ``apply_unchecked`` takes whole, with
+    their ``completeness_defect``.  A gather stage is one ``_GatherSet`` of
+    the v_i; a defect is the largest |s_j - 1| over the columns j, where
+    s_j sums, in operator order, |v|^2 of column j's one nonzero in each
+    operator: E^dag E is diagonal, and the matmul of
+    ``completeness_defect`` only adds exact zeros to it."""
+    scalar_at, unit_at, gather = _plan(kind, global_mode, variant, level_order)
     scalars = np.array([(*_scalars(2, kind, float(a), CORRECTED),
                          *_scalars(3, kind, float(b), variant)) for a, b in pairs])
-    factors = scalars.take(scalar_at, axis=1) * unit_at  # (S, 2, K, 6)
-    v = (factors[:, 0] * factors[:, 1]).reshape(len(pairs), -1)  # (S, K*6)
+    factors = scalars.take(scalar_at, axis=1) * unit_at  # (S, 2, K, 6, C)
+    entries = factors[:, 0] * factors[:, 1]  # (S, K, 6, C)
+    if gather is None:
+        entries.flags.writeable = False
+        return entries, [completeness_defect(ops) for ops in entries]
+    rho_index, left, right, column = gather
+    v = entries.reshape(len(pairs), -1)  # (S, K*6)
     # |v|^2 as BLAS rounds conj(v) * v: one part of v is zero.
     sums = (np.abs(v) ** 2).take(column, axis=1).sum(axis=1)
     stage = _GatherSet(rho_index, v.take(left, axis=1), v.conj().take(right, axis=1))

@@ -7,8 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import hermitian_eigenvalues  # loads linalg, which the tracer wraps
-from .state import DIM, require_finite, require_matrices
+from .state import DIM, hermitian_eigenvalues, require_finite, require_matrices
 
 # Eigenvalues above this threshold are treated as eigensolver noise, so
 # separable states report exactly zero negativity.

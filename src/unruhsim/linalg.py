@@ -1,4 +1,4 @@
 """``state.hermitian_eigenvalues`` re-exported: only perfbench/spans.py ``TARGETS``
-and ``entanglement``'s import reach this name, until ROADMAP items 1-2 fold it."""
+reaches this name, until ROADMAP items 1-2 fold it."""
 
 from .state import hermitian_eigenvalues

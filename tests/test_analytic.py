@@ -152,13 +152,14 @@ def test_global_phase_flip_swapped_exponents_match_pipeline():
 
 
 # The pipeline's own closed forms of the minimum PT eigenvalue, without
-# their cos^2 r.  Phase flip under global correlated coupling deviates from
-# the product form by 0.0625 and has no derivation yet, so it is left out.
+# their cos^2 r.
 _PIPELINE_FORMS = [
     (channels.PHASE_FLIP, channels.MULTILOCAL, channels.PRODUCT,
      lambda p1, p2, p: -0.5 * (1 - p1) * (1 - p2)),
     (channels.PHASE_FLIP, channels.GLOBAL, channels.PRODUCT,
      lambda p1, p2, p: -0.5 * (1 - p) ** 2 * (1 - p1) * (1 - p2)),
+    (channels.PHASE_FLIP, channels.GLOBAL, channels.CORRELATED,
+     lambda p1, p2, p: -0.5 * (1 - p) * (1 - p / 2) * (1 - p1) * (1 - p2)),
     (channels.DEPHASING, channels.MULTILOCAL, channels.PRODUCT,
      lambda p1, p2, p: -0.5 * np.sqrt(1 - p1) * (1 - p2)),
     (channels.DEPHASING, channels.GLOBAL, channels.PRODUCT,
@@ -170,8 +171,8 @@ _PIPELINE_FORMS = [
 
 @pytest.mark.parametrize("kind, coupling, mode, form", _PIPELINE_FORMS,
                          ids=["phase_flip-ml", "phase_flip-global-product",
-                              "dephasing-ml", "dephasing-global-product",
-                              "dephasing-global-correlated"])
+                              "phase_flip-global-correlated", "dephasing-ml",
+                              "dephasing-global-product", "dephasing-global-correlated"])
 def test_pipeline_closed_forms_hold_on_the_report_grid(kind, coupling, mode, form):
     # verify's default grid: 21 points per axis for multilocal, 11 for global.
     n = 21 if coupling == channels.MULTILOCAL else 11

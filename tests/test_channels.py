@@ -1096,7 +1096,7 @@ def test_stack_validation_names_first_failing_matrix():
 # --- stages: built whole in one pass ----------------------------------------
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(_GATHER_STRUCTURES),
+@given(st.sampled_from(_STRUCTURES),
        st.lists(st.tuples(st.sampled_from(_TABLE_P) | st.floats(0.0, 1.0),
                           st.sampled_from(_TABLE_P) | st.floats(0.0, 1.0)),
                 min_size=1, max_size=6),
@@ -1108,12 +1108,24 @@ def test_stage_rows_are_the_one_pair_stages_bit_for_bit(structure, pool, picks):
     pairs = tuple(pool[i % len(pool)] for i in picks)
     pairs = pairs if mode == ch.PRODUCT else tuple((a, a) for a, _ in pairs)
     stage, defects = ch._stage_sets(kind, pairs, mode, variant, order)
-    assert stage.v.shape == stage.w.shape == (len(pairs),) + stage.rho_index.shape
-    for s, pair in enumerate(pairs):
-        one, (defect,) = ch._stage_sets(kind, (pair,), mode, variant, order)
-        np.testing.assert_array_equal(stage.rho_index, one.rho_index)
-        _assert_same_bits(stage.v[s], one.v[0])
-        _assert_same_bits(stage.w[s], one.w[0])
+    gather = kind in _GATHER_KINDS
+    if gather:
+        assert stage.v.shape == stage.w.shape == (len(pairs),) + stage.rho_index.shape
+    else:
+        assert stage.shape[0] == len(pairs) and not stage.flags.writeable
+    for s, (a, b) in enumerate(pairs):
+        one, (defect,) = ch._stage_sets(kind, ((a, b),), mode, variant, order)
+        if gather:
+            np.testing.assert_array_equal(stage.rho_index, one.rho_index)
+            _assert_same_bits(stage.v[s], one.v[0])
+            _assert_same_bits(stage.w[s], one.w[0])
+        else:
+            # Each row is also the set qubit_channel and qutrit_channel make apart.
+            plain = ch._tensor_set(ch.qubit_channel(kind, a),
+                                   ch.qutrit_channel(kind, b, variant, order), mode)
+            _assert_same_bits(stage[s], one[0])
+            _assert_same_bits(stage[s], plain)
+            assert defect == ch.completeness_defect(plain)
         assert type(defects[s]) is float and defects[s] == defect
 
 

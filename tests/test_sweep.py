@@ -235,9 +235,9 @@ def test_each_esd_probe_builds_one_set_and_checks_each_stack_once(
 
         monkeypatch.setattr(module, name, counted)
 
-    # Each structure's gather pattern is read off one set on first use.
-    channels._gather_pattern(kind, channels.PRODUCT, channels.CORRECTED,
-                             channels.DEFAULT_LEVEL_ORDER)
+    # Each structure's plan is read off one set on first use.
+    channels._plan(kind, channels.PRODUCT, channels.CORRECTED,
+                   channels.DEFAULT_LEVEL_ORDER)
     count(sweep, "evaluate", "probes")
     count(channels, "_stage_sets", "stages built")
     count(channels, "completeness_defect", "matmul defects")
