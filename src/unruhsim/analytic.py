@@ -18,7 +18,7 @@ from . import channels
 from .channels import COUPLINGS, DEPHASING, GLOBAL, MULTILOCAL, PHASE_FLIP, PRODUCT
 from .errors import OutOfRange, require_member
 from .state import R_MAX, require_parameter
-from .sweep import _axis, _result_arrays, evaluate
+from .sweep import _axis, evaluate
 
 MATCH = "match"
 MISMATCH = "mismatch"
@@ -129,14 +129,10 @@ def verify_against_numeric(
         raise OutOfRange("grid_points must be at least 2")
     axis = _axis(1.0, grid_points)
     r_axis = _axis(R_MAX, grid_points)
-    p_axis = axis if coupling == GLOBAL else np.array([0.0])
-    # Sized from the axes: too large a grid is refused before its spec or (n, 3) rows.
-    _result_arrays(len(axis) ** 2 * len(p_axis), len(r_axis))
-
     spec = channels.ChannelSpec(kind, coupling, global_mode=global_mode)
-    # (p1, p2, p) rows, p1 outermost.
-    params = np.stack(np.meshgrid(axis, axis, p_axis, indexing="ij"), -1).reshape(-1, 3)
-    min_eig, neg = evaluate(spec, params, r_axis, allow_incomplete=True)
+    # The (p1, p2, p) mesh, p1 outermost; evaluate refuses too large a grid.
+    mesh = (axis[:, None, None], axis[:, None], axis if coupling == GLOBAL else 0.0)
+    params, min_eig, neg = evaluate(spec, mesh, r_axis, allow_incomplete=True)
     # factor * cos^2 r: the same float operations as the public closed forms.
     cos2 = np.array([math.cos(float(r)) ** 2 for r in r_axis])
     analytic = _FACTORS[kind](coupling, *params.T)[:, None] * cos2

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CompletenessViolation, DimensionMismatch, OutOfRange, require_member
-from .state import require_matrices, require_parameter, validate_density
+from .state import require_finite, require_matrices, require_parameter, validate_density
 
 PHASE_FLIP = "phase_flip"
 DEPHASING = "dephasing"
@@ -480,7 +480,7 @@ def evolve(rho, spec, params=None, allow_incomplete: bool = False) -> np.ndarray
     """Evolve a 6x6 state, or a nonempty (..., 6, 6) stack of them, through
     ``spec`` or, with a leading row axis, through the spec at each (p1, p2, p)
     row of the (n, 3) array ``params``: the one evaluation path.  Any other
-    shape raises ``require_matrices``' DimensionMismatch before any stage.
+    shape raises DimensionMismatch, and a nan or inf ValueError, before any stage.
 
     The stack goes through each distinct local set at (p1, p2) once, in order
     of first appearance; the local results are then repeated to one per row,
@@ -498,6 +498,7 @@ def evolve(rho, spec, params=None, allow_incomplete: bool = False) -> np.ndarray
     """
     m = np.asarray(rho, complex)
     require_matrices(m)
+    require_finite(m)
     kind, variant, level_order = spec.kind, spec.variant, spec.level_order
     pairs, ps = _parameters(spec, params)
     distinct = {}  # the local stage's row of each distinct (p1, p2)

@@ -274,7 +274,7 @@ def _cmd_check_channels(args) -> int:
 
 
 def _cmd_negativity(args) -> int:
-    _, neg = sweep.evaluate(_channel_spec(args), None, [parse_angle(args.r)])
+    _, _, neg = sweep.evaluate(_channel_spec(args), None, [parse_angle(args.r)])
     print(_fmt(neg[0, 0]))
     return EXIT_OK
 

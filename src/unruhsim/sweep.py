@@ -13,6 +13,7 @@ import errno
 import math
 import os
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -82,39 +83,35 @@ class SweepResult:
 _CHUNK_MATRICES = 512
 
 
-def _result_arrays(rows: int, columns: int):
-    """Empty minimum-PT-eigenvalue and negativity arrays of a grid, each
-    of shape (rows, columns); OutOfRange when they do not fit."""
-    try:
-        min_eig = np.empty((rows, columns))
-        return min_eig, np.empty_like(min_eig)
-    # The grid fits, its result arrays do not: numpy cannot allocate them
-    # (MemoryError), or refuses their size before it tries (ValueError).
-    except (MemoryError, ValueError) as exc:
-        raise OutOfRange(f"a grid of {rows * columns} points is too large") from exc
+def evaluate(spec, axes, r_values, allow_incomplete: bool = False):
+    """The (n, 3) rows, minimum PT eigenvalues and negativities, each
+    (n, len(r_values)), of ``spec`` over one r-axis at each (p1, p2, p) row:
+    the C-order broadcast of the triple ``axes`` of floats or arrays (a
+    mesh's first axis outermost), or for None the spec's own (rows None).
 
-
-def evaluate(spec, params, r_values, allow_incomplete: bool = False):
-    """Minimum PT eigenvalues and negativities, each (n, len(r_values)), of
-    ``spec`` at each (p1, p2, p) row of the (n, 3) array ``params``, or at
-    its own values (n = 1) for None, over one r-axis.
-
-    The r-axis states are built and validated once, as one stack, after
-    ``_result_arrays`` gives the result arrays, so an oversized grid is
-    refused first (callers that build rows call it before them).  Each
-    chunk of rows evolves the whole stack in one ``channels.evolve`` call
-    and takes its PT spectra in one eigensolver call: validation certifies
-    PSD by Gershgorin's disc bound on each stack and calls the eigensolver
-    only for a stack that fails a check.  Only a chunk with raw rows
-    (``allow_incomplete``) has its partial transposes checked for
-    hermiticity; ``evolve`` has validated the rows of every other chunk.
-    Only the CLI keeps glibc's heap (``cli._keep_heap``): other callers
-    fault in each 512-matrix chunk's temporaries anew.
+    Both result arrays are sized first, from the row count as a Python int,
+    broadcast one dimension at a time (numpy's whole broadcast refuses a count
+    past 2**63), so an oversized grid is refused before its rows or r-axis
+    states exist.  The states are built and validated once, as one stack.  Each
+    chunk of rows evolves the whole stack in one ``channels.evolve`` call and
+    takes its PT spectra in one eigensolver call: validation certifies PSD by
+    Gershgorin's disc bound on each stack and calls the eigensolver only for a
+    stack that fails a check.  Only a chunk with raw rows (``allow_incomplete``)
+    has its partial transposes checked for hermiticity; ``evolve`` has validated
+    the rows of every other chunk.  Only the CLI keeps glibc's heap
+    (``cli._keep_heap``): other callers fault in each 512-matrix chunk's
+    temporaries anew.
     """
     if len(r_values) == 0:
         raise OutOfRange("the r axis is empty")
-    n = 1 if params is None else len(params)
-    min_eig, neg = _result_arrays(n, len(r_values))
+    dims = axes and zip_longest(*(np.shape(a)[::-1] for a in axes), fillvalue=1)
+    n = 1 if axes is None else math.prod(np.broadcast_shapes(*zip(d))[0] for d in dims)
+    try:
+        min_eig, neg = np.empty((n, len(r_values))), np.empty((n, len(r_values)))
+    except (MemoryError, ValueError) as exc:  # numpy cannot, or will not, allocate
+        raise OutOfRange(f"a grid of {n * len(r_values)} points is too large") from exc
+    params = None if axes is None else np.stack(
+        np.broadcast_arrays(*axes), axis=-1).reshape(-1, 3)
     states = unruh_state(r_values)
     step = max(1, _CHUNK_MATRICES // len(states))
     for i in range(0, n or 1, step):  # evolve refuses an empty params
@@ -123,7 +120,7 @@ def evaluate(spec, params, r_values, allow_incomplete: bool = False):
         # evolve returns a read-only array exactly when it validated every row.
         eig, neg[i:i + step] = pt_spectra(rows, validated=not rows.flags.writeable)
         min_eig[i:i + step] = eig[..., 0]
-    return min_eig, neg
+    return params, min_eig, neg
 
 
 def _linked_row(channel: ChannelSpec, p):
@@ -147,20 +144,17 @@ def _axis(stop: float, count: int) -> np.ndarray:
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the sweep grid: one row per swept p, one column per r.  Its
-    result arrays are sized first: too large a grid is refused before its rows."""
+    """The sweep grid: a linked row per p, or the template's own; a column per r."""
     c = spec.channel
-    p = None if spec.axis == AXIS_R else _axis(1.0, spec.steps)
+    axes = ((c.p1, c.p2, c.p) if spec.axis == AXIS_R
+            else _linked_row(c, _axis(1.0, spec.steps)))
     r = np.array([spec.r], float) if spec.axis == AXIS_P else _axis(R_MAX, spec.steps)
-    _result_arrays(1 if p is None else len(p), len(r))
-    row = (c.p1, c.p2, c.p) if p is None else _linked_row(c, p)
-    params = np.stack(np.broadcast_arrays(*row), axis=-1).reshape(-1, 3)
-    min_eig, neg = evaluate(c, params, r)
+    params, min_eig, neg = evaluate(c, axes, r)
     return SweepResult(c, params, r, neg, min_eig)
 
 
 def _linked_negativity(channel: ChannelSpec, p: float, r: float) -> float:
-    return float(evaluate(_linked(channel, p), None, [r])[1][0, 0])
+    return float(evaluate(_linked(channel, p), None, [r])[2][0, 0])
 
 
 def esd_threshold(channel: ChannelSpec, r: float, p_tol: float = 1e-6):

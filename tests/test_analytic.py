@@ -180,7 +180,7 @@ def test_pipeline_closed_forms_hold_on_the_report_grid(kind, coupling, mode, for
     p_axis = axis if coupling == channels.GLOBAL else np.array([0.0])
     params = np.stack(np.meshgrid(axis, axis, p_axis, indexing="ij"), -1).reshape(-1, 3)
     spec = channels.ChannelSpec(kind, coupling, global_mode=mode)
-    min_eig, neg = sweep.evaluate(spec, params, r, allow_incomplete=True)
+    _, min_eig, neg = sweep.evaluate(spec, tuple(params.T), r, allow_incomplete=True)
     lam = form(*params.T)[:, None] * np.cos(r) ** 2
     assert np.abs(min_eig - lam).max() <= 1e-15
     assert np.abs(neg - np.maximum(0.0, -lam)).max() <= 1e-15
@@ -204,7 +204,7 @@ def test_dephasing_matches_uncorrected_pipeline():
     spec = channels.ChannelSpec(channels.DEPHASING, channels.MULTILOCAL,
                                 variant=channels.AS_PRINTED,
                                 level_order=channels.PRINTED)
-    min_eig, neg = sweep.evaluate(spec, params, r, allow_incomplete=True)
+    _, min_eig, neg = sweep.evaluate(spec, tuple(params.T), r, allow_incomplete=True)
     lam = analytic._FACTORS[channels.DEPHASING](channels.MULTILOCAL, *params.T)
     lam = lam[:, None] * np.cos(r) ** 2
     assert np.abs(min_eig - lam).max() <= 1e-12
@@ -275,7 +275,7 @@ def test_verify_arrays_are_a_per_spec_loop_bit_for_bit(
     monkeypatch.setitem(analytic._FACTORS, kind, lambda *args: factors.append(
         (args, factor(*args))) or factors[-1][1])
     verify_against_numeric(kind, coupling, mode, grid_points)
-    [((template, params, r_axis), (min_eig, neg))] = calls
+    [((template, _, r_axis), (params, min_eig, neg))] = calls
     # The rows of the nested loop p1, p2, p over the grid's axis.
     axis = np.linspace(0.0, 1.0, len(r_axis)).tolist()
     p_axis = axis if coupling == channels.GLOBAL else [0.0]

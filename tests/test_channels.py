@@ -20,7 +20,7 @@ from unruhsim.errors import (
 from unruhsim.state import unruh_state, validate_density
 
 import openblas_cores
-from spec_rows import spec_rows
+from spec_rows import spec_axes, spec_rows
 
 P_GRID = [round(0.1 * k, 10) for k in range(11)]
 OMEGA = np.exp(2j * np.pi / 3)
@@ -512,7 +512,7 @@ def test_stacked_evolution_is_bit_equal_to_per_point_kraus(
     # The evaluator behind sweep, esd, verify and the CLI gives the same
     # numbers, as (len(specs), len(rs)) arrays.
     oracle_eig = np.stack([[_pt_oracle(m) for m in row] for row in expected_list])
-    min_eig, neg_grid = sweep.evaluate(*spec_rows(specs), rs, allow_incomplete=True)
+    _, min_eig, neg_grid = sweep.evaluate(*spec_axes(specs), rs, allow_incomplete=True)
     np.testing.assert_array_equal(min_eig, oracle_eig[..., 0])
     np.testing.assert_array_equal(
         neg_grid, [[-e[e < -1e-12].sum() for e in row] for row in oracle_eig])
@@ -525,8 +525,8 @@ def test_evaluate_across_chunks_equals_spec_by_spec():
         specs = [ch.ChannelSpec(ch.BIT_TRIT_PHASE_FLIP, ch.GLOBAL, p1, p2, p, mode)
                  for p1 in axis for p2 in axis for p in axis]
         assert len(specs) * len(rs) > 2 * sweep._CHUNK_MATRICES
-        batched = sweep.evaluate(*spec_rows(specs), rs, allow_incomplete=True)
-        alone = [sweep.evaluate(s, None, rs, allow_incomplete=True) for s in specs]
+        batched = sweep.evaluate(*spec_axes(specs), rs, allow_incomplete=True)[1:]
+        alone = [sweep.evaluate(s, None, rs, allow_incomplete=True)[1:] for s in specs]
         for got, want in zip(batched, zip(*alone)):
             assert got.tobytes() == np.concatenate(want).tobytes()
 
@@ -879,8 +879,7 @@ def _gather_inputs(draw):
     return m[0] if n == 1 and draw(st.booleans()) else m
 
 
-# print_blob: a rare failure on the sign bit of a nan prints the
-# @reproduce_failure blob that replays it.
+# print_blob: a failure prints the @reproduce_failure blob that replays it.
 @settings(max_examples=200, deadline=None, print_blob=True)
 @given(
     structure=st.sampled_from(_GATHER_STRUCTURES),
@@ -899,7 +898,21 @@ def test_stage_gather_is_bit_equal_to_the_full_formula_per_set(
         _check_two_gather_stages(structure, pool, picks, second, m)
 
 
+def _assert_same_bits_but_nan_signs(got, want):
+    """``_assert_same_bits``, except for the sign of a nan, which IEEE
+    754-2019 (6.3) does not interpret and numpy's SIMD and scalar loops set
+    differently: in each part the nan masks are equal, and every other entry,
+    signed zeros included, is equal bit for bit."""
+    for part in ("real", "imag"):
+        g, w = getattr(got, part), getattr(want, part)
+        nan = np.isnan(g)
+        np.testing.assert_array_equal(nan, np.isnan(w))
+        np.testing.assert_array_equal(g[~nan].view(np.uint64), w[~nan].view(np.uint64))
+
+
 def _check_two_gather_stages(structure, pool, picks, second, m):
+    # Only a direct call of the private kernel meets a nan: evolve refuses
+    # non-finite input before any stage.
     kind, mode, variant, order = structure
     flat = m.reshape(-1, 36)
     local = ch._stage_sets(kind, tuple(pool[i] for i in picks), ch.PRODUCT,
@@ -911,7 +924,7 @@ def _check_two_gather_stages(structure, pool, picks, second, m):
     y = ch._gather(local, x)
     assert y.shape == (len(picks),) + flat.shape and y.flags.c_contiguous
     for got, gather in zip(y, _each_set(local)):
-        _assert_same_bits(got, _gather_formula(gather, flat))
+        _assert_same_bits_but_nan_signs(got, _gather_formula(gather, flat))
     if reach is not None:
         assert not y[..., ~reach].any()
     # One input per set (rows of the first stage, some repeated), as
@@ -921,7 +934,7 @@ def _check_two_gather_stages(structure, pool, picks, second, m):
                           variant, order)[0]
     z = ch._gather(coll, y[rows])
     for got, gather, row in zip(z, _each_set(coll), rows):
-        _assert_same_bits(got, _gather_formula(gather, y[row]))
+        _assert_same_bits_but_nan_signs(got, _gather_formula(gather, y[row]))
 
 
 def test_stage_gather_sums_a_lone_reached_column_in_operator_order():

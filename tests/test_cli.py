@@ -560,10 +560,13 @@ _NEGATIVITY = ["negativity", "--channel", "phase-flip", "--coupling", "ml",
       "--grid", "50000"], None),
     (["verify", "--channel", "dephasing", "--coupling", "multilocal",
       "--grid", "3000000"], None),
+    # More (p1, p2, p) rows than an int64 counts: numpy's broadcast refuses them.
+    (["verify", "--channel", "dephasing", "--coupling", "global",
+      "--grid", "2500000"], None),
 ], ids=["p1", "p", "config-p2", "sweep-p", "config-not-utf8", "config-no-equals",
         "sweep-steps-huge",
         "verify-grid-huge", "check-channels-huge", "verify-global-results-huge",
-        "verify-multilocal-results-huge"])
+        "verify-multilocal-results-huge", "verify-global-rows-past-int64"])
 def test_bad_input_exits_one_without_traceback(
     tmp_path, monkeypatch, capsys, argv, config
 ):
@@ -578,7 +581,8 @@ def test_bad_input_exits_one_without_traceback(
     if config == b"p2\n":
         assert captured.err == "error: run.cfg:1: expected 'key = value'\n"
     # Refused for its size, not by a value check.
-    points = {str(10**20): 10**20, "50000": 50000**4, "3000000": 3000000**3}
+    points = {str(10**20): 10**20, "50000": 50000**4, "3000000": 3000000**3,
+              "2500000": 2500000**4}
     for size in set(argv) & points.keys():
         assert captured.err == f"error: a grid of {points[size]} points is too large\n"
     assert not (tmp_path / "s.csv").exists()
@@ -596,6 +600,16 @@ class _NoRoom:
         if math.prod(shape) > 10**5:
             raise MemoryError(f"cannot allocate an array of shape {shape}")
         return np.empty(shape, *args, **kwargs)
+
+
+class _NoRows(_NoRoom):
+    """``_NoRoom``, where building a grid's (p1, p2, p) rows fails the test."""
+
+    @staticmethod
+    def broadcast_arrays(*axes):
+        raise AssertionError(f"built rows from {len(axes)} axes")
+
+    stack = broadcast_arrays
 
 
 @pytest.mark.parametrize("argv, points", [
@@ -638,11 +652,8 @@ def test_sweep_grid_too_large_is_refused_before_its_states_exist(
 def test_sweep_grid_too_large_is_refused_before_its_rows_exist(
     tmp_path, monkeypatch, capsys
 ):
-    def no_rows(channel, p):
-        raise AssertionError(f"built {len(p)} rows")
-
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(sweep, "_linked_row", no_rows)
+    monkeypatch.setattr(sweep, "np", _NoRows())
     argv = ["sweep", "--channel", "dephasing", "--coupling", "ml", "--axis", "grid",
             "--steps", "100000", "--out", "s.csv"]
     assert main(argv) == EXIT_USAGE
@@ -669,20 +680,28 @@ def test_running_out_of_memory_exits_one_without_traceback(
     assert os.listdir(tmp_path) == []
 
 
-def test_verify_grid_too_large_is_refused_before_any_spec_exists(
+def test_verify_grid_too_large_is_refused_with_only_its_template_spec(
     monkeypatch, capsys
 ):
+    # The report's one template spec exists; no row, state or evolve call does.
+    def none_of(what):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"built {what}")
+        return refuse
+
     built = []
     spec = channels.ChannelSpec
     monkeypatch.setattr(channels, "ChannelSpec",
                         lambda *args, **kwargs: built.append(args) or spec(*args, **kwargs))
-    monkeypatch.setattr(sweep, "np", _NoRoom())
+    monkeypatch.setattr(sweep, "np", _NoRows())
+    monkeypatch.setattr(sweep, "unruh_state", none_of("states"))
+    monkeypatch.setattr(channels, "evolve", none_of("evolved rows"))
     argv = ["verify", "--channel", "dephasing", "--coupling", "global", "--grid", "120"]
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: a grid of 207360000 points is too large\n"
-    assert built == []
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("value, written", [

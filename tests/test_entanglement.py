@@ -230,3 +230,28 @@ def test_every_matrix_check_refuses_a_wrong_shape_by_one_rule(m, monkeypatch):
             check(m)
         assert str(failure.value) == f"expected 6x6 matrices, got shape {m.shape}"
     assert built == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)],
+                         ids=["nan", "inf", "imag-inf"])
+@pytest.mark.parametrize("shape", [(6, 6), (3, 6, 6)], ids=["one", "stack"])
+def test_evolve_refuses_a_non_finite_input_before_any_stage(bad, shape, monkeypatch):
+    built = []
+    stage_sets = channels._stage_sets
+    monkeypatch.setattr(channels, "_stage_sets",
+                        lambda *args: built.append(args) or stage_sets(*args))
+    m = np.broadcast_to(unruh_state(0.3), shape).copy()
+    m[(-1, 2, 4)[-m.ndim:]] = bad
+    trace_preserving = ChannelSpec(channels.PHASE_FLIP, channels.GLOBAL, 0.1, 0.2, 0.3)
+    # As printed, dephasing is not trace preserving: its result goes unchecked.
+    as_printed = ChannelSpec(channels.DEPHASING, channels.MULTILOCAL, 0.3, 0.4,
+                             variant=channels.AS_PRINTED)
+    rows = np.array([[0.1, 0.2, 0.3], [0.5, 0.5, 0.5]])
+    checks = (lambda m: channels.evolve(m, trace_preserving),
+              lambda m: channels.evolve(m, trace_preserving, rows),
+              lambda m: channels.evolve(m, as_printed, allow_incomplete=True),
+              lambda m: channels.evolve(m, as_printed, rows, allow_incomplete=True))
+    for check in checks:
+        with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+            check(m)
+    assert built == []

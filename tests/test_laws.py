@@ -68,13 +68,13 @@ def _record_grids(monkeypatch):
         eigs.append(eig)
         return eig, neg
 
-    def spy(spec, params, r_values, allow_incomplete=False):
+    def spy(spec, axes, r_values, allow_incomplete=False):
         eigs.clear()
-        min_eig, neg = evaluate(spec, params, r_values, allow_incomplete)
+        params, min_eig, neg = evaluate(spec, axes, r_values, allow_incomplete)
         eig = np.concatenate(eigs)
-        at_zero = evaluate(spec, params, [0.0], allow_incomplete)[1][:, 0]
+        at_zero = evaluate(spec, axes, [0.0], allow_incomplete)[2][:, 0]
         seen.append((spec, params, np.asarray(r_values), neg.copy(), eig, at_zero))
-        return min_eig, neg
+        return params, min_eig, neg
 
     monkeypatch.setattr(sweep, "pt_spectra", spy_spectra)
     monkeypatch.setattr(sweep, "evaluate", spy)
@@ -123,7 +123,7 @@ def _largest_rises(kind, coupling, points):
     spec = channels.ChannelSpec(kind, coupling, global_mode=channels.PRODUCT,
                                 variant=channels.CORRECTED,
                                 level_order=channels.REVERSED)
-    _, neg = sweep.evaluate(spec, params, _MONOTONE_R)
+    _, _, neg = sweep.evaluate(spec, tuple(params.T), _MONOTONE_R)
     neg = neg.reshape(points, points, len(p_axis), len(_MONOTONE_R))
     return [np.diff(neg, axis=a).max() for a in range(2 if len(p_axis) == 1 else 3)]
 

@@ -16,7 +16,7 @@ from unruhsim.channels import ChannelSpec
 from unruhsim.errors import DimensionMismatch, IoFailure, NotHermitian, OutOfRange
 
 from esd_roots import DPS, esd_root
-from spec_rows import spec_rows
+from spec_rows import spec_axes, spec_rows
 
 R_MAX = math.pi / 4
 
@@ -114,12 +114,67 @@ def test_sweep_spec_checks_its_fixed_r_on_every_axis(axis, r):
 
 def test_evaluate_rejects_an_empty_r_axis():
     with pytest.raises(OutOfRange):
-        sweep.evaluate(*spec_rows([_spec(channels.PHASE_FLIP)]), [])
+        sweep.evaluate(*spec_axes([_spec(channels.PHASE_FLIP)]), [])
 
 
 def test_evaluate_rejects_empty_parameter_rows_as_evolve_does():
     with pytest.raises(OutOfRange, match="^evolve takes one or more parameter rows$"):
-        sweep.evaluate(_spec(channels.PHASE_FLIP), np.empty((0, 3)), [0.1])
+        sweep.evaluate(_spec(channels.PHASE_FLIP), tuple(np.empty((0, 3)).T), [0.1])
+
+
+_P = np.array([0.0, 0.5, 1.0])
+_MESH = (_P[:, None, None], np.array([0.25, 0.75])[:, None], np.array([0.1, 0.2]))
+
+
+@pytest.mark.parametrize("coupling, axes, want", [
+    (channels.GLOBAL, (0.1, 0.2, 0.3), [[0.1, 0.2, 0.3]]),
+    (channels.GLOBAL, sweep._linked_row(_spec(channels.DEPHASING, channels.GLOBAL), _P),
+     [[p, p, p] for p in _P.tolist()]),
+    (channels.MULTILOCAL, sweep._linked_row(_spec(channels.DEPHASING), _P),
+     [[p, p, 0.0] for p in _P.tolist()]),
+    (channels.GLOBAL, _MESH, [[a, b, c] for a in _P.tolist() for b in (0.25, 0.75)
+                              for c in (0.1, 0.2)]),
+], ids=["0-d", "linked-global", "linked-multilocal", "mesh"])
+def test_evaluate_rows_are_the_c_order_broadcast_of_its_axes(coupling, axes, want):
+    # Each row is evaluated as the spec at that row alone would be, bit for bit.
+    template = _spec(channels.BIT_TRIT_FLIP, coupling)
+    r = [0.0, 0.3]
+    params, min_eig, neg = sweep.evaluate(template, axes, r)
+    assert params.dtype == float and params.tolist() == want
+    assert min_eig.shape == neg.shape == (len(want), len(r))
+    for row, eig_row, neg_row in zip(want, min_eig, neg):
+        spec = dataclasses.replace(template, p1=row[0], p2=row[1], p=row[2])
+        alone = sweep.evaluate(spec, None, r)
+        assert alone[0] is None
+        assert (eig_row.tobytes(), neg_row.tobytes()) == (alone[1][0].tobytes(),
+                                                          alone[2][0].tobytes())
+
+
+def test_evaluate_refuses_an_empty_axis_as_evolve_does():
+    with pytest.raises(OutOfRange, match="^evolve takes one or more parameter rows$"):
+        sweep.evaluate(_spec(channels.PHASE_FLIP), (np.array([]), 0.2, 0.3), [0.1])
+
+
+@pytest.mark.parametrize("points", [10**5, 10**7], ids=["no-memory", "past-int64"])
+def test_evaluate_refuses_an_oversized_mesh_before_its_rows_or_states(
+    monkeypatch, points
+):
+    # Stride-0 axes: the mesh's (points**3, 2) result arrays are refused by
+    # the allocator (MemoryError) or by numpy before it tries (ValueError);
+    # 10**21 rows are more than numpy's own broadcast of the axes can count.
+    def none_of(what):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"built {what}")
+        return refuse
+
+    axis = np.broadcast_to(0.5, points)
+    for name in ("broadcast_arrays", "stack"):
+        monkeypatch.setattr(np, name, none_of("rows"))
+    monkeypatch.setattr(sweep, "unruh_state", none_of("states"))
+    with pytest.raises(OutOfRange) as err:
+        sweep.evaluate(_spec(channels.DEPHASING, channels.GLOBAL),
+                       (axis[:, None, None], axis[:, None], axis), [0.0, 0.3])
+    assert str(err.value) == f"a grid of {2 * points**3} points is too large"
 
 
 def test_evaluate_checks_the_raw_rows_of_incomplete_specs(monkeypatch):
@@ -127,13 +182,13 @@ def test_evaluate_checks_the_raw_rows_of_incomplete_specs(monkeypatch):
     # so its rows come back raw, never validated.
     raw = [_spec(channels.BIT_TRIT_PHASE_FLIP, p1=p, p2=p,
                  variant=channels.AS_PRINTED) for p in (0.3, 0.6)]
-    _, neg = sweep.evaluate(*spec_rows(raw), [0.3], allow_incomplete=True)
+    _, _, neg = sweep.evaluate(*spec_axes(raw), [0.3], allow_incomplete=True)
     assert neg.shape == (2, 1)
     bent = np.array(state.unruh_state([0.3]))  # the r axis's (1, 6, 6) stack
     bent[0, 0, 4] += 2e-3
     monkeypatch.setattr(sweep, "unruh_state", lambda rs: bent)
     with pytest.raises(NotHermitian):
-        sweep.evaluate(*spec_rows(raw), [0.3], allow_incomplete=True)
+        sweep.evaluate(*spec_axes(raw), [0.3], allow_incomplete=True)
 
 
 @pytest.mark.parametrize("n", [1, 2, 101, 300])
@@ -147,7 +202,7 @@ def test_an_r_axis_is_built_and_validated_as_one_stack(monkeypatch, n):
                         lambda m: validated.append(np.shape(m)) or validate(m))
     specs = [_spec(channels.BIT_TRIT_PHASE_FLIP, channels.GLOBAL, p1=p, p2=p, p=p)
              for p in (0.2, 0.4)]
-    sweep.evaluate(*spec_rows(specs), np.linspace(0.0, R_MAX, n))
+    sweep.evaluate(*spec_axes(specs), np.linspace(0.0, R_MAX, n))
     assert built == [n] and validated == [(n, 6, 6)]
 
 
@@ -174,7 +229,7 @@ def test_chunking_never_changes_a_bit(monkeypatch):
         for matrices in (len(r), 128, bound, len(params) * len(r)):
             monkeypatch.setattr(sweep, "_CHUNK_MATRICES", matrices)
             results.append(b"".join(a.tobytes() for a in sweep.evaluate(
-                spec, params, r, allow_incomplete=raw)))
+                spec, tuple(params.T), r, allow_incomplete=raw)))
         assert results[1:] == results[:-1], spec
 
 
@@ -189,7 +244,7 @@ def test_a_figure_3_spec_takes_one_eigensolver_call_its_pt_spectra(
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         lambda a: shapes.append(np.shape(a)) or eigvalsh(a))
     spec = sweep._linked(figure_sweep.channel, 0.37)
-    min_eig, _ = sweep.evaluate(*spec_rows([spec]), np.linspace(0.0, R_MAX, 101))
+    _, min_eig, _ = sweep.evaluate(*spec_axes([spec]), np.linspace(0.0, R_MAX, 101))
     assert shapes == [(1, 101, 6, 6)]
     assert min_eig.shape == (1, 101)
 
