@@ -239,7 +239,8 @@ class _GatherSet(NamedTuple):
 @functools.lru_cache(maxsize=32)  # kind x global mode x variant x level order
 def _plan(kind, global_mode, variant, level_order):
     """How ``_stage_sets`` builds every set of one structure, read off the
-    set at p = 1/2, where every entry that is nonzero at some p is nonzero.
+    unit arrays of ``_table`` paired by ``_tensor_set``: as every scalar is
+    positive at 0 < p < 1, they hold the set's nonzeros and phases there.
 
     Entry (i, c) of operator k is a[A, B] * b[x, y], one entry of its qubit
     operator a times one of its qutrit operator b, for i = 3A + x and
@@ -260,9 +261,9 @@ def _plan(kind, global_mode, variant, level_order):
     * ``column`` (K, 6): the flat index there of the nonzero of column j
       of operator k, or of a zero row where column j is zero.
     """
-    qubit = qubit_channel(kind, 0.5)
-    qutrit = qutrit_channel(kind, 0.5, variant, level_order)
-    ops = _tensor_set(qubit, qutrit, global_mode)
+    index, unit = zip(_table(2, kind, CORRECTED, PRINTED),
+                      _table(3, kind, variant, level_order))
+    ops = _tensor_set(*unit, global_mode)
     nonzero = ops != 0
     exact = not (nonzero.sum(axis=-1).max() > 1 or nonzero.sum(axis=-2).max() > 1
                  or np.any((ops.real != 0) & (ops.imag != 0)))
@@ -271,12 +272,10 @@ def _plan(kind, global_mode, variant, level_order):
     c = col[:, :, None] if exact else row  # the columns of each row's entries
     # Operator k's qubit and qutrit operator, as _tensor_set pairs them.
     on_qubit, on_qutrit = (np.ravel(i)[:, None, None] for i in np.broadcast_arrays(
-        *_paired(np.arange(len(qubit)), np.arange(len(qutrit)), global_mode)))
+        *_paired(np.arange(len(unit[0])), np.arange(len(unit[1])), global_mode)))
     # Each factor's flat index among the qubit entries, then the qutrit entries.
     entry = np.stack((on_qubit * 4 + row[:, None] // 3 * 2 + c // 3,
-                      qubit.size + on_qutrit * 9 + row[:, None] % 3 * 3 + c % 3))
-    index, unit = zip(_table(2, kind, CORRECTED, PRINTED),
-                      _table(3, kind, variant, level_order))
+                      unit[0].size + on_qutrit * 9 + row[:, None] % 3 * 3 + c % 3))
     gather = None
     if exact:
         first = np.arange(len(ops))[:, None] * 6  # flat index of each operator's v_0
@@ -366,13 +365,13 @@ def _gather(sets: _GatherSet, x: np.ndarray):
     or 18).  Forming all 36 made figure 3 43 % and the verify reports 21 %
     slower (BENCH_25.json).  When x holds one matrix, for which the support
     pass costs more than it saves, every column is formed.  On one
-    (S, N, K, C) temporary: a gather, the two scalings in place, the sum
-    over K in operator order and a -0 to +0 fix-up (the matmul kernel adds
-    to +0, so never ends on -0).  Only where x's one matrix set
+    (S, N, K, C) temporary: a gather, the two scalings in place and the sum
+    over K in operator order, which numpy starts from +0 as the matmul
+    kernel does, so neither ends on -0.  Only where x's one matrix set
     broadcasts up to S > 1 sets does the first scaling make the temporary,
     from a gather of (1, N, K, C).  As v and w are finite, an entry outside
-    the reach is a sum of signed zeros, which the fix-up would make +0.  The
-    restricted arrays are C-contiguous and keep two columns or more, so
+    the reach is a sum of signed zeros, so +0, as the zeros scattered into.
+    The restricted arrays are C-contiguous and keep two columns or more, so
     numpy adds the K terms one by one, as over all 36 columns; down a lone
     column it would sum them pairwise.  On finite input this gives the bits
     of ``apply_unchecked``: each matmul entry is the one product plus exact
@@ -393,7 +392,6 @@ def _gather(sets: _GatherSet, x: np.ndarray):
         t = t * v[:, None]
     t *= w[:, None]
     kept = t.sum(axis=-2)
-    kept += 0.0
     if cols is None:
         return kept
     out = np.zeros(kept.shape[:-1] + (36,), complex)

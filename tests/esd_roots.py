@@ -2,9 +2,9 @@
 channels, built from the paper's matrices at 50 digits with mpmath.
 
 The state is ``unruh_state(pi/4)``, whose six nonzero entries are exactly
-1/4.  The operators are the paper's, as ``_paper_qubit`` and
-``_paper_qutrit`` in ``test_channels.py`` write them: corrected variant,
-reversed qutrit level order (level 2 first), every parameter linked to p.
+1/4.  The operators are the paper's, from the one written-out copy in
+``paper_kraus.py``: corrected variant, reversed qutrit level order (level 2
+first), every parameter linked to p.
 Multilocal coupling applies the product set {A_i (x) B_j} at (p, p) once;
 global coupling applies it, then the product collective set at (p, p),
 which is the same set.  The PPT test is exact in 2 (x) 3, so the state
@@ -16,40 +16,21 @@ import mpmath as mp
 
 from unruhsim import channels as ch
 
+import paper_kraus
+
 DPS = 50
 
 
-def _reversed(rows):
-    return [row[::-1] for row in rows[::-1]]
-
-
-def _qubit(kind, p):
-    second = {ch.BIT_TRIT_FLIP: [[0, 1], [1, 0]],
-              ch.BIT_TRIT_PHASE_FLIP: [[0, -1j], [1j, 0]]}[kind]
-    return [(mp.sqrt(1 - p / 2), [[1, 0], [0, 1]]), (mp.sqrt(p / 2), second)]
-
-
-def _qutrit(kind, p):
-    w, one = mp.sqrt(p / 3), [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    if kind == ch.BIT_TRIT_FLIP:
-        ops = [(mp.sqrt(1 - 2 * p / 3), one), (w, [[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
-               (w, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])]
-    else:
-        om = mp.expjpi(mp.mpf(2) / 3)  # exp(2 pi i / 3)
-        omc = mp.conj(om)
-        ops = [(mp.sqrt(1 - p), one), (w, [[0, 0, om], [1, 0, 0], [0, omc, 0]]),
-               (w, [[0, omc, 0], [0, 0, om], [1, 0, 0]]),
-               (w, [[0, om, 0], [0, 0, omc], [1, 0, 0]])]
-    return [(c, _reversed(e)) for c, e in ops]
-
-
 def _product_set(kind, p):
-    """The 6x6 operators c_A c_B (A (x) B), each as its nonzero entries
-    {(3A + a, 3B + b): value}."""
-    return [{(3 * i + a, 3 * j + b): ca * cb * mp.mpmathify(x) * mp.mpmathify(y)
-             for i, row in enumerate(ea) for j, x in enumerate(row) if x
-             for a, rowb in enumerate(eb) for b, y in enumerate(rowb) if y}
-            for ca, ea in _qubit(kind, p) for cb, eb in _qutrit(kind, p)]
+    """The 6x6 operators c_A c_B (A (x) B) of the paper's sets, corrected,
+    reversed, each as its nonzero entries {(3A + a, 3B + b): value}."""
+    with mp.workdps(DPS):
+        om = mp.expjpi(mp.mpf(2) / 3)  # exp(2 pi i / 3)
+        qutrit = paper_kraus.qutrit(kind, p, ch.CORRECTED, ch.REVERSED, mp.sqrt, om)
+        return [{(3 * i + a, 3 * j + b): ca * cb * mp.mpmathify(x) * mp.mpmathify(y)
+                 for i, row in enumerate(ea) for j, x in enumerate(row) if x
+                 for a, rowb in enumerate(eb) for b, y in enumerate(rowb) if y}
+                for ca, ea in paper_kraus.qubit(kind, p, mp.sqrt) for cb, eb in qutrit]
 
 
 def _apply(ops, rho):

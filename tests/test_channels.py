@@ -20,10 +20,11 @@ from unruhsim.errors import (
 from unruhsim.state import unruh_state, validate_density
 
 import openblas_cores
+import paper_kraus
 from spec_rows import spec_axes, spec_rows
 
 P_GRID = [round(0.1 * k, 10) for k in range(11)]
-OMEGA = np.exp(2j * np.pi / 3)
+OMEGA = paper_kraus.OMEGA
 
 
 # --- qubit sets -------------------------------------------------------------
@@ -152,45 +153,13 @@ def test_parameter_range_enforced(bad):
 # --- the scalar tables against the paper's matrices ---------------------------
 
 def _paper_qubit(kind, p):
-    """The qubit operators as printed in the paper."""
-    if kind == ch.DEPHASING:
-        return [np.diag([1.0, math.sqrt(1 - p)]).astype(complex),
-                np.diag([0.0, math.sqrt(p)]).astype(complex)]
-    second = {ch.PHASE_FLIP: [[1, 0], [0, -1]], ch.BIT_TRIT_FLIP: [[0, 1], [1, 0]],
-              ch.BIT_TRIT_PHASE_FLIP: [[0, -1j], [1j, 0]]}[kind]
-    return [math.sqrt(1 - p / 2) * np.eye(2, dtype=complex),
-            math.sqrt(p / 2) * np.array(second, dtype=complex)]
+    """The qubit operators as printed in the paper, as floats."""
+    return paper_kraus.floats(paper_kraus.qubit(kind, p))
 
 
 def _paper_qutrit(kind, p, variant, order):
-    """The qutrit operators as printed (level 0 first), with the
-    completeness repairs of the corrected variant, in the given order."""
-    q, sp = math.sqrt(1 - p), math.sqrt(p)
-    if kind in (ch.PHASE_FLIP, ch.DEPHASING):
-        e0 = np.diag([1.0, q, q]).astype(complex)
-        e1 = np.zeros((3, 3), dtype=complex)
-        e2 = np.zeros((3, 3), dtype=complex)
-        if kind == ch.PHASE_FLIP:
-            e1[0, 1] = e2[0, 2] = sp
-        else:
-            e1[1, 1] = e2[2, 2] = sp
-            if variant == ch.AS_PRINTED:  # the stray unit entries
-                e1[0, 0] = e2[0, 0] = 1.0
-        ops = [e0, e1, e2]
-    elif kind == ch.BIT_TRIT_FLIP:
-        w = math.sqrt(p / 3)
-        cyc = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
-        ops = [math.sqrt(1 - 2 * p / 3) * np.eye(3, dtype=complex), w * cyc,
-               w * (cyc @ cyc)]
-    else:
-        w, om = math.sqrt(p / 3), complex(OMEGA)
-        omc = om.conjugate()
-        coeff = math.sqrt(1 - 2 * p / 3) if variant == ch.AS_PRINTED else q
-        ops = [coeff * np.eye(3, dtype=complex),
-               w * np.array([[0, 0, om], [1, 0, 0], [0, omc, 0]], dtype=complex),
-               w * np.array([[0, omc, 0], [0, 0, om], [1, 0, 0]], dtype=complex),
-               w * np.array([[0, om, 0], [0, 0, omc], [1, 0, 0]], dtype=complex)]
-    return [e[::-1, ::-1] for e in ops] if order == ch.REVERSED else ops
+    """The qutrit operators of the paper, in the given variant and order."""
+    return paper_kraus.floats(paper_kraus.qutrit(kind, p, variant, order))
 
 
 def _paper_defect(ops):
@@ -253,7 +222,7 @@ def test_table_sets_are_the_papers_matrices_bit_for_bit(kind, variant, order):
             ops, defect = _one_set(kind, p1, p2, mode, variant, order)
             assert defect == _paper_defect(want)
             if kind not in _GATHER_KINDS:
-                # The cache holds the set as one (K, 6, 6) array.
+                # A matmul stage holds the set as one (K, 6, 6) array.
                 assert ops.shape == want.shape
                 _assert_same_bits(ops, want)
                 continue
@@ -265,6 +234,15 @@ def test_table_sets_are_the_papers_matrices_bit_for_bit(kind, variant, order):
                 ops.rho_index, (col[:, :, None] * 6 + col[:, None, :]).reshape(k, 36))
             _assert_same_bits(ops.v, np.repeat(v, 6, axis=1)[None])
             _assert_same_bits(ops.w, np.tile(v.conj(), 6)[None])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ch.KINDS), st.sampled_from(ch.VARIANTS),
+       st.sampled_from(ch.LEVEL_ORDERS), st.floats(0.0, 1.0))
+def test_builders_are_the_papers_matrices_bit_for_bit_at_any_p(kind, variant, order, p):
+    _assert_same_bits(ch.qubit_channel(kind, p), np.stack(_paper_qubit(kind, p)))
+    _assert_same_bits(ch.qutrit_channel(kind, p, variant, order),
+                      np.stack(_paper_qutrit(kind, p, variant, order)))
 
 
 # --- lifting ----------------------------------------------------------------
@@ -417,31 +395,16 @@ _I2 = np.eye(2, dtype=complex)
 _I3 = np.eye(3, dtype=complex)
 
 
-def _collective_oracle(spec):
-    """The collective set at p from the single-system sets and np.kron:
-    every pair for product, index-by-index pairs padded with zeros for
-    correlated."""
-    qubit = list(ch.qubit_channel(spec.kind, spec.p))
-    qutrit = list(ch.qutrit_channel(spec.kind, spec.p, spec.variant,
-                                    spec.level_order))
-    if spec.global_mode == ch.PRODUCT:
-        return [np.kron(a, b) for a in qubit for b in qutrit]
-    n = max(len(qubit), len(qutrit))
-    qubit += [np.zeros((2, 2), dtype=complex)] * (n - len(qubit))
-    qutrit += [np.zeros((3, 3), dtype=complex)] * (n - len(qutrit))
-    return [np.kron(a, b) for a, b in zip(qubit, qutrit)]
-
-
 @functools.lru_cache(maxsize=None)
 def _oracle_sets(spec):
-    """The spec's Kraus sets, as the oracle applies them: the local set
-    (qutrit after qubit), then the collective set."""
-    qubit = [np.kron(a, _I3) for a in ch.qubit_channel(spec.kind, spec.p1)]
-    qutrit = [np.kron(_I2, b) for b in ch.qutrit_channel(
-        spec.kind, spec.p2, spec.variant, spec.level_order)]
+    """The spec's Kraus sets from the paper's matrices, as the oracle applies
+    them: the local set (qutrit after qubit), then the collective set."""
+    structure = spec.variant, spec.level_order
+    qubit = [np.kron(a, _I3) for a in _paper_qubit(spec.kind, spec.p1)]
+    qutrit = [np.kron(_I2, b) for b in _paper_qutrit(spec.kind, spec.p2, *structure)]
     sets = [[b @ a for a in qubit for b in qutrit]]
     if spec.coupling == ch.GLOBAL:
-        sets.append(_collective_oracle(spec))
+        sets.append(_paper_set(spec.kind, spec.p, spec.p, spec.global_mode, *structure))
     return sets
 
 
@@ -638,7 +601,7 @@ def test_gather_kernel_is_chosen_exactly_for_real_or_imaginary_sets(
     assert isinstance(ops, ch._GatherSet) == (kind in _GATHER_KINDS)
     _stage_apply(ops, unruh_state(0.2))
     assert len(gather_calls) == (kind in _GATHER_KINDS)
-    # evolve applies a local and a collective set, both from the cache.
+    # evolve applies a local and a collective set, each a stage it builds.
     gather_calls.clear()
     ch.evolve(unruh_state(0.2), ch.ChannelSpec(kind, ch.GLOBAL, 0.3, 0.6, 0.4,
                                                mode, variant, order),
@@ -647,7 +610,7 @@ def test_gather_kernel_is_chosen_exactly_for_real_or_imaginary_sets(
 
 
 def _operators(kind, p1, p2, mode, variant, order):
-    """The set as a plain tuple of 6x6 operators, built apart from the cache."""
+    """The set as a plain tuple of 6x6 operators from the public builders."""
     return tuple(ch._tensor_set(ch.qubit_channel(kind, p1),
                                 ch.qutrit_channel(kind, p2, variant, order), mode))
 
