@@ -9,6 +9,7 @@ digits so regenerated outputs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import os
@@ -218,17 +219,14 @@ def _apply_config(parser: _Parser, argv: list[str], args) -> argparse.Namespace:
 
 
 def _channel_spec(args) -> ChannelSpec:
-    coupling = _COUPLING_FLAGS[args.coupling]
-    p = getattr(args, "p", 0.0) + 0.0  # a -0 flag reads as 0, like parse_angle's
-    return ChannelSpec(
-        kind=_KIND_FLAGS[args.channel],
-        coupling=coupling,
-        p1=p if getattr(args, "p1", None) is None else args.p1 + 0.0,
-        p2=p if getattr(args, "p2", None) is None else args.p2 + 0.0,
-        p=p if coupling == channels.GLOBAL else 0.0,
-        global_mode=args.global_mode,
-        variant=_VARIANT_FLAGS[getattr(args, "variant", "corrected")],
-    )
+    variant = _VARIANT_FLAGS[getattr(args, "variant", "corrected")]
+    template = ChannelSpec(_KIND_FLAGS[args.channel], _COUPLING_FLAGS[args.coupling],
+                           global_mode=args.global_mode, variant=variant)
+    # a -0 flag reads as 0, like parse_angle's
+    p1, p2, p = sweep._linked_row(template, getattr(args, "p", 0.0) + 0.0)
+    p1 = p1 if getattr(args, "p1", None) is None else args.p1 + 0.0
+    p2 = p2 if getattr(args, "p2", None) is None else args.p2 + 0.0
+    return dataclasses.replace(template, p1=p1, p2=p2, p=p)
 
 
 @functools.cache

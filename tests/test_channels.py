@@ -411,10 +411,7 @@ def _oracle_sets(spec):
 def _kraus_oracle(rho, spec):
     """One state through the spec's Kraus sets, one operator at a time."""
     for ops in _oracle_sets(spec):
-        out = np.zeros((6, 6), dtype=complex)
-        for e in ops:
-            out += e @ rho @ e.conj().T
-        rho = out
+        rho = _per_matrix_loop(ops, rho)
     return rho
 
 

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import ctypes
+import dataclasses
 import hashlib
 import io
 import math
@@ -968,6 +969,57 @@ def test_every_minus_zero_parameter_reads_as_zero():
     angles = [cli.parse_angle(text) for text in ("-0", "-0.0", "-0*pi", "pi/-inf")]
     for x in (spec.p1, spec.p2, spec.p, *angles, *cli._parse_p_grid("-0,-0.0")):
         assert math.copysign(1.0, x) == 1.0
+
+
+# The p flags each command takes, and the overrides the spec test gives them.
+_SPEC_COMMANDS = {
+    "negativity": (["negativity", "--r", "0.3", "--variant", "as-printed"],
+                   {"p", "p1", "p2"}),
+    "sweep": (["sweep", "--axis", "r", "--out", "x.csv", "--variant", "as-printed"],
+              {"p"}),
+    "esd": (["esd", "--r", "0.3"], set()),
+}
+_SPEC_OVERRIDES = {
+    "none": {}, "p": {"p": "0.3"}, "p1": {"p": "0.3", "p1": "0.2"},
+    "p2": {"p": "0.3", "p2": "0.7"}, "p1-p2": {"p": "0.3", "p1": "0.2", "p2": "0.7"},
+    "p-minus-0": {"p": "-0"}, "p1-minus-0": {"p": "0.3", "p1": "-0"},
+    "p2-minus-0": {"p": "0.3", "p2": "-0"},
+    "all-minus-0": {"p": "-0", "p1": "-0", "p2": "-0"},
+}
+
+
+@pytest.mark.parametrize("coupling", ["ml", "global"])
+@pytest.mark.parametrize("command, flags", [
+    pytest.param(command, flags, id=f"{command}-{name}")
+    for command, (_, taken) in _SPEC_COMMANDS.items()
+    for name, flags in _SPEC_OVERRIDES.items() if set(flags) <= taken
+])
+def test_the_cli_spec_is_the_linked_row_with_its_overrides(command, flags, coupling):
+    head, _ = _SPEC_COMMANDS[command]
+    args = cli._build_parser().parse_args(
+        head + ["--channel", "dephasing", "--coupling", coupling,
+                "--global-mode", "correlated"]
+        + [f"--{key}={value}" for key, value in flags.items()])
+    template = channels.ChannelSpec(
+        channels.DEPHASING, cli._COUPLING_FLAGS[coupling],
+        global_mode=channels.CORRELATED,
+        variant=channels.AS_PRINTED if "--variant" in head else channels.CORRECTED)
+    linked = sweep._linked_row(template, float(flags.get("p", 0.0)) + 0.0)
+    expected = dict(zip(("p1", "p2", "p"), linked),
+                    **{key: float(flags[key]) for key in ("p1", "p2") if key in flags})
+    spec = cli._channel_spec(args)
+    for field in dataclasses.fields(channels.ChannelSpec):
+        want = expected.get(field.name, getattr(template, field.name))
+        assert getattr(spec, field.name) == want, field.name
+    for x in (spec.p1, spec.p2, spec.p):
+        assert math.copysign(1.0, x) == 1.0  # every p is >= 0, and a zero is +0
+
+
+def test_an_override_is_refused_after_the_linked_p_it_leaves(capsys):
+    assert main(["negativity", "--channel", "phase-flip", "--coupling", "global",
+                 "--r", "0", "--p", "2", "--p1", "0.1"]) == EXIT_USAGE
+    assert capsys.readouterr() == (
+        "", "error: decoherence parameter p2=2.0 outside [0, 1]\n")
 
 
 def test_an_empty_config_path_is_read_and_refused(capsys):

@@ -33,6 +33,7 @@ import numpy as np
 import pytest
 
 import openblas_cores
+import paper_kraus
 from unruhsim import analytic, channels, cli, sweep
 
 ULP = math.ulp(0.5)
@@ -46,8 +47,9 @@ def _complete(spec, p):
     first min(Ka, Kb) pairs of the qubit and qutrit sets index by index."""
     if spec.coupling == channels.MULTILOCAL or spec.global_mode == channels.PRODUCT:
         return True
-    qubit = channels.qubit_channel(spec.kind, p)
-    qutrit = channels.qutrit_channel(spec.kind, p, spec.variant, spec.level_order)
+    qubit = paper_kraus.floats(paper_kraus.qubit(spec.kind, p))
+    qutrit = paper_kraus.floats(
+        paper_kraus.qutrit(spec.kind, p, spec.variant, spec.level_order))
     ops = [np.kron(a, b) for a, b in zip(qubit, qutrit)]
     return channels.completeness_defect(ops) <= channels.COMPLETENESS_TOL
 
